@@ -36,52 +36,91 @@ Subpackages
 ``repro.runner``     parallel cached experiment engine + differential sweeps
 """
 
-from .graph import (
-    DFG,
-    DFGError,
-    Edge,
-    Node,
-    OpKind,
-    cycle_period,
-    iteration_bound,
-    topological_order,
-    validate,
+import importlib
+import sys
+
+
+def _lazy_exports(package, exports):
+    """PEP 562 ``(__getattr__, __dir__)`` for a package's exports.
+
+    ``exports`` maps a submodule (relative, like ``".engine"``) to the
+    names it provides.  Importing the package imports none of them; each
+    submodule loads the first time one of its names is read (attribute
+    access, ``from package import name`` or ``import *``), and the value
+    is then cached on the package.  Names outside the table raise
+    :class:`AttributeError`.  Shared by ``repro``, ``repro.analysis``,
+    ``repro.runner`` and ``repro.server``; it lives here because
+    ``import repro`` must load no submodule.
+    """
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(origin))
+
+    return __getattr__, __dir__
+
+
+# `import repro` loads no subpackage, so the CLI and pool workers pay only
+# for what they run.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".graph": (
+            "DFG",
+            "DFGError",
+            "Edge",
+            "Node",
+            "OpKind",
+            "cycle_period",
+            "iteration_bound",
+            "topological_order",
+            "validate",
+        ),
+        ".retiming": (
+            "Retiming",
+            "RetimingError",
+            "feas",
+            "minimize_cycle_period",
+            "rate_optimal_retiming",
+            "retime_for_period",
+        ),
+        ".unfolding": ("retime_unfold", "unfold", "unfold_retime"),
+        ".schedule": ("ResourceModel", "list_schedule", "rotation_schedule"),
+        ".codegen": (
+            "LoopProgram",
+            "format_program",
+            "original_loop",
+            "pipelined_loop",
+            "retimed_unfolded_loop",
+            "unfold_retimed_loop",
+            "unfolded_loop",
+        ),
+        ".machine": ("MachineError", "run_program"),
+        ".core": (
+            "assert_equivalent",
+            "best_under_budget",
+            "csr_pipelined_loop",
+            "csr_retimed_unfolded_loop",
+            "csr_unfold_retimed_loop",
+            "csr_unfolded_loop",
+            "design_space",
+            "equivalent",
+            "limit_registers",
+        ),
+        ".compiler": ("CompilationResult", "compile_loop"),
+        ".frontend": ("ParseError", "parse_loop"),
+        ".runner": ("ExperimentEngine", "Job", "ResultCache", "differential_sweep"),
+        ".workloads": ("benchmark_graphs", "get_workload"),
+    },
 )
-from .retiming import (
-    Retiming,
-    RetimingError,
-    feas,
-    minimize_cycle_period,
-    rate_optimal_retiming,
-    retime_for_period,
-)
-from .unfolding import retime_unfold, unfold, unfold_retime
-from .schedule import ResourceModel, list_schedule, rotation_schedule
-from .codegen import (
-    LoopProgram,
-    format_program,
-    original_loop,
-    pipelined_loop,
-    retimed_unfolded_loop,
-    unfold_retimed_loop,
-    unfolded_loop,
-)
-from .machine import MachineError, run_program
-from .core import (
-    assert_equivalent,
-    best_under_budget,
-    csr_pipelined_loop,
-    csr_retimed_unfolded_loop,
-    csr_unfold_retimed_loop,
-    csr_unfolded_loop,
-    design_space,
-    equivalent,
-    limit_registers,
-)
-from .compiler import CompilationResult, compile_loop
-from .frontend import ParseError, parse_loop
-from .runner import ExperimentEngine, Job, ResultCache, differential_sweep
-from .workloads import benchmark_graphs, get_workload
 
 __version__ = "1.0.0"
 

@@ -20,37 +20,17 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import observability
-from .analysis.__main__ import (
-    add_engine_arguments,
-    checkpoint_from_args,
-    engine_from_args,
-    export_observability,
-    report_resilience,
-    tables_main,
-)
-from .ioutil import atomic_write_text
-from .runner.journal import JournalError
-from .server.worker import add_worker_arguments
-from .codegen import emit_c, format_program, original_loop
-from .core import (
-    assert_equivalent,
-    csr_pipelined_loop,
-    csr_retimed_unfolded_loop,
-    size_csr_pipelined,
-    size_pipelined,
-)
-from .compiler import compile_loop
-from .frontend import parse_loop
-from .graph import critical_cycle, cycle_period, cycle_stats, iteration_bound
-from .graph.serialize import to_dot, to_json
-from .retiming import minimize_cycle_period
-from .workloads import WORKLOADS, get_workload
+# Each command imports what it runs, so building the parser (and every
+# `--help`) loads neither the server, the remote fabric nor numpy.  The
+# start-up budget is pinned by tests/test_startup.py.
 
 
 def _cmd_list(_args) -> int:
+    from .workloads import WORKLOADS, get_workload
+
     for name in sorted(WORKLOADS):
         g = get_workload(name)
         print(f"{name:10s} {g.num_nodes:3d} nodes, {g.num_edges:3d} edges")
@@ -58,6 +38,11 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .core import size_csr_pipelined, size_pipelined
+    from .graph import critical_cycle, cycle_period, cycle_stats, iteration_bound
+    from .retiming import minimize_cycle_period
+    from .workloads import get_workload
+
     g = get_workload(args.workload)
     period, r = minimize_cycle_period(g)
     print(f"workload      : {g.name}")
@@ -76,6 +61,11 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_csr(args) -> int:
+    from .codegen import format_program
+    from .core import csr_pipelined_loop, csr_retimed_unfolded_loop
+    from .retiming import minimize_cycle_period
+    from .workloads import get_workload
+
     g = get_workload(args.workload)
     _, r = minimize_cycle_period(g)
     if args.unfold > 1:
@@ -87,6 +77,10 @@ def _cmd_csr(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .core import assert_equivalent, csr_pipelined_loop
+    from .retiming import minimize_cycle_period
+    from .workloads import get_workload
+
     g = get_workload(args.workload)
     _, r = minimize_cycle_period(g)
     program = csr_pipelined_loop(g, r)
@@ -97,7 +91,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .codegen import format_program
+    from .compiler import compile_loop
     from .schedule import ResourceModel
+    from .workloads import get_workload
 
     g = get_workload(args.workload)
     resources = None
@@ -126,6 +123,12 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from .codegen import format_program, original_loop
+    from .core import csr_pipelined_loop
+    from .frontend import parse_loop
+    from .graph.serialize import to_json
+    from .retiming import minimize_cycle_period
+
     source = sys.stdin.read() if args.file == "-" else open(args.file).read()
     g = parse_loop(source, name=args.name)
     if args.csr:
@@ -139,6 +142,11 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_cgen(args) -> int:
+    from .codegen import emit_c, original_loop
+    from .core import csr_pipelined_loop
+    from .retiming import minimize_cycle_period
+    from .workloads import get_workload
+
     g = get_workload(args.workload)
     if args.csr:
         _, r = minimize_cycle_period(g)
@@ -150,16 +158,24 @@ def _cmd_cgen(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .graph.serialize import to_dot
+    from .workloads import get_workload
+
     print(to_dot(get_workload(args.workload)))
     return 0
 
 
 def _cmd_json(args) -> int:
+    from .graph.serialize import to_json
+    from .workloads import get_workload
+
     print(to_json(get_workload(args.workload)))
     return 0
 
 
 def _cmd_tables(args) -> int:
+    from .analysis.__main__ import tables_main
+
     return tables_main(args)
 
 
@@ -178,9 +194,16 @@ def _cmd_sweep(args) -> int:
     re-executes only the pending ones — producing output bit-identical
     to an uninterrupted run.
     """
+    from .analysis.__main__ import (
+        check_topology,
+        checkpoint_from_args,
+        engine_from_args,
+        export_observability,
+        report_resilience,
+        topology_from_args,
+    )
+    from .ioutil import atomic_write_text
     from .runner.difftest import differential_sweep
-
-    from .analysis.__main__ import check_topology, topology_from_args
 
     engine = engine_from_args(args)
     try:
@@ -263,7 +286,16 @@ def _cmd_worker(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Per-stage time breakdown of the pipeline on one workload."""
+    from . import observability
+    from .core import (
+        assert_equivalent,
+        csr_pipelined_loop,
+        csr_retimed_unfolded_loop,
+    )
+    from .ioutil import atomic_write_text
     from .machine.vm import run_program
+    from .retiming import minimize_cycle_period
+    from .workloads import get_workload
 
     observability.enable()
     g = get_workload(args.workload)
@@ -314,7 +346,69 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """CLI flags for the ``worker`` subcommand (see
+    :func:`repro.server.worker.worker_main`)."""
+    parser.add_argument(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="the coordinator's work-plane address",
+    )
+    parser.add_argument(
+        "--id",
+        default=f"worker-{os.getpid()}",
+        help="worker identity in leases and journals (default: worker-<pid>)",
+    )
+    parser.add_argument(
+        "--max-units",
+        type=int,
+        default=0,
+        metavar="N",
+        help="exit after N units (0 = run until the coordinator closes)",
+    )
+    parser.add_argument(
+        "--poll-max",
+        type=float,
+        default=1.0,
+        metavar="SEC",
+        help="max sleep between idle lease polls",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore the coordinator's shared cache spec (separate hosts)",
+    )
+    parser.add_argument(
+        "--retry-max",
+        type=int,
+        default=4,
+        metavar="N",
+        help="client retry attempts per request",
+    )
+    parser.add_argument(
+        "--retry-backoff",
+        type=float,
+        default=0.05,
+        metavar="SEC",
+        help="client retry backoff base",
+    )
+    parser.add_argument(
+        "--request-timeout",
+        type=float,
+        default=30.0,
+        metavar="SEC",
+        help="per-request transport timeout",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.cli import (
+        add_engine_arguments,
+        add_report_arguments,
+        add_tables_argument,
+    )
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Code-size reduction for software-pipelined DSP loops "
@@ -368,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_json)
 
     p = sub.add_parser("tables", help="regenerate the paper's tables")
-    p.add_argument("tables", nargs="*", choices=["1", "2", "3", "4"], metavar="N")
+    add_tables_argument(p)
     add_engine_arguments(p)
     p.set_defaults(fn=_cmd_tables)
 
@@ -378,15 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         "+ LaTeX + report.json; --diff gates regressions; see "
         "docs/REPORT.md)",
     )
-    from .analysis.report import DEFAULT_COUNTER_RATIO
-
-    p.add_argument("runs", nargs="*", metavar="RUNS-DIR")
-    p.add_argument("-o", "--out", default=None, metavar="DIR")
-    p.add_argument("--paper-tables", action="store_true")
-    p.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None)
-    p.add_argument(
-        "--counter-ratio", type=float, default=DEFAULT_COUNTER_RATIO, metavar="X"
-    )
+    add_report_arguments(p)
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser(
@@ -469,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="remote worker: lease, execute and complete work units from "
         "a coordinator's work plane (see docs/SERVER.md)",
     )
-    add_worker_arguments(p)
+    _add_worker_arguments(p)
     p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(
@@ -512,21 +598,25 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except JournalError as exc:
-        # A bad --resume target (missing, corrupt, or wrong-command
-        # journal) is an operator error: one clear line, no traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout went away (e.g. piped into `head`); exit quietly like a
         # well-behaved unix tool.
-        import os
-
         try:
             sys.stdout.close()
         except OSError:
             pass
         os._exit(0)
+    except Exception as exc:
+        # Only the journaled commands raise JournalError, and they have
+        # imported it already, so this import is free.
+        from .runner.journal import JournalError
+
+        if not isinstance(exc, JournalError):
+            raise
+        # A bad --resume target (missing, corrupt, or wrong-command
+        # journal) is an operator error: one clear line, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,30 +1,39 @@
 """Experiment drivers and reporting for the paper's evaluation tables."""
 
-from .experiments import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    TABLE_TITLES,
-    OrderComparison,
-    Table1Row,
-    Table2Row,
-    format_order_comparison,
-    format_table1,
-    format_table2,
-    table1_rows,
-    table2_rows,
-    table3_comparison,
-    table4_comparison,
-)
-from .frames import Frame, bootstrap_ci
-from .tables import (
-    FailedCell,
-    format_gap_table,
-    format_latex_table,
-    format_markdown_table,
-    format_table,
-    latex_escape,
+from .. import _lazy_exports
+
+# Exports resolve on first access, so the CLIs can load `.cli` (argument
+# definitions only) without importing the experiment drivers.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".experiments": (
+            "PAPER_TABLE1",
+            "PAPER_TABLE2",
+            "PAPER_TABLE3",
+            "PAPER_TABLE4",
+            "TABLE_TITLES",
+            "OrderComparison",
+            "Table1Row",
+            "Table2Row",
+            "format_order_comparison",
+            "format_table1",
+            "format_table2",
+            "table1_rows",
+            "table2_rows",
+            "table3_comparison",
+            "table4_comparison",
+        ),
+        ".frames": ("Frame", "bootstrap_ci"),
+        ".tables": (
+            "FailedCell",
+            "format_gap_table",
+            "format_latex_table",
+            "format_markdown_table",
+            "format_table",
+            "latex_escape",
+        ),
+    },
 )
 
 __all__ = [

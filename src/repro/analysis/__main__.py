@@ -28,6 +28,7 @@ from ..runner import resilience
 from ..runner.engine import ExperimentEngine, default_engine
 from ..runner.journal import JournalError, RunCheckpoint
 from ..runner.resilience import FaultPlan, RetryPolicy
+from .cli import TABLES, add_engine_arguments, add_tables_argument
 from .experiments import (
     PAPER_TABLE3,
     PAPER_TABLE4,
@@ -47,145 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="Regenerate the paper's evaluation tables (1-4).",
     )
-    # No `choices` here: argparse on 3.11 rejects an empty nargs="*" list
-    # against choices, and "no tables named" must mean "all of them".
-    parser.add_argument(
-        "tables",
-        nargs="*",
-        metavar="N",
-        help="tables to print: 1 2 3 4 (default: all)",
-    )
+    add_tables_argument(parser)
     add_engine_arguments(parser)
     return parser
-
-
-def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--jobs/--no-cache/--stats/--cache-dir`` flag group."""
-    group = parser.add_argument_group("experiment engine")
-    group.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (1 = inline, 0 = one per CPU)",
-    )
-    group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
-    )
-    group.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    group.add_argument(
-        "--stats",
-        action="store_true",
-        help="print engine metrics (cache hits, wall time, VM counts)",
-    )
-    group.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="enable tracing; write a Chrome trace-event JSON to FILE",
-    )
-    group.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="enable metrics; write the JSON metrics export to FILE",
-    )
-    rgroup = parser.add_argument_group("resilience")
-    rgroup.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PLAN",
-        help="fault-injection plan: a JSON file path or inline JSON "
-        "(default: $REPRO_FAULT_PLAN; see docs/RESILIENCE.md)",
-    )
-    rgroup.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts per job before it degrades to FAILED (default 3)",
-    )
-    rgroup.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="per-attempt deadline; late attempts are retried, then FAILED",
-    )
-    rgroup.add_argument(
-        "--outcomes-out",
-        default=None,
-        metavar="FILE",
-        help="write per-job outcome records (status, attempts, faults) as JSON",
-    )
-    cgroup = parser.add_argument_group("checkpointing")
-    cgroup.add_argument(
-        "--journal",
-        default=None,
-        metavar="DIR",
-        help="record a durable run journal into DIR (fsync'd write-ahead "
-        "JSONL; see docs/CHECKPOINTING.md)",
-    )
-    cgroup.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="resume an interrupted run from DIR's journal: completed jobs "
-        "are rehydrated, only pending ones re-execute",
-    )
-    cgroup.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run parallel work in the supervised process pool: dead or "
-        "hung workers are respawned and their jobs requeued",
-    )
-    cgroup.add_argument(
-        "--worker-heartbeat-timeout",
-        type=float,
-        default=30.0,
-        metavar="SEC",
-        help="heartbeat silence before a supervised worker is declared "
-        "hung and replaced (default 30)",
-    )
-    dgroup = parser.add_argument_group("distributed execution")
-    dgroup.add_argument(
-        "--workers",
-        choices=("local", "remote"),
-        default="local",
-        help="execution fabric: 'local' pools in this process, 'remote' "
-        "leases units to worker processes over a work plane "
-        "(see docs/SERVER.md)",
-    )
-    dgroup.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --workers remote: offload units to an existing "
-        "`repro serve` daemon instead of spawning a work plane",
-    )
-    dgroup.add_argument(
-        "--remote-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --workers remote: worker processes to spawn on the "
-        "work plane (default 2)",
-    )
-    dgroup.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="with --workers remote: lease expiry before a silent "
-        "worker's unit requeues (default 30)",
-    )
 
 
 def validate_engine_args(args: argparse.Namespace) -> None:
@@ -408,10 +273,18 @@ def tables_main(args: argparse.Namespace) -> int:
     ``--resume DIR`` restores the recorded table selection, rehydrates
     completed rows from the journal, and recomputes only the rest.
     """
+    bad = [t for t in args.tables if t not in TABLES]
+    if bad:
+        print(
+            f"error: unknown table(s): {' '.join(bad)} "
+            f"(choose from {' '.join(TABLES)})",
+            file=sys.stderr,
+        )
+        return 2
     engine = engine_from_args(args)
     try:
         checkpoint = checkpoint_from_args(args)
-        wanted = set(args.tables) or {"1", "2", "3", "4"}
+        wanted = set(args.tables) or set(TABLES)
         config = {
             "tables": sorted(wanted),
             "topology": topology_from_args(args),
@@ -443,11 +316,7 @@ def main(argv: list[str]) -> int:
         from .report import main as report_cli
 
         return report_cli(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    bad = [t for t in args.tables if t not in {"1", "2", "3", "4"}]
-    if bad:
-        parser.error(f"unknown table(s): {' '.join(bad)} (choose from 1 2 3 4)")
+    args = build_parser().parse_args(argv)
     try:
         return tables_main(args)
     except JournalError as exc:

@@ -60,6 +60,7 @@ from .experiments import (
     table2_cells,
     table2_row_from_payload,
 )
+from .cli import DEFAULT_COUNTER_RATIO, add_report_arguments
 from .frames import Frame, summarize
 from .tables import (
     FailedCell,
@@ -88,12 +89,6 @@ __all__ = [
 #: Bump on any report.json layout change; ``--diff`` refuses to compare
 #: across versions (apples to apples only).
 REPORT_VERSION = 1
-
-#: Threshold for ``--diff``'s op-counter gate: a baseline counter that
-#: grew by more than this factor is a regression (matches the CI
-#: perf-smoke budget).
-DEFAULT_COUNTER_RATIO = 2.0
-
 
 # ----------------------------------------------------------------------
 # Data model
@@ -1070,41 +1065,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Aggregate journaled runs into publication tables "
         "(markdown + LaTeX + report.json); see docs/REPORT.md.",
     )
-    parser.add_argument(
-        "runs",
-        nargs="*",
-        metavar="RUNS-DIR",
-        help="run directories (journals, --outcomes-out files, BENCH_*.json)",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="write report.md, report.tex, report.json and paper_tables.txt "
-        "into DIR (default: print markdown to stdout)",
-    )
-    parser.add_argument(
-        "--paper-tables",
-        action="store_true",
-        help="print only the paper-table sections, byte-identical to "
-        "`python -m repro.analysis` output for the journaled run",
-    )
-    parser.add_argument(
-        "--diff",
-        nargs=2,
-        metavar=("A", "B"),
-        default=None,
-        help="regression mode: compare two run directories (or report.json "
-        "files); exits 1 on material regressions",
-    )
-    parser.add_argument(
-        "--counter-ratio",
-        type=float,
-        default=DEFAULT_COUNTER_RATIO,
-        metavar="X",
-        help="op-counter growth budget for --diff (default 2.0)",
-    )
+    add_report_arguments(parser)
     return parser
 
 

@@ -52,11 +52,6 @@ from ..native import mulmod61 as _native_mulmod
 from ..observability import count
 from .dispatch import _DEC, _ERR, _LOOP, _SETUP, _TRIP
 
-try:  # pragma: no cover - numpy is a baked-in dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["TraceEvent", "ExecutionTrace", "body_hook", "packed_body_trace"]
 
 
@@ -112,14 +107,34 @@ _MAX_TRACE_TRIP = 5_000_000
 #: bodies have d of 1-5).
 _MAX_STATE_DIM = 16
 
-if _np is not None:
-    _UM = _np.uint64(_M)
-    _U_MASK32 = _np.uint64(0xFFFFFFFF)
-    _U_MASK29 = _np.uint64((1 << 29) - 1)
-    _U32 = _np.uint64(32)
-    _U29 = _np.uint64(29)
-    _U61 = _np.uint64(61)
-    _U3 = _np.uint64(3)
+#: numpy, bound by :func:`_load_numpy` on the first traceable body, so
+#: programs that never trace (and every CLI start-up) skip the import.
+_np = None
+
+
+def _load_numpy() -> bool:
+    """Import numpy and build the uint64 lane constants; ``False`` if
+    numpy is missing (every hook then declines and the interpreter runs).
+
+    ``_np`` is published last: a concurrent caller that sees it bound
+    also sees every constant.
+    """
+    global _np, _UM, _U_MASK32, _U_MASK29, _U32, _U29, _U61, _U3
+    if _np is not None:
+        return True
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy is a baked-in dependency
+        return False
+    _UM = np.uint64(_M)
+    _U_MASK32 = np.uint64(0xFFFFFFFF)
+    _U_MASK29 = np.uint64((1 << 29) - 1)
+    _U32 = np.uint64(32)
+    _U29 = np.uint64(29)
+    _U61 = np.uint64(61)
+    _U3 = np.uint64(3)
+    _np = np
+    return True
 
 
 def _trace_enabled() -> bool:
@@ -908,10 +923,10 @@ def body_hook(compiled, loop, n: int, initial):
     ``(executed, disabled)`` — or returns ``None`` without having touched
     either structure, in which case the interpreter loop must run.
     """
-    if _np is None or MODULUS != _M or not _trace_enabled() or loop.step != 1:
+    if MODULUS != _M or not _trace_enabled() or loop.step != 1:
         return None
     info = _body_info(compiled)
-    if info is None:
+    if info is None or not _load_numpy():
         return None
     T = loop.trip_count(n)
     start_i = loop.start.resolve(None, n)
@@ -932,10 +947,10 @@ def packed_body_trace(body_words, loop, n: int, reg_values, arrays, initial):
     structure) and gives ``(executed, disabled)``; ``None`` means machine
     state is untouched and the word-by-word interpreter must run.
     """
-    if _np is None or MODULUS != _M or not _trace_enabled() or loop.step != 1:
+    if MODULUS != _M or not _trace_enabled() or loop.step != 1:
         return None
     info = _analyze(body_words)
-    if info is None:
+    if info is None or not _load_numpy():
         return None
     T = loop.trip_count(n)
     if T == 0:

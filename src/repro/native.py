@@ -19,7 +19,11 @@ max|w| < 2**60`` bound the numpy path enforces), and the modular product
 is value-exact via ``__int128``.  The switch is off by default, and *any*
 failure — no compiler, sandboxed filesystem, load error — permanently
 falls back to the numpy paths for the process, so the pure-python/numpy
-behavior is always available and always the reference.
+behavior is always available and always the reference.  Each fallback
+while the switch is on is counted with its reason:
+``native.fallback.build_failed`` (no library) or
+``native.fallback.no_numpy``.  numpy itself is imported only once the
+switch is on, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -32,10 +36,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-try:  # pragma: no cover - numpy is a baked-in dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .observability import count
 
 __all__ = ["native_enabled", "native_available", "minplus_pass", "mulmod61"]
 
@@ -72,6 +73,7 @@ _ENV = "REPRO_NATIVE_KERNELS"
 _LOCK = threading.Lock()
 _LIB: ctypes.CDLL | None = None
 _FAILED = False
+_np = None  # numpy, imported by _numpy() once the switch is on
 
 
 def native_enabled() -> bool:
@@ -143,18 +145,42 @@ def _lib() -> ctypes.CDLL | None:
     return _LIB
 
 
+def _numpy():
+    """numpy, imported on first use; ``None`` if it is not installed."""
+    global _np
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is a baked-in dependency
+            return None
+        _np = numpy
+    return _np
+
+
 def native_available() -> bool:
     """Whether the switch is on *and* the library compiled and loaded."""
-    return native_enabled() and _np is not None and _lib() is not None
+    return native_enabled() and _numpy() is not None and _lib() is not None
+
+
+def _kernels() -> ctypes.CDLL | None:
+    """The loaded library when the switch is on, else ``None``; a
+    fallback with the switch on is counted with its reason."""
+    if not native_enabled():
+        return None
+    if _numpy() is None:
+        count("native.fallback.no_numpy")
+        return None
+    lib = _lib()
+    if lib is None:
+        count("native.fallback.build_failed")
+    return lib
 
 
 def minplus_pass(before, C):
     """One dense Bellman–Ford pass
     ``min(before, (before[:, None] + C).min(axis=0))``, or ``None`` when
     the native path is unavailable (caller runs the numpy expression)."""
-    if not native_enabled() or _np is None:
-        return None
-    lib = _lib()
+    lib = _kernels()
     if lib is None:
         return None
     n = before.shape[0]
@@ -176,9 +202,7 @@ def mulmod61(a, b):
     when the native path is unavailable (caller runs the split multiply).
 
     Broadcasts like the numpy path, so scalar-vector products work."""
-    if not native_enabled() or _np is None:
-        return None
-    lib = _lib()
+    lib = _kernels()
     if lib is None:
         return None
     a, b = _np.broadcast_arrays(a, b)

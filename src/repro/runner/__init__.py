@@ -13,46 +13,55 @@ and ``docs/RESILIENCE.md`` for fault injection, retry/backoff semantics
 and the FAILED-cell output contract.
 """
 
-from .cache import (
-    CACHE_SCHEMA,
-    QUARANTINE_CAP,
-    QUARANTINE_DIR,
-    CacheStats,
-    NullCache,
-    ResultCache,
-    cache_key,
-    code_version,
-    default_cache_dir,
-)
-from .difftest import (
-    DIFFTEST_TRANSFORMS,
-    SweepFailure,
-    SweepReport,
-    differential_jobs,
-    differential_sweep,
-)
-from .engine import EngineStats, ExperimentEngine, default_engine
-from .jobs import TRANSFORMS, Job, JobResult, execute_job, jobs_for_matrix
-from .journal import (
-    JOURNAL_NAME,
-    JournalError,
-    JournalScan,
-    RunCheckpoint,
-    RunJournal,
-    scan_journal,
-)
-from .remote import LeaseCoordinator, RemoteFabric, run_task_local
-from .supervisor import SupervisedPool, sweep_orphan_heartbeats
-from .resilience import (
-    FAULT_PLAN_ENV,
-    FAULT_SITES,
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    JobOutcome,
-    JobTimeoutError,
-    RetryPolicy,
-    run_attempts,
+from .. import _lazy_exports
+
+# Exports resolve on first access: building a CLI parser or importing
+# the engine never loads the remote fabric or the supervised pool.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".cache": (
+            "CACHE_SCHEMA",
+            "QUARANTINE_CAP",
+            "QUARANTINE_DIR",
+            "CacheStats",
+            "NullCache",
+            "ResultCache",
+            "cache_key",
+            "code_version",
+            "default_cache_dir",
+        ),
+        ".difftest": (
+            "DIFFTEST_TRANSFORMS",
+            "SweepFailure",
+            "SweepReport",
+            "differential_jobs",
+            "differential_sweep",
+        ),
+        ".engine": ("EngineStats", "ExperimentEngine", "default_engine"),
+        ".jobs": ("TRANSFORMS", "Job", "JobResult", "execute_job", "jobs_for_matrix"),
+        ".journal": (
+            "JOURNAL_NAME",
+            "JournalError",
+            "JournalScan",
+            "RunCheckpoint",
+            "RunJournal",
+            "scan_journal",
+        ),
+        ".remote": ("LeaseCoordinator", "RemoteFabric", "run_task_local"),
+        ".supervisor": ("SupervisedPool", "sweep_orphan_heartbeats"),
+        ".resilience": (
+            "FAULT_PLAN_ENV",
+            "FAULT_SITES",
+            "FaultInjected",
+            "FaultPlan",
+            "FaultSpec",
+            "JobOutcome",
+            "JobTimeoutError",
+            "RetryPolicy",
+            "run_attempts",
+        ),
+    },
 )
 
 __all__ = [

@@ -19,32 +19,40 @@ Layers:
 * :mod:`repro.server.app` — process lifecycle (config, signals, drain).
 """
 
-from .app import ServerConfig, serve_main
-from .client import (
-    CircuitOpenError,
-    ClientPolicy,
-    RemoteOffloadExecutor,
-    RemoteUnavailableError,
-    ResilientClient,
-)
-from .http import HttpFrontend
-from .protocol import (
-    ProtocolError,
-    REQUEST_KINDS,
-    Request,
-    canonical_bytes,
-    error_envelope,
-    parse_request,
-    response_envelope,
-)
-from .service import (
-    OverloadedError,
-    RetimingService,
-    ServerStats,
-    ServiceClosedError,
-)
+from .. import _lazy_exports
 
-from .worker import worker_main
+# Exports resolve on first access, so `repro.server.protocol` (say) can
+# be used without starting asyncio or loading the HTTP client.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".app": ("ServerConfig", "serve_main"),
+        ".client": (
+            "CircuitOpenError",
+            "ClientPolicy",
+            "RemoteOffloadExecutor",
+            "RemoteUnavailableError",
+            "ResilientClient",
+        ),
+        ".http": ("HttpFrontend",),
+        ".protocol": (
+            "ProtocolError",
+            "REQUEST_KINDS",
+            "Request",
+            "canonical_bytes",
+            "error_envelope",
+            "parse_request",
+            "response_envelope",
+        ),
+        ".service": (
+            "OverloadedError",
+            "RetimingService",
+            "ServerStats",
+            "ServiceClosedError",
+        ),
+        ".worker": ("worker_main",),
+    },
+)
 
 __all__ = [
     "CircuitOpenError",

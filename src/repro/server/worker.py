@@ -34,7 +34,6 @@ workers can never pollute the coordinating CLI's byte-identical output.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -228,58 +227,3 @@ def worker_main(args) -> int:
         if args.max_units and units >= args.max_units:
             _log(args.id, f"--max-units reached; executed {units} unit(s)")
             return 0
-
-
-def add_worker_arguments(parser) -> None:
-    """CLI flags for the ``worker`` subcommand."""
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the coordinator's work-plane address",
-    )
-    parser.add_argument(
-        "--id",
-        default=f"worker-{os.getpid()}",
-        help="worker identity in leases and journals (default: worker-<pid>)",
-    )
-    parser.add_argument(
-        "--max-units",
-        type=int,
-        default=0,
-        metavar="N",
-        help="exit after N units (0 = run until the coordinator closes)",
-    )
-    parser.add_argument(
-        "--poll-max",
-        type=float,
-        default=1.0,
-        metavar="SEC",
-        help="max sleep between idle lease polls",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore the coordinator's shared cache spec (separate hosts)",
-    )
-    parser.add_argument(
-        "--retry-max",
-        type=int,
-        default=4,
-        metavar="N",
-        help="client retry attempts per request",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        metavar="SEC",
-        help="client retry backoff base",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        metavar="SEC",
-        help="per-request transport timeout",
-    )

@@ -68,6 +68,19 @@ class TestCli:
         assert "Table 1" in out
         assert "Table 3" not in out
 
+    def test_tables_default_is_all_four(self, capsys):
+        # argparse on 3.11 rejects an empty `nargs="*"` list against
+        # `choices`, which once made the bare command exit 2.
+        assert main(["tables", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"=== Table {n}" in out for n in "1234")
+
+    def test_tables_rejects_unknown_numbers(self, capsys):
+        assert main(["tables", "1", "5", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown table(s): 5" in captured.err
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["info", "nonexistent"])

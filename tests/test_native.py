@@ -21,9 +21,9 @@ from repro import native
 @pytest.fixture()
 def native_state():
     """Snapshot/restore the module-level library cache around each test."""
-    saved = (native._LIB, native._FAILED)
+    saved = (native._LIB, native._FAILED, native._np)
     yield native
-    native._LIB, native._FAILED = saved
+    native._LIB, native._FAILED, native._np = saved
 
 
 def _native_ready(monkeypatch) -> bool:
@@ -54,6 +54,34 @@ class TestSwitch:
         ) is None
         assert native._FAILED  # the failure is remembered, not retried
         assert not native.native_available()
+
+    def test_fallbacks_are_counted_with_a_reason(
+        self, monkeypatch, tmp_path, native_state
+    ):
+        from repro import observability
+
+        a = np.ones(3, dtype=np.uint64)
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-compiler"))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        native._LIB, native._FAILED = None, False
+        observability.OBS.reset()
+        observability.enable()
+        try:
+            monkeypatch.delenv("REPRO_NATIVE_KERNELS", raising=False)
+            assert native.mulmod61(a, a) is None  # off: not a fallback
+            monkeypatch.setenv("REPRO_NATIVE_KERNELS", "1")
+            assert native.mulmod61(a, a) is None
+            assert native.mulmod61(a, a) is None
+            monkeypatch.setattr(native, "_numpy", lambda: None)
+            assert native.mulmod61(a, a) is None
+            counters = observability.OBS.metrics.as_dict()["counters"]
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        assert counters == {
+            "native.fallback.build_failed": 2,
+            "native.fallback.no_numpy": 1,
+        }
 
 
 class TestBitIdentity:
