@@ -38,14 +38,21 @@ def assert_equivalent(
     program: LoopProgram,
     n: int,
     initial: Callable[[str, int], int] = default_initial,
+    reference: Callable[[int], VMResult] | None = None,
 ) -> VMResult:
     """Run ``program`` and compare against the original loop of ``g``.
 
     Returns the transformed program's :class:`VMResult` on success; raises
     :class:`EquivalenceError` naming the first differing array instance
-    otherwise.
+    otherwise.  ``reference``, when given, maps a trip count to the
+    original loop's result under ``initial`` (what
+    :func:`reference_result` computes): a caller that checks many
+    programs of one graph passes a memoized one.
     """
-    want = reference_result(g, n, initial=initial)
+    if reference is not None:
+        want = reference(n)
+    else:
+        want = reference_result(g, n, initial=initial)
     got = run_program(program, n, initial=initial)
     if got.arrays == want.arrays:
         return got

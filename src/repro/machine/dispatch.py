@@ -162,12 +162,12 @@ class CompiledProgram:
 
     __slots__ = ("name", "pre", "body", "post", "program_ref", "__weakref__")
 
-    def __init__(self, program: LoopProgram) -> None:
+    def __init__(self, program: LoopProgram, on_death=None) -> None:
         self.name = program.name
         self.pre = _compile_region(program.pre, in_body=False)
         self.body = _compile_region(program.loop.body, in_body=True)
         self.post = _compile_region(program.post, in_body=False)
-        self.program_ref = weakref.ref(program)
+        self.program_ref = weakref.ref(program, on_death)
 
 
 _CACHE: dict[int, CompiledProgram] = {}
@@ -190,10 +190,15 @@ def compile_program(program: LoopProgram) -> CompiledProgram:
         cached = _CACHE.get(key)
         if cached is not None and cached.program_ref() is program:
             return cached
-        compiled = CompiledProgram(program)
+        # The entry dies with its program (a weakref callback: cheaper
+        # than weakref.finalize, and the cache holds the weakref alive).
+        compiled = CompiledProgram(program, lambda _ref, k=key: _CACHE.pop(k, None))
         _CACHE[key] = compiled
-        weakref.finalize(program, _CACHE.pop, key, None)
     return compiled
+
+
+#: ``WarmPool.get`` default that no pooled value can equal (``None`` can).
+_MISSING = object()
 
 
 class WarmPool:
@@ -221,8 +226,8 @@ class WarmPool:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key):
-        """The pooled value for ``key``, or ``None`` (counted as a miss)."""
+    def get(self, key, default=None):
+        """The pooled value for ``key``, or ``default`` (counted as a miss)."""
         with self._lock:
             if key in self._entries:
                 value = self._entries.pop(key)
@@ -230,7 +235,7 @@ class WarmPool:
                 self.hits += 1
                 return value
             self.misses += 1
-            return None
+            return default
 
     def put(self, key, value) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry beyond capacity."""
@@ -249,8 +254,8 @@ class WarmPool:
         build, but the pool stays consistent and the values are pure
         functions of the key, so either result is correct.
         """
-        value = self.get(key)
-        if value is None:
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
             value = build()
             self.put(key, value)
         return value

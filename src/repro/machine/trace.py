@@ -909,8 +909,10 @@ def _body_info(compiled):
         entry = _HOOK_CACHE.get(key)
         if entry is not None and entry[0]() is compiled:
             return entry[1]
-        _HOOK_CACHE[key] = (weakref.ref(compiled), info)
-        weakref.finalize(compiled, _HOOK_CACHE.pop, key, None)
+        # The entry dies with its program (a weakref callback, as in
+        # the dispatch compilation cache).
+        guard = weakref.ref(compiled, lambda _ref, k=key: _HOOK_CACHE.pop(k, None))
+        _HOOK_CACHE[key] = (guard, info)
     return info
 
 

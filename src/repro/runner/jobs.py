@@ -11,10 +11,17 @@ Transformations whose plain (non-CSR) programs carry trip-count
 preconditions — a pipelined prologue needs ``n >= M_r``, an unfolded loop
 is specialized per residue — are run at an *effective* trip count recorded
 in the payload; CSR forms run at the requested trip count exactly.
+
+Every trip-count-independent stage of a job — the parsed graph, the
+retimings, the generated programs — and the original loop's reference
+run per trip count are looked up through
+:class:`repro.runner.reuse.GraphStages`, so inside a reuse scope the
+cells of one graph share them (see :mod:`repro.runner.reuse`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -40,6 +47,7 @@ from ..schedule.rotation import rotation_schedule
 from ..unfolding.orders import retime_unfold, unfold_retime
 from ..workloads.registry import get_workload
 from .resilience import JobOutcome
+from .reuse import GraphStages
 
 __all__ = ["Job", "JobResult", "TRANSFORMS", "execute_job", "jobs_for_matrix"]
 
@@ -126,11 +134,18 @@ class Job:
         """
         name = self.workload
         if name is None and self.graph_json is not None:
-            try:
-                name = json.loads(self.graph_json).get("name")
-            except ValueError:
-                name = None
+            name = _graph_name(self.graph_json)
         return f"{name or 'dfg'}/{self.transform}/f={self.factor}/n={self.trip_count}"
+
+
+@functools.lru_cache(maxsize=16)
+def _graph_name(graph_json: str) -> str | None:
+    """The ``name`` of a serialized graph, parsed once per graph rather
+    than on every label of its jobs."""
+    try:
+        return json.loads(graph_json).get("name")
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -170,46 +185,93 @@ class JobResult:
         return self.outcome is not None and self.outcome.resumed
 
 
-def _program_for(job_graph: DFG, transform: str, f: int, n: int):
-    """Build ``(program, effective_n, extras)`` for one transform."""
-    g = job_graph
-    extras: dict = {}
+class _Stages(GraphStages):
+    """One job's view of its graph's shared stages.
+
+    Every builder calls the stage functions through this module's names,
+    so a build runs exactly the calls a job without reuse makes.
+    """
+
+    __slots__ = ()
+
+    def reference(self, n: int):
+        """The original loop's :class:`VMResult` for trip count ``n``
+        (what :func:`~repro.core.verify.reference_result` computes)."""
+        return self.get(("reference", n), _reference, self, n)
+
+
+def _reference(st: _Stages, n: int):
+    """Run the original loop (its program shared too) for ``n``."""
+    return run_program(st.get(("program", "original"), original_loop, st.g), n)
+
+
+def _retiming_extras(period: int, r) -> dict:
+    return {"period": period, "registers": r.registers_needed(), "max_retiming": r.max_value}
+
+
+# The retiming stages keep a retiming and its payload extras (the period
+# among them), not the transformed graph nobody reads again.
+
+
+def _minimized(g: DFG) -> tuple:
+    """``minimize_cycle_period(g)``'s retiming plus its payload extras."""
+    period, r = minimize_cycle_period(g)
+    return r, _retiming_extras(period, r)
+
+
+def _retimed_unfolded(g: DFG, f: int, period: int | None) -> tuple:
+    """``retime_unfold(g, f[, period])``'s retiming plus its extras."""
+    ru = retime_unfold(g, f, period=period)
+    return ru.retiming, _retiming_extras(ru.period, ru.retiming)
+
+
+def _unfolded_retimed(g: DFG, f: int) -> tuple:
+    """``unfold_retime(g, f)``'s retiming (of ``G_f``) plus its extras."""
+    ur = unfold_retime(g, f)
+    return ur.retiming, {"period": ur.period, "registers": ur.retiming.registers_needed()}
+
+
+def _program_for(st: _Stages, transform: str, f: int, n: int):
+    """Build ``(program, effective_n, extras)`` for one transform.
+
+    ``extras`` is shared with other cells: callers copy it, never mutate.
+    Programs are shared under ``("program", transform, f)`` plus the
+    residue or leftover a plain unfolded form is specialized for.
+    """
+    g = st.g
     if f < 1:
         raise DFGError(f"unfolding factor must be >= 1, got {f}")
     if transform == "original":
-        return original_loop(g), n, extras
+        return st.get(("program", transform), original_loop, g), n, {}
     if transform in ("pipelined", "csr-pipelined"):
-        period, r = minimize_cycle_period(g)
-        extras["period"] = period
-        extras["registers"] = r.registers_needed()
-        extras["max_retiming"] = r.max_value
+        r, extras = st.get(("minimize",), _minimized, g)
         if transform == "csr-pipelined":
-            return csr_pipelined_loop(g, r), n, extras
-        return pipelined_loop(g, r), max(n, r.max_value), extras
+            return st.get(("program", transform), csr_pipelined_loop, g, r), n, extras
+        program = st.get(("program", transform), pipelined_loop, g, r)
+        return program, max(n, extras["max_retiming"]), extras
     if transform == "unfolded":
-        return unfolded_loop(g, f, residue=n % f), n, extras
+        key = ("program", transform, f, n % f)
+        return st.get(key, unfolded_loop, g, f, n % f), n, {}
     if transform == "csr-unfolded":
-        return csr_unfolded_loop(g, f), n, extras
+        return st.get(("program", transform, f), csr_unfolded_loop, g, f), n, {}
     if transform in ("retime-unfold", "csr-retime-unfold", "csr-retime-unfold-periter"):
-        ru = retime_unfold(g, f)
-        r = ru.retiming
-        extras["period"] = ru.period
-        extras["registers"] = r.registers_needed()
-        extras["max_retiming"] = r.max_value
-        if transform == "csr-retime-unfold":
-            return csr_retimed_unfolded_loop(g, r, f, PER_COPY), n, extras
-        if transform == "csr-retime-unfold-periter":
-            return csr_retimed_unfolded_loop(g, r, f, PER_ITERATION), n, extras
-        n_eff = max(n, r.max_value)
-        leftover = (n_eff - r.max_value) % f
-        return retimed_unfolded_loop(g, r, f, leftover), n_eff, extras
+        r, extras = st.get(("retime_unfold", f), _retimed_unfolded, g, f, None)
+        if transform != "retime-unfold":
+            mode = PER_COPY if transform == "csr-retime-unfold" else PER_ITERATION
+            key = ("program", transform, f)
+            return st.get(key, csr_retimed_unfolded_loop, g, r, f, mode), n, extras
+        m_r = extras["max_retiming"]
+        n_eff = max(n, m_r)
+        leftover = (n_eff - m_r) % f
+        key = ("program", transform, f, leftover)
+        return st.get(key, retimed_unfolded_loop, g, r, f, leftover), n_eff, extras
     if transform in ("unfold-retime", "csr-unfold-retime"):
-        ur = unfold_retime(g, f)
-        extras["period"] = ur.period
-        extras["registers"] = ur.retiming.registers_needed()
+        r_gf, extras = st.get(("unfold_retime", f), _unfolded_retimed, g, f)
         if transform == "csr-unfold-retime":
-            return csr_unfold_retimed_loop(g, ur.retiming, f), n, extras
-        program = unfold_retimed_loop(g, ur.retiming, f, residue=n % f)
+            key = ("program", transform, f)
+            return st.get(key, csr_unfold_retimed_loop, g, r_gf, f), n, extras
+        key = ("program", transform, f, n % f)
+        program = st.get(key, unfold_retimed_loop, g, r_gf, f, n % f)
         n_eff = n
         min_n = program.meta.get("min_n", 0)
         if n_eff < min_n:
@@ -219,26 +281,28 @@ def _program_for(job_graph: DFG, transform: str, f: int, n: int):
     raise DFGError(f"unknown transform {transform!r}")  # pragma: no cover
 
 
-def _orders_payload(g: DFG, f: int, n: int, verify: bool) -> dict:
+def _orders_payload(st: _Stages, f: int, n: int, verify: bool) -> dict:
     """Theorem 4.4/4.5 comparison payload: both orders at the same period."""
-    ur = unfold_retime(g, f)
-    ru = retime_unfold(g, f, period=ur.period)
-    s_fr = size_unfold_retime(g, ur.retiming, f)
-    s_rf = size_retime_unfold(g, ru.retiming, f)
+    g = st.g
+    r_gf, ur_extras = st.get(("unfold_retime", f), _unfolded_retimed, g, f)
+    period = ur_extras["period"]
+    r, _ = st.get(("retime_unfold", f, period), _retimed_unfolded, g, f, period)
+    s_fr = size_unfold_retime(g, r_gf, f)
+    s_rf = size_retime_unfold(g, r, f)
     payload = {
-        "period": ur.period,
+        "period": period,
         "size_unfold_retime": s_fr,
         "size_retime_unfold": s_rf,
         "inequality_holds": s_rf <= s_fr,
-        "registers": ru.retiming.registers_needed(),
+        "registers": r.registers_needed(),
     }
     executed = disabled = 0
     if verify:
         for prog in (
-            csr_retimed_unfolded_loop(g, ru.retiming, f),
-            csr_unfold_retimed_loop(g, ur.retiming, f),
+            st.get(("program", "orders", f), csr_retimed_unfolded_loop, g, r, f),
+            st.get(("program", "csr-unfold-retime", f), csr_unfold_retimed_loop, g, r_gf, f),
         ):
-            res = assert_equivalent(g, prog, n)
+            res = assert_equivalent(g, prog, n, reference=st.reference)
             executed += res.executed
             disabled += res.disabled
         payload["equivalent"] = True
@@ -352,18 +416,18 @@ def execute_job(params: dict) -> dict:
 
 def _execute_job_payload(params: dict, transform: str, f: int, n: int) -> dict:
     try:
-        g = from_json(params["graph"])
+        st = _Stages(params["graph"], from_json)
         if transform == "oracle":
-            payload = _oracle_payload(g, params.get("oracle_timeout"))
+            payload = _oracle_payload(st.g, params.get("oracle_timeout"))
         elif transform == "orders":
-            payload = _orders_payload(g, f, n, params["verify"])
+            payload = _orders_payload(st, f, n, params["verify"])
         else:
-            program, n_eff, extras = _program_for(g, transform, f, n)
+            program, n_eff, extras = _program_for(st, transform, f, n)
             payload = dict(extras)
             payload["effective_n"] = n_eff
             payload["code_size"] = program.code_size
             if params["verify"] and transform != "original":
-                result = assert_equivalent(g, program, n_eff)
+                result = assert_equivalent(st.g, program, n_eff, reference=st.reference)
                 payload["equivalent"] = True
             else:
                 result = run_program(program, n_eff, trace=params["trace"])

@@ -521,12 +521,13 @@ def run_attempts(
     """
     policy = policy if policy is not None else RetryPolicy()
     faults: list[str] = []
-    last_error: BaseException = RuntimeError("no attempts ran")
+    last_error: BaseException | None = None
     status = "failed"
     for attempt in range(1, policy.max_attempts + 1):
         try:
-            fault_point("job.start", label)
-            fault_point("job.timeout", label)
+            if _PLAN is not None:
+                fault_point("job.start", label)
+                fault_point("job.timeout", label)
             start = time.perf_counter()
             payload = fn(params)
             wall = time.perf_counter() - start
@@ -551,6 +552,8 @@ def run_attempts(
             d = policy.delay(attempt)
             if d > 0:
                 time.sleep(d)
+    if last_error is None:
+        last_error = RuntimeError("no attempts ran")
     outcome = JobOutcome(
         label,
         status,

@@ -432,7 +432,7 @@ class RetimingService:
                 "computed": self.engine.stats.computed,
                 "cache": self.engine.cache.stats.as_dict(),
             },
-            "warm": {"wd": WD_POOL.stats()},
+            "warm": {"wd": WD_POOL.stats(), "jobs": self.engine.reuse.as_dict()},
         }
 
     def publish_metrics(self) -> None:

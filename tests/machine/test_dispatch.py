@@ -250,7 +250,7 @@ class TestCompileCacheConcurrency:
         old_id = id(p1)
         del p1
         gc.collect()
-        assert old_id not in _CACHE  # finalize purged the dead entry
+        assert old_id not in _CACHE  # the weakref callback purged the dead entry
         # Churn allocations until one reuses the id (usually immediate in
         # CPython); either way the guard must hold for every new program.
         for _ in range(50):

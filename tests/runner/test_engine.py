@@ -108,6 +108,22 @@ class TestJobMatrix:
         with pytest.raises(ValueError, match="exactly one"):
             Job(transform="original", workload="iir", graph_json="{}")
 
+    def test_labels_parse_each_graph_once(self, monkeypatch):
+        from repro.runner import jobs as jobs_module
+        from repro.runner.difftest import differential_jobs
+
+        jobs = differential_jobs(11)
+        parses = []
+        real_loads = jobs_module.json.loads
+        monkeypatch.setattr(
+            jobs_module.json, "loads", lambda s: parses.append(s) or real_loads(s)
+        )
+        jobs_module._graph_name.cache_clear()
+        labels = [job.label for job in jobs + jobs]
+        assert len(set(labels)) == len(jobs)
+        assert labels[0].startswith("rand11/original/")
+        assert len(parses) == 1
+
     def test_all_transforms_run_on_a_benchmark(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=None)
         jobs = [

@@ -41,6 +41,29 @@ class TestRoutes:
         assert body["stats"]["completed"] == 1
         assert body["engine"]["calls"] == 1
 
+    def test_healthz_lists_the_jobs_reuse_scope(self):
+        """``warm`` shows the engine's stage reuse next to the (W, D)
+        pool: the cells of a batch share their graph's stages."""
+        from repro.runner.jobs import Job
+
+        async def scenario():
+            svc = make_service()
+            svc.engine.run_jobs(
+                [Job(transform="csr-pipelined", workload="iir", trip_count=n) for n in (5, 6)]
+            )
+            frontend, host, port = await serve_frontend(svc)
+            status, _, payload = await http_request(host, port, "GET", "/healthz")
+            await frontend.aclose()
+            await svc.drain()
+            return status, json.loads(payload)
+
+        status, body = run(scenario())
+        assert status == 200
+        assert set(body["warm"]) == {"wd", "jobs"}
+        jobs = body["warm"]["jobs"]
+        assert set(jobs) == {"hits", "builds", "evictions"}
+        assert jobs["builds"] > 0 and jobs["hits"] > 0
+
     def test_metrics_is_prometheus_text(self):
         async def scenario():
             svc = make_service()

@@ -33,6 +33,22 @@ class TestWarmPool:
         assert built == [1]
         assert pool.hits == 1 and pool.misses == 1
 
+    def test_get_or_build_pools_none_values(self):
+        """A pooled ``None`` is a hit like any other value, not a miss
+        that rebuilds and re-puts it."""
+        pool = WarmPool(capacity=4)
+        built = []
+
+        def build():
+            built.append(1)
+            return None
+
+        assert pool.get_or_build("k", build) is None
+        assert pool.get_or_build("k", build) is None
+        assert built == [1]
+        assert pool.hits == 1 and pool.misses == 1
+        assert pool.get("absent", "default") == "default"
+
     def test_lru_evicts_least_recently_used(self):
         pool = WarmPool(capacity=2)
         pool.put("a", 1)
