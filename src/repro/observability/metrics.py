@@ -219,18 +219,22 @@ class MetricsRegistry:
         Counters and histograms accumulate (bucket-by-bucket; bucket
         bounds must match); gauges take the incoming value.
         """
+        counters = self._counters
         for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
+            c = counters.get(name)
+            if c is None:
+                c = counters[name] = Counter(name)
+            c.inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, doc in snapshot.get("histograms", {}).items():
-            h = self.histogram(name, bounds=tuple(doc["bounds"]))
-            if list(h.bounds) != list(doc["bounds"]):
+            bounds = tuple(doc["bounds"])
+            h = self.histogram(name, bounds=bounds)
+            if h.bounds != bounds:
                 raise ValueError(
                     f"histogram {name}: merging mismatched bucket bounds"
                 )
-            for i, count in enumerate(doc["buckets"]):
-                h.buckets[i] += count
+            h.buckets = [a + b for a, b in zip(h.buckets, doc["buckets"])]
             h.count += doc["count"]
             h.sum += doc["sum"]
             if doc["count"]:
