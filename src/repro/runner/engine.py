@@ -14,14 +14,20 @@ sweep shares:
   instruction counts are accumulated in :class:`EngineStats` and rendered
   by :meth:`ExperimentEngine.stats_summary` (the ``--stats`` CLI flag).
 
-In parallel mode the *workers* perform the cache lookups and stores
-(:func:`_pool_worker`), which parallelizes the disk I/O and keeps payload
-bytes out of the parent except once per result.  Worker-process
-:class:`~repro.runner.cache.CacheStats` would otherwise die with the
-worker, so every result travels in an envelope carrying the worker's
-hit/miss deltas — and, when observability is on, its serialized spans and
-metric deltas — which the parent merges; ``--stats`` therefore reports
-fleet-wide numbers identical to a serial run's.
+In parallel mode the *workers* perform the cache lookups and stores,
+which parallelizes the disk I/O and keeps payload bytes out of the
+parent except once per result.  The process pool is sent graph-affine
+*chunks* (:func:`_chunks`): maximal runs of consecutive units on the same
+graph, split only while there are fewer chunks than workers.  A worker
+runs a chunk in one go (:func:`_pool_chunk`), so one process builds a
+graph's stages once and the submit/pickle round trip is paid per chunk.
+The supervised pool and the remote executors run one unit per task
+through :func:`_pool_worker`, the same body on a chunk of one.
+Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
+die with the worker, so every result travels in an envelope carrying the
+worker's hit/miss deltas — and, when observability is on, its serialized
+spans and metric deltas — which the parent merges; ``--stats`` therefore
+reports fleet-wide numbers identical to a serial run's.
 
 Stage reuse (:mod:`repro.runner.reuse`): a serial batch runs inside one
 reuse scope, and a pool worker process keeps one for its
@@ -48,7 +54,9 @@ Crash consistency (:mod:`repro.runner.journal`): with a
 :class:`~repro.runner.journal.RunJournal` attached, every unit's
 submission and completion is an fsync'd write-ahead record, completed
 units rehydrate on ``--resume`` instead of re-executing, and parallel
-completions are journaled as they land.  Supervised mode
+completions are journaled as they land.  A batch's submissions are one
+group commit, durable before any unit is dispatched, and so is each
+landed chunk's completions: a crash loses at most the in-flight chunks.  Supervised mode
 (:mod:`repro.runner.supervisor`) swaps the ``ProcessPoolExecutor`` for a
 self-healing pool whose dead or hung workers are detected by heartbeat,
 respawned, and their jobs requeued under the same
@@ -60,6 +68,7 @@ executes the exact code it always did.
 from __future__ import annotations
 
 import copy
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -76,37 +85,39 @@ from .reuse import ReuseStats, reuse, worker_scope
 __all__ = ["EngineStats", "ExperimentEngine", "WorkUnit", "default_engine"]
 
 
-def _pool_worker(task: tuple) -> dict:
-    """Process-pool entry point: cached execution of one unit of work.
+def _pool_chunk(task: tuple) -> dict:
+    """Process-pool entry point: cached execution of one chunk of units.
 
-    ``task`` is ``(fn, params, key, cache_spec, obs_on, label, policy,
-    plan)`` where ``cache_spec`` is ``(root, shards)`` or ``None``.  The
-    worker owns the cache lookup/store and the retry loop
-    for its unit and returns an envelope::
+    ``task`` is ``(fn, cache_spec, obs_on, policy, plan, units)`` where
+    ``units`` lists ``(params, key, label)`` and ``cache_spec`` is
+    ``(root, shards)`` or ``None``.  The worker sets up its collectors,
+    fault plan, retry policy and cache handle once, then owns the cache
+    lookup/store and the retry loop of each unit, all inside this
+    process's lifetime reuse scope.  It returns one envelope::
 
-        {"payload", "cached", "wall", "cache_stats", "reuse_stats",
-         "outcome"?, "obs"?}
+        {"results": [{"payload", "cached", "wall", "outcome"?}, ...],
+         "cache_stats", "reuse_stats", "obs"?}
 
-    ``cache_stats`` holds this call's hit/miss/put deltas (a fresh
-    per-call :class:`ResultCache` starts at zero, so its stats *are* the
-    delta); ``reuse_stats`` the call's delta of this process's lifetime
-    reuse scope (:func:`~repro.runner.reuse.worker_scope`); ``outcome``
-    is the executed unit's serialized :class:`JobOutcome`; ``obs``
-    carries serialized spans and metric deltas when the parent had
-    observability enabled.
+    ``results`` follow ``units``; ``outcome`` is an executed unit's
+    serialized :class:`JobOutcome`.  ``cache_stats`` holds the chunk's
+    hit/miss/put deltas (a fresh :class:`ResultCache` starts at zero, so
+    its stats *are* the delta); ``reuse_stats`` the chunk's delta of the
+    lifetime reuse scope (:func:`~repro.runner.reuse.worker_scope`);
+    ``obs`` carries serialized spans and metric deltas when the parent
+    had observability enabled.
     """
-    fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc = task
+    fn, cache_spec, obs_on, policy_doc, plan_doc, units = task
     if obs_on:
         # A forked worker inherits the parent's collectors wholesale —
         # including the parent's still-open batch span and every metric
         # recorded before the fork.  Start from fresh collectors so the
-        # exported state is exactly this call's delta.
+        # exported state is exactly this chunk's delta.
         observability.OBS.reset()
         observability.enable()
     # Same inheritance hazard for the fault plan: a forked worker carries
     # the parent plan's occurrence counters.  Install a fresh instance
-    # per task (counters are per-(site, label), and labels are unique, so
-    # fresh-per-task equals one shared serial instance).
+    # per chunk (counters are per-(site, label), and labels are unique,
+    # so fresh-per-chunk equals one shared serial instance).
     if plan_doc is not None:
         resilience.activate(FaultPlan.from_dict(plan_doc))
     else:
@@ -119,25 +130,90 @@ def _pool_worker(task: tuple) -> dict:
         cache = NullCache()
     scope = worker_scope()
     reuse_before = scope.stats.as_dict()
-    payload = cache.get(key)
-    if payload is not None:
-        envelope = {"payload": payload, "cached": True, "wall": 0.0}
-    else:
-        with reuse(scope):
+    results = []
+    with span("pool.chunk", units=len(units)) as sp, reuse(scope):
+        graph = units[0][0].get("graph")
+        if obs_on and isinstance(graph, str):
+            sp.set(graph=_node_count(graph))
+        for params, key, label in units:
+            payload = cache.get(key)
+            if payload is not None:
+                results.append({"payload": payload, "cached": True, "wall": 0.0})
+                continue
             payload, outcome, wall = run_attempts(fn, params, label, policy)
-        if payload.get("ok", True):
-            cache.put_safe(key, payload)
-        envelope = {
-            "payload": payload,
-            "cached": False,
-            "wall": wall,
-            "outcome": outcome.as_dict(),
-        }
-    envelope["cache_stats"] = cache.stats.as_dict()
-    envelope["reuse_stats"] = scope.stats.minus(reuse_before)
+            if payload.get("ok", True):
+                cache.put_safe(key, payload)
+            results.append(
+                {
+                    "payload": payload,
+                    "cached": False,
+                    "wall": wall,
+                    "outcome": outcome.as_dict(),
+                }
+            )
+    envelope = {
+        "results": results,
+        "cache_stats": cache.stats.as_dict(),
+        "reuse_stats": scope.stats.minus(reuse_before),
+    }
     if obs_on:
         envelope["obs"] = observability.export_state(reset=True)
     return envelope
+
+
+def _pool_worker(task: tuple) -> dict:
+    """One-unit entry point: :func:`_pool_chunk` on a chunk of one.
+
+    ``task`` is ``(fn, params, key, cache_spec, obs_on, label, policy,
+    plan)``, the shape the supervised pool, the remote fabric and
+    ``repro worker`` ship.  Returns the unit's result merged with the
+    chunk-level deltas::
+
+        {"payload", "cached", "wall", "cache_stats", "reuse_stats",
+         "outcome"?, "obs"?}
+    """
+    fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc = task
+    envelope = _pool_chunk(
+        (fn, cache_spec, obs_on, policy_doc, plan_doc, [(params, key, label)])
+    )
+    (unit,) = envelope.pop("results")
+    unit.update(envelope)
+    return unit
+
+
+def _node_count(graph: str) -> int | None:
+    """Node count of a serialized graph (a ``pool.chunk`` attribute)."""
+    try:
+        return len(json.loads(graph)["nodes"])
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _chunks(params_list: list[dict], workers: int) -> list[range]:
+    """Graph-affine chunks of ``params_list``, as index ranges in order.
+
+    A chunk is a maximal run of consecutive units with the same
+    ``params["graph"]`` (units without one form runs of their own), so
+    one worker runs all of a graph's cells and builds its stages once.
+    While there are fewer chunks than ``workers``, the largest is split
+    in halves, so a one-graph batch keeps its parallelism.
+    """
+    chunks = []
+    start = 0
+    for i in range(1, len(params_list) + 1):
+        if i == len(params_list) or (
+            params_list[i].get("graph") != params_list[start].get("graph")
+        ):
+            chunks.append(range(start, i))
+            start = i
+    while len(chunks) < workers:
+        k = max(range(len(chunks)), key=lambda j: len(chunks[j]))
+        c = chunks[k]
+        if len(c) < 2:
+            break
+        mid = c.start + len(c) // 2
+        chunks[k : k + 1] = [range(c.start, mid), range(mid, c.stop)]
+    return chunks
 
 
 @dataclass
@@ -335,7 +411,7 @@ class ExperimentEngine:
         """
         labels = labels or [f"{kind}#{i}" for i in range(len(params_list))]
         keys = [cache_key(kind, p) for p in params_list]
-        with span("engine.map", kind=kind, calls=len(params_list)) as sp:
+        with span("engine.map", kind=kind, calls=len(params_list), chunks=0) as sp:
             slots: dict[int, tuple] = {}
             if self.resume_state:
                 # Units with a journal completion record are rehydrated,
@@ -348,8 +424,10 @@ class ExperimentEngine:
             if self.journal is not None:
                 # Write-ahead: a unit is journaled as submitted before it
                 # can run, so a crash always classifies it correctly.
-                for i in pending:
-                    self.journal.job_submitted(keys[i], labels[i])
+                # One group commit: all are durable before any dispatch.
+                with self.journal.batch():
+                    for i in pending:
+                        self.journal.job_submitted(keys[i], labels[i])
             if pending:
                 sub = (
                     [params_list[i] for i in pending],
@@ -360,7 +438,7 @@ class ExperimentEngine:
                     self.jobs > 1 or self.supervised or self.remote is not None
                 )
                 if pool_wanted and len(pending) > 1:
-                    ran = self._map_parallel(fn, *sub)
+                    ran = self._map_parallel(sp, fn, *sub)
                 else:
                     ran = self._map_serial(fn, *sub)
                 for i, r in zip(pending, ran):
@@ -414,9 +492,13 @@ class ExperimentEngine:
         return out
 
     def _map_parallel(
-        self, fn, params_list: list[dict], keys: list[str], labels: list[str]
+        self, sp, fn, params_list: list[dict], keys: list[str], labels: list[str]
     ) -> list[tuple[dict, bool, float, JobOutcome | None]]:
-        """Pool execution: workers own cache I/O and ship deltas home."""
+        """Pool execution: workers own cache I/O and ship deltas home.
+
+        The process pool runs graph-affine chunks (:func:`_chunks`); the
+        supervised pool and the remote executor run one unit per task.
+        """
         root = getattr(self.cache, "root", None)
         cache_spec = (
             (str(root), getattr(self.cache, "shards", 0))
@@ -427,11 +509,7 @@ class ExperimentEngine:
         plan = resilience.active_plan()
         plan_doc = plan.as_dict() if plan is not None else None
         policy_doc = self.retry.as_dict()
-        tasks = [
-            (fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc)
-            for params, key, label in zip(params_list, keys, labels)
-        ]
-        workers = max(1, min(self.jobs, len(tasks)))
+        workers = max(1, min(self.jobs, len(params_list)))
 
         def journal_result(i: int, envelope: dict) -> None:
             self._journal_envelope(
@@ -442,52 +520,69 @@ class ExperimentEngine:
                 envelope.get("outcome"),
             )
 
-        if self.remote is not None:
-            # Distributed execution: the fabric/offload executor honors
-            # the same submission-order + per-completion-callback
-            # contract; journal appends stay on this thread.
-            self.remote.journal = self.journal
-            envelopes = self.remote.run(
-                tasks,
-                on_result=journal_result if self.journal is not None else None,
-            )
-        elif self.supervised:
-            from .supervisor import SupervisedPool
+        on_result = journal_result if self.journal is not None else None
+        if self.remote is not None or self.supervised:
+            tasks = [
+                (fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc)
+                for params, key, label in zip(params_list, keys, labels)
+            ]
+            sp.set(chunks=len(tasks))
+            if self.remote is not None:
+                # Distributed execution: the fabric/offload executor honors
+                # the same submission-order + per-completion-callback
+                # contract; journal appends stay on this thread.
+                self.remote.journal = self.journal
+                envelopes = self.remote.run(tasks, on_result=on_result)
+            else:
+                from .supervisor import SupervisedPool
 
-            spool = SupervisedPool(
-                workers,
-                policy=self.retry,
-                heartbeat_timeout=self.heartbeat_timeout,
-            )
-            envelopes = spool.run(
-                tasks,
-                on_result=journal_result if self.journal is not None else None,
-            )
-            if spool.respawned:
-                self.stats.respawned += spool.respawned
-                count("workers.respawned", spool.respawned)
-        elif self.journal is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                envelopes = list(pool.map(_pool_worker, tasks))
+                spool = SupervisedPool(
+                    workers,
+                    policy=self.retry,
+                    heartbeat_timeout=self.heartbeat_timeout,
+                )
+                envelopes = spool.run(tasks, on_result=on_result)
+                if spool.respawned:
+                    self.stats.respawned += spool.respawned
+                    count("workers.respawned", spool.respawned)
+            landed = envelopes  # each unit's envelope carries its deltas
         else:
-            # Journaled runs record each completion the moment it lands,
-            # not at the end of the batch — a crash between completions
-            # loses at most the in-flight units.
-            envelopes = [None] * len(tasks)
+            chunks = _chunks(params_list, workers)
+            sp.set(chunks=len(chunks))
+            landed = [None] * len(chunks)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_pool_worker, t): i for i, t in enumerate(tasks)
+                    pool.submit(
+                        _pool_chunk,
+                        (
+                            fn,
+                            cache_spec,
+                            obs_on,
+                            policy_doc,
+                            plan_doc,
+                            [(params_list[i], keys[i], labels[i]) for i in chunk],
+                        ),
+                    ): c
+                    for c, chunk in enumerate(chunks)
                 }
                 for fut in as_completed(futures):
-                    i = futures[fut]
-                    envelopes[i] = fut.result()
-                    journal_result(i, envelopes[i])
-        out: list[tuple[dict, bool, float, JobOutcome | None]] = []
-        for label, envelope in zip(labels, envelopes):
-            # Fleet-wide accounting: merge the worker's per-call deltas.
+                    c = futures[fut]
+                    landed[c] = fut.result()
+                    if on_result is not None:
+                        # Each chunk's completions are journaled the moment
+                        # it lands, as one group commit — a crash loses at
+                        # most the in-flight chunks.
+                        with self.journal.batch():
+                            for i, unit in zip(chunks[c], landed[c]["results"]):
+                                on_result(i, unit)
+            envelopes = [unit for envelope in landed for unit in envelope["results"]]
+        for envelope in landed:
+            # Fleet-wide accounting: merge the workers' deltas.
             self.cache.stats.merge(envelope["cache_stats"])
             self.reuse.merge(envelope.get("reuse_stats", {}))
             observability.absorb_state(envelope.get("obs"))
+        out: list[tuple[dict, bool, float, JobOutcome | None]] = []
+        for label, envelope in zip(labels, envelopes):
             payload = envelope["payload"]
             cached = envelope["cached"]
             wall = envelope["wall"]

@@ -11,6 +11,12 @@ scanner (:func:`scan_journal`) tolerates exactly that: a torn *final*
 line is dropped; a corrupt line followed by valid ones is real damage
 and raises :class:`JournalError`.
 
+Group commit (:meth:`RunJournal.batch`): records appended inside a batch
+share one flush and one fsync at the outermost exit, which is their
+acknowledgment point.  Appends stay ordered single-line writes to one
+file, so a process death anywhere in a batch still leaves a prefix of
+records plus at most one torn line.
+
 Resume (``--resume <run-dir>``) replays the journal: units with a
 ``job.done``/``job.failed`` record are *rehydrated* — their payloads come
 straight from the journal (the :class:`~repro.runner.cache.ResultCache`
@@ -34,6 +40,7 @@ the observability layer).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -137,6 +144,8 @@ class RunJournal:
         self.records_written = 0
         self._fh = None
         self._seq = 0
+        self._depth = 0  # open batch() levels
+        self._unsynced = False  # a batch appended since its last commit
 
     # -- writing -------------------------------------------------------
 
@@ -173,9 +182,11 @@ class RunJournal:
 
         The record is a single ``write()`` of one line, flushed and
         fsync'd before returning — after ``append`` returns, the record
-        survives any crash.  The ``journal.write`` fault site fires
-        here: a truncated prefix of the line is written (torn write) and
-        :class:`FaultInjected` raised, simulating death mid-append.
+        survives any crash.  Inside :meth:`batch` the flush and fsync
+        wait for the batch's commit instead.  The ``journal.write``
+        fault site fires here: a truncated prefix of the line is written
+        (torn write) and :class:`FaultInjected` raised, simulating death
+        mid-append.
         """
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown journal record type {rtype!r}")
@@ -191,12 +202,35 @@ class RunJournal:
             os.fsync(self._fh.fileno())
             raise FaultInjected("journal.write", rtype, occurrence)
         self._fh.write(line + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        if self._depth:
+            self._unsynced = True
+        else:
+            self._commit()
         self.records_written += 1
         count("journal.records")
         return self._seq
+
+    def _commit(self) -> None:
+        self._fh.flush()
+        if self.fsync:
+            os.fsync(self._fh.fileno())
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Group commit: the block's appends share one flush and fsync.
+
+        Re-entrant; only the outermost exit commits, also when an
+        exception unwinds the block.  A record is durable once that
+        exit returns — the batch's acknowledgment point.
+        """
+        self._depth += 1
+        try:
+            yield self
+        finally:
+            self._depth -= 1
+            if not self._depth and self._unsynced and self._fh is not None:
+                self._unsynced = False
+                self._commit()
 
     # -- record helpers ------------------------------------------------
 

@@ -13,7 +13,7 @@ loop's reference run only on ``(G, n)`` — yet every cell
 Scope rule: reuse happens only inside an explicit scope.
 :meth:`~repro.runner.engine.ExperimentEngine._map_serial` opens one per
 batch (:func:`reuse`); a process running
-:func:`~repro.runner.engine._pool_worker` keeps one for its lifetime
+:func:`~repro.runner.engine._pool_chunk` keeps one for its lifetime
 (:func:`worker_scope`).  Outside any scope a lookup just builds, so a
 bare ``execute_job(params)`` computes every stage.  A scope is an LRU
 over :data:`GRAPHS` graphs; evicting a graph frees everything built for
@@ -49,8 +49,9 @@ __all__ = ["GRAPHS", "GraphStages", "ReuseScope", "ReuseStats", "reuse", "worker
 T = TypeVar("T")
 
 #: Graphs a scope keeps.  A sweep or job matrix runs all cells of one
-#: graph before the next, so a pool worker, handed them in that order,
-#: also moves from graph to graph; the second slot covers the boundary.
+#: graph before the next, and a pool worker is handed a graph's cells as
+#: one chunk, so it too moves from graph to graph; the second slot
+#: covers the boundary.
 #: Each kept graph holds its programs and their compiled forms (about
 #: 0.5 MiB for a 6-node graph), which is what bounds the capacity.
 GRAPHS = 2

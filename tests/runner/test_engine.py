@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.runner import (
@@ -12,6 +14,7 @@ from repro.runner import (
     TRANSFORMS,
     jobs_for_matrix,
 )
+from repro.runner.engine import _chunks
 
 
 def _matrix() -> list[Job]:
@@ -230,3 +233,113 @@ class TestCrossProcessStats:
         # both runs were cold).
         assert parallel_counters == serial_counters
         assert parallel_counters["vm.instructions.executed"] > 0
+
+
+def _where(params: dict) -> dict:
+    return {"ok": True, "i": params["i"], "pid": os.getpid()}
+
+
+def _units(graphs: str) -> list[dict]:
+    """One unit per character; equal characters share a graph, ``-``
+    has none."""
+    return [
+        {"i": i} if g == "-" else {"i": i, "graph": g} for i, g in enumerate(graphs)
+    ]
+
+
+class TestChunkedDispatch:
+    """The process pool runs graph-affine chunks, one task per chunk."""
+
+    @pytest.mark.parametrize(
+        "graphs", ["aaabbbbcc", "abababab", "aaaa--bb--", "a", "-----", "aab"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_chunks_cover_in_order_and_never_span_two_graphs(self, graphs, workers):
+        units = _units(graphs)
+        chunks = _chunks(units, workers)
+        assert [i for c in chunks for i in c] == list(range(len(units)))
+        for c in chunks:
+            assert len(c) > 0
+            assert len({units[i].get("graph") for i in c}) == 1
+        assert len(chunks) >= min(workers, len(units))
+
+    def test_runs_are_maximal_when_there_are_enough(self):
+        assert _chunks(_units("aaabbbbcc"), 2) == [range(0, 3), range(3, 7), range(7, 9)]
+        # Graph-less units form runs of their own.
+        assert _chunks(_units("aa--b-"), 1) == [
+            range(0, 2), range(2, 4), range(4, 5), range(5, 6)
+        ]
+
+    def test_one_graph_keeps_its_parallelism(self):
+        assert _chunks(_units("a" * 70), 2) == [range(0, 35), range(35, 70)]
+        assert [len(c) for c in _chunks(_units("a" * 70), 4)] == [17, 18, 17, 18]
+
+    def test_pool_results_come_back_in_submission_order(self):
+        units = _units("aaabbbbcc-d")
+        engine = ExperimentEngine(jobs=2, cache=None)
+        out = engine.map_cached("where", _where, units)
+        assert [p["i"] for p in out] == list(range(len(units)))
+        # Each chunk ran in one worker process.
+        for c in _chunks(units, 2):
+            assert len({out[i]["pid"] for i in c}) == 1
+
+    def test_pool_chunk_spans_show_the_chunk_layout(self):
+        from repro import observability
+
+        jobs = [
+            Job(transform=t, workload=w, factor=2, trip_count=9)
+            for w in ("iir", "figure4")
+            for t in ("original", "csr-pipelined", "csr-retime-unfold")
+        ]
+        observability.OBS.reset()
+        observability.enable()
+        try:
+            ExperimentEngine(jobs=2, cache=None).run_jobs(jobs)
+            roots = observability.OBS.tracer.roots
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        batch = next(r for r in roots if r.name == "engine.map")
+        assert batch.attributes["chunks"] == 2
+        chunks = [s for s in batch.walk() if s.name == "pool.chunk"]
+        assert [c.attributes["units"] for c in chunks] == [3, 3]
+        nodes = [len(list(job.graph().nodes())) for job in jobs[::3]]
+        assert sorted(c.attributes["graph"] for c in chunks) == sorted(nodes)
+        for c in chunks:
+            assert sum(1 for s in c.walk() if s.name == "job.execute") == 3
+
+    def test_journaled_pool_run_commits_once_per_chunk(self, tmp_path, monkeypatch):
+        import repro.runner.journal as journal_module
+        from repro.runner import RunJournal, scan_journal
+
+        engine = ExperimentEngine(jobs=2, cache=None)
+        engine.journal = RunJournal(tmp_path)
+        engine.journal.run_start("test", {})
+        fsyncs = []
+        real = journal_module.os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: (fsyncs.append(fd), real(fd))
+        )
+        units = _units("aaabbbbcc")
+        out = engine.map_cached("where", _where, units)
+        engine.journal.close()
+        # One commit for the submitted records, one per landed chunk.
+        assert len(fsyncs) == 1 + 3
+        scan = scan_journal(tmp_path / "journal.jsonl")
+        types = [r["type"] for r in scan.records]
+        assert types == ["run.start"] + ["job.submitted"] * 9 + ["job.done"] * 9
+        done = scan.completed()
+        assert sorted(d["payload"]["i"] for d in done.values()) == [p["i"] for p in out]
+
+    def test_pool_worker_returns_the_one_unit_envelope(self):
+        from repro.runner.engine import _pool_worker
+
+        task = (_square, {"x": 3}, "key", None, False, "sq", None, None)
+        envelope = _pool_worker(task)
+        assert set(envelope) == {
+            "payload", "cached", "wall", "outcome", "cache_stats", "reuse_stats"
+        }
+        assert envelope["payload"] == {"ok": True, "y": 9}
+        assert envelope["cached"] is False
+        assert envelope["outcome"]["status"] == "ok"
+        assert envelope["cache_stats"]["misses"] == 1

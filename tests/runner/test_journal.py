@@ -207,6 +207,106 @@ class TestJournalWriteFaultSite:
         assert scan.pending() == {"k": "l"}
 
 
+class TestGroupCommit:
+    def _count_fsyncs(self, monkeypatch) -> list:
+        import repro.runner.journal as journal_module
+
+        calls = []
+        real = journal_module.os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", counting)
+        return calls
+
+    def test_a_batch_of_appends_costs_one_fsync(self, tmp_path, monkeypatch):
+        j = RunJournal(tmp_path)
+        j.run_start("sweep", {})
+        fsyncs = self._count_fsyncs(monkeypatch)
+        with j.batch():
+            for i in range(7):
+                j.job_submitted(f"k{i}", f"l{i}")
+            assert fsyncs == []
+        assert len(fsyncs) == 1
+        # Outside a batch every append is its own commit again.
+        j.job_submitted("k7", "l7")
+        assert len(fsyncs) == 2
+        j.close()
+        scan = scan_journal(tmp_path / JOURNAL_NAME)
+        assert [r["seq"] for r in scan.records] == list(range(1, 10))
+        assert j.records_written == 9
+
+    def test_nested_batches_commit_once_at_the_outermost_exit(
+        self, tmp_path, monkeypatch
+    ):
+        j = RunJournal(tmp_path)
+        j.run_start("sweep", {})
+        fsyncs = self._count_fsyncs(monkeypatch)
+        with j.batch():
+            j.job_submitted("k0", "l0")
+            with j.batch():
+                j.job_submitted("k1", "l1")
+            assert fsyncs == []
+            j.job_submitted("k2", "l2")
+        assert len(fsyncs) == 1
+        j.close()
+        assert len(scan_journal(tmp_path / JOURNAL_NAME).records) == 4
+
+    def test_a_batch_that_appends_nothing_commits_nothing(self, tmp_path, monkeypatch):
+        j = RunJournal(tmp_path)
+        j.run_start("sweep", {})
+        fsyncs = self._count_fsyncs(monkeypatch)
+        with j.batch():
+            pass
+        assert fsyncs == []
+        j.close()
+
+    def test_an_exception_still_commits_the_batch(self, tmp_path, monkeypatch):
+        j = RunJournal(tmp_path)
+        fsyncs = self._count_fsyncs(monkeypatch)
+        with pytest.raises(RuntimeError):
+            with j.batch():
+                j.run_start("sweep", {})
+                j.job_submitted("k", "l")
+                raise RuntimeError("boom")
+        assert len(fsyncs) == 1
+        j.close()
+        assert len(scan_journal(tmp_path / JOURNAL_NAME).records) == 2
+
+    def test_fault_on_the_kth_record_of_a_batch(self, tmp_path):
+        from repro.runner import resilience
+
+        plan = FaultPlan([FaultSpec("journal.write", "job.done", times=1)])
+        j = RunJournal(tmp_path)
+        j.run_start("sweep", {})
+        resilience.activate(plan)
+        try:
+            with pytest.raises(FaultInjected):
+                with j.batch():
+                    for i in range(3):
+                        j.job_submitted(f"k{i}", f"l{i}")
+                    j.job_done("k0", "l0", {"ok": True})  # record 4 of the batch
+                    j.job_done("k1", "l1", {"ok": True})
+            j.close()
+        finally:
+            resilience.deactivate()
+        # Records 1..k-1 of the batch are intact, then one torn line.
+        path = tmp_path / JOURNAL_NAME
+        lines = path.read_text().split("\n")
+        assert len(lines) == 5 and lines[-1]
+        scan = scan_journal(path)
+        assert scan.torn
+        assert [r["type"] for r in scan.records] == ["run.start"] + ["job.submitted"] * 3
+        # Reopening truncates the torn tail and continues the sequence.
+        with RunJournal(tmp_path) as again:
+            again.job_submitted("k3", "l3")
+        scan = scan_journal(path)
+        assert not scan.torn
+        assert [r["seq"] for r in scan.records] == [1, 2, 3, 4, 5]
+
+
 class TestEngineResume:
     def test_uninterrupted_journal_replays_everything(self, tmp_path):
         ref = _journaled_run(tmp_path)

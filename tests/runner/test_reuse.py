@@ -3,6 +3,7 @@ counter, only how often the stages run."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -214,6 +215,18 @@ class TestStats:
             assert f"reuse       : {engine.reuse.hits} stage hits, " in engine.stats_summary()
         # Each of the two workers builds the stages it uses.
         assert pool.reuse.builds >= serial.reuse.builds
+
+    def test_pool_builds_each_graph_once_like_serial(self):
+        """Graph-affine chunks: on a 10-graph window a 2-worker pool builds
+        exactly what a serial run builds, with byte-identical payloads."""
+        runs = []
+        for jobs_n in (1, 2):
+            engine = ExperimentEngine(jobs=jobs_n, cache=None)
+            payloads = engine.map_cached("job", execute_job, WINDOW)
+            text = [json.dumps(_plain(p), sort_keys=True) for p in payloads]
+            runs.append((engine.reuse.builds, text))
+        assert runs[1] == runs[0]
+        assert runs[0][0] > 0
 
     def test_a_batch_of_one_unit_runs_in_a_scope(self):
         engine = ExperimentEngine(jobs=1, cache=None)
