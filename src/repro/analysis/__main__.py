@@ -60,7 +60,8 @@ def validate_engine_args(args: argparse.Namespace) -> None:
     failure a single ``error:`` line instead of a mid-run surprise.
     """
     workers = getattr(args, "workers", "local")
-    if workers == "remote" and getattr(args, "supervised", False):
+    supervised = getattr(args, "supervised", False)
+    if workers == "remote" and supervised:
         raise SystemExit(
             "error: --supervised and --workers remote are mutually "
             "exclusive (pick one execution fabric)"
@@ -69,10 +70,13 @@ def validate_engine_args(args: argparse.Namespace) -> None:
         for value, flag in (
             (getattr(args, "coordinator", None), "--coordinator"),
             (getattr(args, "remote_workers", None), "--remote-workers"),
-            (getattr(args, "lease_timeout", None), "--lease-timeout"),
         ):
             if value is not None:
                 raise SystemExit(f"error: {flag} requires --workers remote")
+        if getattr(args, "lease_timeout", None) is not None and not supervised:
+            raise SystemExit(
+                "error: --lease-timeout requires --workers remote or --supervised"
+            )
     elif getattr(args, "coordinator", None) and (
         getattr(args, "remote_workers", None) is not None
     ):
@@ -130,6 +134,8 @@ def engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
     a spawned work plane (:class:`~repro.runner.remote.RemoteFabric`) or,
     with ``--coordinator``, offload to an existing serve daemon
     (:class:`~repro.server.client.RemoteOffloadExecutor`).
+    ``--supervised`` is the same work plane with ``--jobs`` spawned
+    local workers.
     """
     validate_engine_args(args)
     if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
@@ -148,28 +154,30 @@ def engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
             timeout=timeout,
         )
     remote = None
-    if getattr(args, "workers", "local") == "remote":
-        if getattr(args, "coordinator", None):
-            from ..server.client import RemoteOffloadExecutor
+    remote_workers = getattr(args, "workers", "local") == "remote"
+    if remote_workers and getattr(args, "coordinator", None):
+        from ..server.client import RemoteOffloadExecutor
 
-            remote = RemoteOffloadExecutor(args.coordinator)
-        else:
-            from ..runner.remote import RemoteFabric
+        remote = RemoteOffloadExecutor(args.coordinator)
+    elif remote_workers or getattr(args, "supervised", False):
+        from ..runner.remote import RemoteFabric
 
+        if remote_workers:
             workers = getattr(args, "remote_workers", None)
-            lease_timeout = getattr(args, "lease_timeout", None)
-            remote = RemoteFabric(
-                workers=2 if workers is None else workers,
-                policy=retry,
-                lease_timeout=30.0 if lease_timeout is None else lease_timeout,
-            )
+            workers = 2 if workers is None else workers
+        else:
+            workers = args.jobs if args.jobs > 0 else os.cpu_count() or 1
+        lease_timeout = getattr(args, "lease_timeout", None)
+        remote = RemoteFabric(
+            workers=workers,
+            policy=retry,
+            lease_timeout=30.0 if lease_timeout is None else lease_timeout,
+        )
     return default_engine(
         jobs=args.jobs,
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         retry=retry,
-        supervised=getattr(args, "supervised", False),
-        heartbeat_timeout=getattr(args, "worker_heartbeat_timeout", 30.0),
         remote=remote,
     )
 

@@ -118,16 +118,8 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     cgroup.add_argument(
         "--supervised",
         action="store_true",
-        help="run parallel work in the supervised process pool: dead or "
+        help="lease parallel work to --jobs spawned local workers: dead or "
         "hung workers are respawned and their jobs requeued",
-    )
-    cgroup.add_argument(
-        "--worker-heartbeat-timeout",
-        type=float,
-        default=30.0,
-        metavar="SEC",
-        help="heartbeat silence before a supervised worker is declared "
-        "hung and replaced (default 30)",
     )
     dgroup = parser.add_argument_group("distributed execution")
     dgroup.add_argument(
@@ -158,8 +150,8 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SEC",
-        help="with --workers remote: lease expiry before a silent "
-        "worker's unit requeues (default 30)",
+        help="with --workers remote or --supervised: lease expiry before "
+        "a silent worker's unit requeues (default 30)",
     )
 
 

@@ -16,7 +16,7 @@ and the FAILED-cell output contract.
 from .. import _lazy_exports
 
 # Exports resolve on first access: building a CLI parser or importing
-# the engine never loads the remote fabric or the supervised pool.
+# the engine never loads the remote fabric.
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
@@ -49,7 +49,6 @@ __getattr__, __dir__ = _lazy_exports(
             "scan_journal",
         ),
         ".remote": ("LeaseCoordinator", "RemoteFabric", "run_task_local"),
-        ".supervisor": ("SupervisedPool", "sweep_orphan_heartbeats"),
         ".resilience": (
             "FAULT_PLAN_ENV",
             "FAULT_SITES",
@@ -84,10 +83,8 @@ __all__ = [
     "RunJournal",
     "LeaseCoordinator",
     "RemoteFabric",
-    "SupervisedPool",
     "run_task_local",
     "scan_journal",
-    "sweep_orphan_heartbeats",
     "CacheStats",
     "NullCache",
     "ResultCache",

@@ -21,8 +21,8 @@ parent except once per result.  The process pool is sent graph-affine
 graph, split only while there are fewer chunks than workers.  A worker
 runs a chunk in one go (:func:`_pool_chunk`), so one process builds a
 graph's stages once and the submit/pickle round trip is paid per chunk.
-The supervised pool and the remote executors run one unit per task
-through :func:`_pool_worker`, the same body on a chunk of one.
+The remote executors run one unit per task through :func:`_pool_worker`,
+the same body on a chunk of one.
 Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
 die with the worker, so every result travels in an envelope carrying the
 worker's hit/miss deltas — and, when observability is on, its serialized
@@ -56,12 +56,12 @@ submission and completion is an fsync'd write-ahead record, completed
 units rehydrate on ``--resume`` instead of re-executing, and parallel
 completions are journaled as they land.  A batch's submissions are one
 group commit, durable before any unit is dispatched, and so is each
-landed chunk's completions: a crash loses at most the in-flight chunks.  Supervised mode
-(:mod:`repro.runner.supervisor`) swaps the ``ProcessPoolExecutor`` for a
-self-healing pool whose dead or hung workers are detected by heartbeat,
-respawned, and their jobs requeued under the same
-:class:`~repro.runner.resilience.RetryPolicy`.  Both layers are
-off-by-default ``is None`` guards — an unjournaled, unsupervised run
+landed chunk's completions: a crash loses at most the in-flight chunks.
+Fault tolerance against dying or hanging workers is the lease fabric's
+(:mod:`repro.runner.remote`, the ``remote=`` executor that ``--supervised``
+and ``--workers remote`` both build): a lost worker's unit is requeued
+under the same :class:`~repro.runner.resilience.RetryPolicy`.  Both
+layers are off-by-default ``is None`` guards — an unjournaled local run
 executes the exact code it always did.
 """
 
@@ -165,9 +165,8 @@ def _pool_worker(task: tuple) -> dict:
     """One-unit entry point: :func:`_pool_chunk` on a chunk of one.
 
     ``task`` is ``(fn, params, key, cache_spec, obs_on, label, policy,
-    plan)``, the shape the supervised pool, the remote fabric and
-    ``repro worker`` ship.  Returns the unit's result merged with the
-    chunk-level deltas::
+    plan)``, the shape the remote fabric and ``repro worker`` ship.
+    Returns the unit's result merged with the chunk-level deltas::
 
         {"payload", "cached", "wall", "cache_stats", "reuse_stats",
          "outcome"?, "obs"?}
@@ -227,7 +226,7 @@ class EngineStats:
     timed_out: int = 0  # units whose attempts exhausted on deadlines
     failed: int = 0  # units whose attempts exhausted on crashes
     resumed: int = 0  # units rehydrated from a run journal (--resume)
-    respawned: int = 0  # supervised-pool workers replaced after death/hang
+    respawned: int = 0  # fabric workers replaced after they died
     wall_time: float = 0.0  # sum of per-call compute time
     vm_executed: int = 0  # VM compute instructions executed
     vm_disabled: int = 0  # guarded computes whose predicate was off
@@ -289,23 +288,15 @@ class ExperimentEngine:
         separately by the process-global plan
         (:func:`repro.runner.resilience.activate`), which the engine
         forwards to its pool workers.
-    supervised:
-        Run parallel work through the
-        :class:`~repro.runner.supervisor.SupervisedPool` — real worker
-        processes with heartbeats, dead/hung-worker detection, respawn
-        and requeue — instead of ``ProcessPoolExecutor``.
-    heartbeat_timeout:
-        Seconds of heartbeat silence before a busy supervised worker is
-        declared hung (the ``--worker-heartbeat-timeout`` flag).
     remote:
         A distributed executor — a
         :class:`~repro.runner.remote.RemoteFabric` (lease units to
-        worker processes over the work plane) or a
+        worker processes over the work plane; ``--supervised`` is one
+        with ``--jobs`` spawned local workers) or a
         :class:`~repro.server.client.RemoteOffloadExecutor` (ship units
         to a ``repro serve`` coordinator) — honoring the
-        ``run(tasks, on_result)`` submission-order contract.  Mutually
-        exclusive with ``supervised``.  Call :meth:`close` when done:
-        the executor persists across batches.
+        ``run(tasks, on_result)`` submission-order contract.  Call
+        :meth:`close` when done: the executor persists across batches.
 
     Checkpointing: assigning a
     :class:`~repro.runner.journal.RunJournal` to ``engine.journal``
@@ -320,14 +311,10 @@ class ExperimentEngine:
         jobs: int | None = 1,
         cache: ResultCache | NullCache | Path | str | None = None,
         retry: RetryPolicy | None = None,
-        supervised: bool = False,
-        heartbeat_timeout: float = 30.0,
         remote=None,
     ) -> None:
         if jobs is None or jobs <= 0:
             jobs = os.cpu_count() or 1
-        if supervised and remote is not None:
-            raise ValueError("supervised and remote execution are mutually exclusive")
         self.jobs = jobs
         if cache is None:
             self.cache: ResultCache | NullCache = NullCache()
@@ -336,8 +323,6 @@ class ExperimentEngine:
         else:
             self.cache = ResultCache(cache)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.supervised = supervised
-        self.heartbeat_timeout = heartbeat_timeout
         self.remote = remote
         self.stats = EngineStats()
         self.reuse = ReuseStats()  # stage reuse, fleet-wide
@@ -434,9 +419,7 @@ class ExperimentEngine:
                     [keys[i] for i in pending],
                     [labels[i] for i in pending],
                 )
-                pool_wanted = (
-                    self.jobs > 1 or self.supervised or self.remote is not None
-                )
+                pool_wanted = self.jobs > 1 or self.remote is not None
                 if pool_wanted and len(pending) > 1:
                     ran = self._map_parallel(sp, fn, *sub)
                 else:
@@ -497,7 +480,7 @@ class ExperimentEngine:
         """Pool execution: workers own cache I/O and ship deltas home.
 
         The process pool runs graph-affine chunks (:func:`_chunks`); the
-        supervised pool and the remote executor run one unit per task.
+        remote executor runs one unit per task.
         """
         root = getattr(self.cache, "root", None)
         cache_spec = (
@@ -521,30 +504,22 @@ class ExperimentEngine:
             )
 
         on_result = journal_result if self.journal is not None else None
-        if self.remote is not None or self.supervised:
+        if self.remote is not None:
             tasks = [
                 (fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc)
                 for params, key, label in zip(params_list, keys, labels)
             ]
             sp.set(chunks=len(tasks))
-            if self.remote is not None:
-                # Distributed execution: the fabric/offload executor honors
-                # the same submission-order + per-completion-callback
-                # contract; journal appends stay on this thread.
-                self.remote.journal = self.journal
-                envelopes = self.remote.run(tasks, on_result=on_result)
-            else:
-                from .supervisor import SupervisedPool
-
-                spool = SupervisedPool(
-                    workers,
-                    policy=self.retry,
-                    heartbeat_timeout=self.heartbeat_timeout,
-                )
-                envelopes = spool.run(tasks, on_result=on_result)
-                if spool.respawned:
-                    self.stats.respawned += spool.respawned
-                    count("workers.respawned", spool.respawned)
+            # The fabric/offload executor honors the same submission-order
+            # + per-completion-callback contract; journal appends stay on
+            # this thread.
+            self.remote.journal = self.journal
+            respawns = getattr(self.remote, "respawns", 0)
+            envelopes = self.remote.run(tasks, on_result=on_result)
+            respawned = getattr(self.remote, "respawns", 0) - respawns
+            if respawned:
+                self.stats.respawned += respawned
+                count("workers.respawned", respawned)
             landed = envelopes  # each unit's envelope carries its deltas
         else:
             chunks = _chunks(params_list, workers)
@@ -746,7 +721,7 @@ class ExperimentEngine:
         m.gauge("run.resumed_jobs", "units rehydrated from the run journal").set(
             s.resumed
         )
-        m.gauge("workers.respawned", "supervised workers replaced").set(
+        m.gauge("workers.respawned", "fabric workers replaced").set(
             s.respawned
         )
         if self.remote is not None:
@@ -763,25 +738,14 @@ def default_engine(
     cache: bool = True,
     cache_dir: Path | str | None = None,
     retry: RetryPolicy | None = None,
-    supervised: bool = False,
-    heartbeat_timeout: float = 30.0,
     remote=None,
 ) -> ExperimentEngine:
     """Engine with the conventional CLI defaults (on-disk cache enabled)."""
     if not cache:
-        return ExperimentEngine(
-            jobs=jobs,
-            cache=None,
-            retry=retry,
-            supervised=supervised,
-            heartbeat_timeout=heartbeat_timeout,
-            remote=remote,
-        )
+        return ExperimentEngine(jobs=jobs, cache=None, retry=retry, remote=remote)
     return ExperimentEngine(
         jobs=jobs,
         cache=ResultCache(cache_dir) if cache_dir else ResultCache(),
         retry=retry,
-        supervised=supervised,
-        heartbeat_timeout=heartbeat_timeout,
         remote=remote,
     )

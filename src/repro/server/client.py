@@ -354,9 +354,9 @@ class RemoteOffloadExecutor:
     joins rather than recomputes), and any unit the coordinator cannot
     answer — unreachable, open breaker, shedding past the retry budget,
     a kind the protocol cannot express — degrades to local execution of
-    the *same* cached worker body.  Mirrors the ``SupervisedPool.run``
+    the *same* cached worker body.  Mirrors the ``RemoteFabric.run``
     contract (submission-order envelopes, per-completion ``on_result``),
-    so the engine cannot tell it from a local pool.
+    so the engine cannot tell the two executors apart.
     """
 
     def __init__(

@@ -1,7 +1,8 @@
 """Up-front CLI validation: incompatible flag combos die with one line.
 
 Covers :func:`validate_engine_args` (bad distributed-execution combos),
-the topology fingerprint a journal records, and
+the fabric ``--supervised`` builds, the topology fingerprint a journal
+records, and
 :func:`check_topology`'s refusal to ``--resume`` under a different
 execution fabric than the journal was written with.
 """
@@ -17,10 +18,11 @@ import pytest
 from repro.analysis.__main__ import (
     build_parser,
     check_topology,
+    engine_from_args,
     topology_from_args,
     validate_engine_args,
 )
-from repro.runner import JournalError
+from repro.runner import JournalError, RemoteFabric
 
 
 def _args(*argv: str):
@@ -31,6 +33,7 @@ class TestValidateEngineArgs:
     def test_plain_and_valid_remote_combos_pass(self):
         validate_engine_args(_args())
         validate_engine_args(_args("--supervised"))
+        validate_engine_args(_args("--supervised", "--lease-timeout", "5"))
         validate_engine_args(_args("--workers", "remote"))
         validate_engine_args(
             _args("--workers", "remote", "--remote-workers", "3",
@@ -56,6 +59,18 @@ class TestValidateEngineArgs:
         with pytest.raises(SystemExit, match="requires --workers remote"):
             validate_engine_args(_args(*argv))
 
+    @pytest.mark.parametrize(
+        "argv", [("--coordinator", "h:1"), ("--remote-workers", "2")]
+    )
+    def test_supervised_still_rejects_remote_only_flags(self, argv):
+        with pytest.raises(SystemExit, match="requires --workers remote"):
+            validate_engine_args(_args("--supervised", *argv))
+
+    def test_worker_heartbeat_timeout_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            _args("--supervised", "--worker-heartbeat-timeout", "5")
+        assert "--worker-heartbeat-timeout" in capsys.readouterr().err
+
     def test_coordinator_excludes_spawned_workers(self):
         with pytest.raises(SystemExit, match="mutually exclusive"):
             validate_engine_args(
@@ -78,6 +93,28 @@ class TestValidateEngineArgs:
         assert proc.stdout == ""  # validation fired before any work
 
 
+class TestSupervisedFabric:
+    @pytest.mark.parametrize(
+        "argv, workers, lease_timeout",
+        [
+            (("--jobs", "3"), 3, 30.0),
+            (("--jobs", "2", "--lease-timeout", "600"), 2, 600.0),
+            (("--jobs", "0"), os.cpu_count() or 1, 30.0),
+        ],
+    )
+    def test_supervised_is_the_lease_fabric_with_jobs_workers(
+        self, argv, workers, lease_timeout
+    ):
+        engine = engine_from_args(_args("--supervised", "--no-cache", *argv))
+        try:
+            assert isinstance(engine.remote, RemoteFabric)
+            assert engine.remote.workers == workers
+            assert engine.remote.lease_timeout == lease_timeout
+            assert engine.remote.policy == engine.retry
+        finally:
+            engine.close()
+
+
 class TestTopologyFingerprint:
     def test_fingerprint_shape(self):
         assert topology_from_args(_args()) == {
@@ -89,6 +126,11 @@ class TestTopologyFingerprint:
         assert topology_from_args(_args("--supervised")) == {
             "workers": "local", "supervised": True,
         }
+        # The lease timeout is a tuning knob, not a topology: journals
+        # written by --supervised before it ran on the fabric resume.
+        assert topology_from_args(
+            _args("--supervised", "--lease-timeout", "600")
+        ) == {"workers": "local", "supervised": True}
 
     def test_old_journals_without_fingerprint_stay_resumable(self):
         check_topology({"graphs": 5}, _args("--workers", "remote"))

@@ -26,13 +26,12 @@ LAZY_PACKAGES = [repro, repro.analysis, repro.runner, repro.server]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Modules no ``--help`` may load: numpy, the asyncio/HTTP server stacks,
-#: and the two execution fabrics.
+#: and the lease fabric.
 HEAVY = (
     "numpy",
     "asyncio",
     "http.server",
     "repro.runner.remote",
-    "repro.runner.supervisor",
 )
 
 
