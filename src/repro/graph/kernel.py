@@ -11,10 +11,10 @@ parallel flat lists indexed by small integers so that a probe is a pure
 layout as numpy arrays for the vectorized relaxation backends.
 
 One kernel per graph is enough for every consumer — the (W, D) builder,
-the incremental feasibility solver, the iteration-bound search and the
-FEAS oracle all share the snapshot through :func:`shared_kernel` (id-keyed
-with a weakref guard, like the dispatch compile cache), so the flat arrays
-are extracted exactly once per graph object.
+the incremental feasibility solver and the iteration-bound search all
+share the snapshot through :func:`shared_kernel` (id-keyed with a weakref
+guard, like the dispatch compile cache), so the flat arrays are extracted
+exactly once per graph object.
 
 The kernel is a snapshot: it does not track later mutations of the source
 graph.  Build it after the graph is final (which is how every algorithm in
@@ -23,7 +23,6 @@ this library treats its input).
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
@@ -33,41 +32,10 @@ from .dfg import DFG
 __all__ = ["EdgeKernel", "shared_kernel"]
 
 
-def _kernel_threshold(default: int = 256) -> int:
-    """Edge count above which relaxations dispatch to numpy, overridable
-    via ``REPRO_KERNEL_NUMPY_THRESHOLD`` (unparsable values fall back)."""
-    raw = os.environ.get("REPRO_KERNEL_NUMPY_THRESHOLD")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 #: Edge count above which :meth:`EdgeKernel.has_positive_cycle` uses the
-#: vectorized numpy relaxation.  Kept as a module attribute so tests can
-#: monkeypatch it; the environment variable is re-read whenever it changes
-#: (see :func:`_current_threshold`).
-_NUMPY_THRESHOLD = _kernel_threshold()
-_ENV_SNAPSHOT = os.environ.get("REPRO_KERNEL_NUMPY_THRESHOLD")
-
-
-def _current_threshold() -> int:
-    """The live numpy-dispatch threshold.
-
-    Re-reads ``REPRO_KERNEL_NUMPY_THRESHOLD`` whenever the environment
-    value changed since the last look (import-time freezing made the
-    variable silently dead after import), while still honouring direct
-    monkeypatches of :data:`_NUMPY_THRESHOLD` when the environment is
-    untouched.
-    """
-    global _ENV_SNAPSHOT, _NUMPY_THRESHOLD
-    raw = os.environ.get("REPRO_KERNEL_NUMPY_THRESHOLD")
-    if raw != _ENV_SNAPSHOT:
-        _ENV_SNAPSHOT = raw
-        _NUMPY_THRESHOLD = _kernel_threshold()
-    return _NUMPY_THRESHOLD
+#: vectorized numpy relaxation.  Read at call time, so tests can
+#: monkeypatch it to force either branch.
+_NUMPY_THRESHOLD = 256
 
 
 class EdgeKernel:
@@ -174,7 +142,7 @@ class EdgeKernel:
         distances cannot overflow); both backends converge to the same
         longest-path fixpoint and emit the same divergence verdict.
         """
-        if self.num_edges > _current_threshold():
+        if self.num_edges > _NUMPY_THRESHOLD:
             scale = 1 if strict else self.num_nodes + 1
             weights = (
                 q * st - p * d

@@ -31,8 +31,6 @@ Two representations are available:
 
 from __future__ import annotations
 
-import os
-
 from .dfg import DFG
 from .kernel import EdgeKernel, shared_kernel
 
@@ -41,41 +39,12 @@ __all__ = ["WDKernel", "wd_kernel", "wd_matrices", "wd_matrices_python", "distin
 _INF = float("inf")
 
 
-def _threshold_from_env(default: int = 64) -> int:
-    """The numpy-dispatch node-count threshold, overridable via the
-    ``REPRO_WD_NUMPY_THRESHOLD`` environment variable (unparsable values
-    fall back to the default)."""
-    raw = os.environ.get("REPRO_WD_NUMPY_THRESHOLD")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-#: Node count above which the vectorized numpy Floyd–Warshall is used.
-#: Measured crossover (this machine, random graphs with |E| ~ 2|V|): the
-#: pure-python pass wins below ~60 nodes thanks to its infinity short-
-#: circuit; numpy wins 4.5x at 80 nodes and ~15x at 250.  The numpy path
-#: packs the lexicographic (delay, -time) weight into one integer so each
-#: Floyd–Warshall sweep is a single broadcasted minimum.  Kept as a module
-#: attribute so tests can monkeypatch it; ``REPRO_WD_NUMPY_THRESHOLD`` is
-#: re-read whenever the environment value changes (it used to be frozen at
-#: import time, which made setting it afterwards silently dead).
-_NUMPY_THRESHOLD = _threshold_from_env()
-_ENV_SNAPSHOT = os.environ.get("REPRO_WD_NUMPY_THRESHOLD")
-
-
-def _current_threshold() -> int:
-    """The live numpy-dispatch threshold (see the note on
-    :data:`_NUMPY_THRESHOLD`)."""
-    global _ENV_SNAPSHOT, _NUMPY_THRESHOLD
-    raw = os.environ.get("REPRO_WD_NUMPY_THRESHOLD")
-    if raw != _ENV_SNAPSHOT:
-        _ENV_SNAPSHOT = raw
-        _NUMPY_THRESHOLD = _threshold_from_env()
-    return _NUMPY_THRESHOLD
+#: Node count above which the packed numpy Floyd–Warshall is used.
+#: Measured crossover (random graphs with |E| ~ 2|V|): the pure-python
+#: pass wins below ~60 nodes thanks to its infinity short-circuit; numpy
+#: wins 4.5x at 80 nodes and ~15x at 250.  Read at call time, so tests
+#: can monkeypatch it to force either branch.
+_NUMPY_THRESHOLD = 64
 
 
 class WDKernel:
@@ -168,10 +137,11 @@ def wd_kernel(g: DFG) -> WDKernel:
     Dispatches exactly like :func:`wd_matrices`: the packed Floyd–Warshall
     above :data:`_NUMPY_THRESHOLD` nodes (matrices native, dicts lazy),
     the tuple-weight python pass below it (dicts native, matrices lazy).
-    Both representations are exact and cross-checked in the test-suite.
+    The python pass is the reference the test-suite pins the packed
+    sweep against.
     """
     kernel = shared_kernel(g)
-    if g.num_nodes > _current_threshold():
+    if g.num_nodes > _NUMPY_THRESHOLD:
         matrices = _packed_floyd_warshall(kernel)
         if matrices is not None:
             return WDKernel(kernel, matrices=matrices)
@@ -239,57 +209,6 @@ def _packed_floyd_warshall(kernel: EdgeKernel):
     Wm[~reach] = 0
     Dm[~reach] = 0
     return (Wm, Dm, reach)
-
-
-def _wd_matrices_numpy(g: DFG) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
-    """Floyd–Warshall over the packed weight ``delay * K - time`` where
-    ``K`` exceeds any achievable path time, so integer comparison equals
-    lexicographic ``(delay, -time)`` comparison.
-
-    Kept as the int64 wide-packing reference for the tighter
-    :func:`_packed_floyd_warshall`; the test-suite pins all three
-    implementations pairwise equal.
-    """
-    import numpy as np
-
-    names = g.node_names()
-    idx = {n: k for k, n in enumerate(names)}
-    nn = len(names)
-    # Path times are bounded by total_time * nn (walks that matter never
-    # revisit a node more often than the FW relaxation allows).
-    K = g.total_time * (nn + 2) + 1
-    INF = np.int64(2**62 // (nn + 2))  # headroom so INF + INF never wraps
-
-    dist = np.full((nn, nn), INF, dtype=np.int64)
-    times = np.array([g.node(n).time for n in names], dtype=np.int64)
-    for k in range(nn):
-        dist[k, k] = 0 - 0  # trivial path: 0 delays, 0 source time
-    for e in g.edges():
-        w = np.int64(e.delay) * K - times[idx[e.src]]
-        i, j = idx[e.src], idx[e.dst]
-        if w < dist[i, j]:
-            dist[i, j] = w
-    for k in range(nn):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        np.minimum(dist, cand, out=dist)
-
-    W: dict[tuple[str, str], int] = {}
-    D: dict[tuple[str, str], int] = {}
-    half = INF // 2
-    for i, u in enumerate(names):
-        row = dist[i]
-        for j, v in enumerate(names):
-            w = row[j]
-            if w >= half:
-                continue
-            # Unpack delay and time: w = delay * K - time with 0 <= time < K.
-            delay, neg = divmod(int(w), K)
-            time = (K - neg) % K
-            if neg:
-                delay += 1
-            W[(u, v)] = delay
-            D[(u, v)] = time + g.node(v).time
-    return W, D
 
 
 def wd_matrices_python(

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from ..graph.dfg import MODULUS, OpKind
-from ..native import mulmod61 as _native_mulmod
 from ..observability import count
 from .dispatch import _DEC, _ERR, _LOOP, _SETUP, _TRIP
 
@@ -339,13 +338,8 @@ def _mulmod(a, b):
 
     32-bit split multiply: with ``a = a1*2**32 + a0``, the cross terms are
     folded through ``2**61 = 1 (mod M)``; every intermediate stays below
-    ``2**63``, so plain wrapping uint64 arithmetic is exact.  With
-    ``REPRO_NATIVE_KERNELS=1`` the product goes through the ``__int128``
-    C kernel instead — value-exact, so bit-identical.
+    ``2**63``, so plain wrapping uint64 arithmetic is exact.
     """
-    native = _native_mulmod(a, b)
-    if native is not None:
-        return native
     a0 = a & _U_MASK32
     a1 = a >> _U32
     b0 = b & _U_MASK32

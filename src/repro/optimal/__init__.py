@@ -6,16 +6,14 @@ The ground-truth side of the differential test battery: certified optima
 iterative modulo scheduling — is pinned against by ``python -m repro sweep
 --oracle`` and the property suite under ``tests/optimal/``.
 
-Three independent decision procedures cross-check each other:
+Two independent decision procedures cross-check each other:
 
 * :mod:`repro.optimal.period` / :mod:`repro.optimal.modulo` — integer
   lattice binary search and branch-and-bound over difference-constraint
   feasibility, with self-verified witnesses and bounded-gap timeout
-  degradation (the default, dependency-free backends);
+  degradation;
 * :mod:`repro.optimal.brute` — budgeted exhaustive enumeration over a
-  provably optimum-containing box (solver-verifies-solver);
-* :mod:`repro.optimal.ilp` — an optional ``pulp`` ILP backend
-  (:data:`~repro.optimal.ilp.HAVE_PULP` gates it; never required).
+  provably optimum-containing box (solver-verifies-solver).
 
 See ``docs/OPTIMAL.md`` for the formulation and gap semantics.
 """
@@ -27,7 +25,6 @@ from .brute import (
     brute_force_min_max_retiming,
     enumerate_normalized_retimings,
 )
-from .ilp import HAVE_PULP, OptimalBackendError
 from .modulo import OptimalII, optimal_initiation_interval
 from .period import (
     OptimalPeriod,
@@ -43,8 +40,6 @@ __all__ = [
     "brute_force_initiation_interval",
     "brute_force_min_max_retiming",
     "enumerate_normalized_retimings",
-    "HAVE_PULP",
-    "OptimalBackendError",
     "OptimalII",
     "optimal_initiation_interval",
     "OptimalPeriod",

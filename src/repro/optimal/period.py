@@ -94,7 +94,6 @@ class OptimalPeriod:
     proven: bool
     retiming: Retiming
     probes: int
-    backend: str = "lattice"
 
     @property
     def gap(self) -> int:
@@ -131,31 +130,14 @@ def _retime_for_period_exact(g: DFG, c: int, wd: _WD) -> Retiming | None:
     return r
 
 
-def optimal_cycle_period(
-    g: DFG,
-    *,
-    timeout: float | None = None,
-    backend: str = "lattice",
-) -> OptimalPeriod:
-    """The certified minimum cycle period achievable by retiming ``g``.
-
-    ``backend="lattice"`` (default) is the self-contained integer binary
-    search described in the module docstring; ``backend="ilp"`` delegates
-    the per-period feasibility probes to the optional ``pulp`` ILP backend
-    (raising :class:`~repro.optimal.ilp.OptimalBackendError` when pulp is
-    not installed).
+def optimal_cycle_period(g: DFG, *, timeout: float | None = None) -> OptimalPeriod:
+    """The certified minimum cycle period achievable by retiming ``g``, by
+    the integer lattice binary search described in the module docstring.
 
     ``timeout`` (seconds) bounds the search: on expiry the best bounds
     established so far are returned with ``proven=False`` instead of
     hanging — a *bounded-gap certificate*, never a wrong answer.
     """
-    if backend == "ilp":
-        from .ilp import ilp_cycle_period
-
-        return ilp_cycle_period(g, timeout=timeout)
-    if backend != "lattice":
-        raise ValueError(f"unknown oracle backend {backend!r}")
-
     with span("oracle.period", graph=g.name, nodes=g.num_nodes) as sp:
         lower = period_lower_bound(g)
         best_r = Retiming.zero(g).normalized()

@@ -10,23 +10,12 @@ means *decrementing* ``r(v)``.
 FEAS runs in ``O(|V| |E|)`` per iteration and ``|V| - 1`` iterations, and is
 used in the test-suite as an independent oracle against the W/D-based
 :func:`repro.retiming.optimal.retime_for_period`.
-
-Above the shared kernel's numpy threshold the per-iteration simulation runs
-vectorized over the graph's :class:`~repro.graph.kernel.EdgeKernel`: retimed
-delays are one gather expression over the flat edge arrays and the ASAP
-schedule is a scatter-max fixpoint over the zero-delay edges — both exact
-integer computations, so the sequence of decrement sets (and hence the
-result) is bit-identical to the object-walking path.  The final legality and
-period checks always run on real :class:`~repro.retiming.function.Retiming`
-objects.
 """
 
 from __future__ import annotations
 
 from ..graph.dfg import DFG
-from ..graph.kernel import _current_threshold, shared_kernel
 from ..graph.period import asap_times, cycle_period
-from ..observability import count
 from .function import Retiming
 
 __all__ = ["feas"]
@@ -37,14 +26,7 @@ def feas(g: DFG, c: int) -> Retiming | None:
     if any(v.time > c for v in g.nodes()):
         return None
 
-    kernel = shared_kernel(g)
-    values: dict[str, int] | None = None
-    if kernel.num_edges > _current_threshold():
-        values = _simulate_numpy(kernel, c)
-    if values is None:
-        values = _simulate_python(g, c)
-
-    r = Retiming(g, values)
+    r = Retiming(g, _simulate(g, c))
     if not r.is_legal():
         # Cannot happen: decrementing r(v) only adds delays to v's incoming
         # edges and removes them from its outgoing edges that had at least
@@ -55,8 +37,8 @@ def feas(g: DFG, c: int) -> Retiming | None:
     return None
 
 
-def _simulate_python(g: DFG, c: int) -> dict[str, int]:
-    """Reference FEAS simulation: rebuild the retimed graph per iteration."""
+def _simulate(g: DFG, c: int) -> dict[str, int]:
+    """FEAS simulation: rebuild the retimed graph per iteration."""
     values: dict[str, int] = {n: 0 for n in g.node_names()}
     for _ in range(max(1, g.num_nodes - 1)):
         r = Retiming(g, values)
@@ -70,49 +52,3 @@ def _simulate_python(g: DFG, c: int) -> dict[str, int]:
         if not changed:
             break
     return values
-
-
-def _simulate_numpy(kernel, c: int) -> dict[str, int] | None:
-    """Vectorized FEAS simulation over the shared edge kernel.
-
-    Per outer iteration the retimed delays are ``d + r[src] - r[dst]`` and
-    the ASAP times are the scatter-max fixpoint of
-    ``start[dst] >= start[src] + t(src)`` over the zero-delay edges — the
-    same longest-path values :func:`~repro.graph.period.asap_times`
-    computes, so the decrement sets match the reference simulation exactly.
-    Returns ``None`` (falling back to the object path, which also carries
-    the error behavior for pathological inputs) if an intermediate retimed
-    graph has a negative delay or a zero-delay cycle — neither occurs for
-    legal DFGs, by the invariant noted in :func:`feas`.
-    """
-    import numpy as np
-
-    src, dst, delay, src_time, times = kernel.np_arrays()
-    n = kernel.num_nodes
-    r = np.zeros(n, dtype=np.int64)
-    sweeps = 0
-    for _ in range(max(1, n - 1)):
-        d_r = delay + r[src] - r[dst]
-        if d_r.size and int(d_r.min()) < 0:
-            return None
-        zero = np.nonzero(d_r == 0)[0]
-        zsrc = src[zero]
-        zdst = dst[zero]
-        zfin = src_time[zero]  # start[src] + t(src) gathers add this
-        start = np.zeros(n, dtype=np.int64)
-        converged = False
-        for _pass in range(n + 1):
-            before = start.copy()
-            np.maximum.at(start, zdst, before[zsrc] + zfin)
-            sweeps += 1
-            if np.array_equal(start, before):
-                converged = True
-                break
-        if not converged:  # zero-delay cycle: let the object path diagnose
-            return None
-        over = start + times > c
-        if not bool(over.any()):
-            break
-        r[over] -= 1
-    count("kernel.relax_sweeps", sweeps)
-    return {name: int(r[i]) for i, name in enumerate(kernel.names)}

@@ -38,47 +38,22 @@ verdict an exhausted pass budget would have certified anyway).
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 
 from ..graph.dfg import DFG
 from ..graph.kernel import shared_kernel
 from ..graph.wd import WDKernel
-from ..native import minplus_pass as native_minplus
 from ..observability import count
 from .function import Retiming, RetimingError
 
 __all__ = ["IncrementalFeasibility", "can_push", "push_nodes", "pushable_nodes"]
 
 
-def _inc_threshold(default: int = 64) -> int:
-    raw = os.environ.get("REPRO_INC_NUMPY_THRESHOLD")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 #: Node count above which the vectorized numpy relaxation is used for the
 #: warm-started feasibility solver (the pair-constraint set is dense —
-#: O(V²) edges — so vectorized passes win early).  Kept as a module
-#: attribute so tests can monkeypatch it; ``REPRO_INC_NUMPY_THRESHOLD`` is
-#: re-read whenever the environment value changes (it used to be frozen at
-#: import time, which made setting it afterwards silently dead).
-_NUMPY_THRESHOLD = _inc_threshold()
-_ENV_SNAPSHOT = os.environ.get("REPRO_INC_NUMPY_THRESHOLD")
-
-
-def _current_threshold() -> int:
-    """The live numpy-dispatch threshold (see :data:`_NUMPY_THRESHOLD`)."""
-    global _ENV_SNAPSHOT, _NUMPY_THRESHOLD
-    raw = os.environ.get("REPRO_INC_NUMPY_THRESHOLD")
-    if raw != _ENV_SNAPSHOT:
-        _ENV_SNAPSHOT = raw
-        _NUMPY_THRESHOLD = _inc_threshold()
-    return _NUMPY_THRESHOLD
+#: O(V²) edges — so vectorized passes win early).  Read at call time, so
+#: tests can monkeypatch it to force either branch.
+_NUMPY_THRESHOLD = 64
 
 
 class IncrementalFeasibility:
@@ -141,7 +116,7 @@ class IncrementalFeasibility:
         # all-zero vector — the base solve is free.
         self._base = list(zip(kernel.src, kernel.dst, kernel.delay))
 
-        self._use_numpy = n > _current_threshold() and self._init_numpy()
+        self._use_numpy = n > _NUMPY_THRESHOLD and self._init_numpy()
         if not self._use_numpy:
             self._init_python()
 
@@ -339,12 +314,7 @@ class IncrementalFeasibility:
         feasible = None
         for _ in range(max(1, self._n)):
             before = dist
-            # Optional C build of the pass (REPRO_NATIVE_KERNELS=1); the
-            # numpy expression below is the pinned reference and both are
-            # bit-identical (exact integer min over the same candidates).
-            dist = native_minplus(before, C)
-            if dist is None:
-                dist = np.minimum(before, (before[:, None] + C).min(axis=0))
+            dist = np.minimum(before, (before[:, None] + C).min(axis=0))
             relaxations += per_pass
             sweeps += 1
             if np.array_equal(dist, before):

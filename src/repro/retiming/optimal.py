@@ -14,7 +14,7 @@ period ``<= c``" constructively, by solving the difference-constraint system
 the ``D`` matrix — the optimum is always one of them — and returns the
 minimum period together with a witnessing *normalized* retiming.
 
-Three search strategies are available (all provably return the same period
+Two search strategies are available (both provably return the same period
 and the same normalized witness, which the test-suite pins exactly):
 
 ``method="incremental"`` (default)
@@ -22,9 +22,6 @@ and the same normalized witness, which the test-suite pins exactly):
     warm-started :class:`~repro.retiming.incremental.IncrementalFeasibility`
     solver, which exploits that the per-probe constraint systems are nested
     in ``c``.  The asymptotically and practically fastest path.
-``method="shared"``
-    Compute ``(W, D)`` once and thread it into a fresh Bellman–Ford
-    constraint solve per probe (``retime_for_period(g, c, wd=...)``).
 ``method="reference"``
     The original behavior: every probe rebuilds ``(W, D)`` from scratch and
     self-verifies its witness.  Kept as the differential-testing reference
@@ -109,7 +106,7 @@ def minimize_cycle_period(
     is one of them, by Leiserson–Saxe Theorem 8 adapted to this sign
     convention).  The returned retiming is normalized.
 
-    ``method`` selects the probe strategy (see the module docstring); all
+    ``method`` selects the probe strategy (see the module docstring); both
     strategies return identical results.  ``verify=True`` additionally
     re-applies every feasible probe's witness and checks its period (always
     on for ``method="reference"``, matching the original behavior).
@@ -118,7 +115,7 @@ def minimize_cycle_period(
     ``method="reference"``) — so long-lived callers such as the request
     server keep the matrices warm across calls.
     """
-    if method not in ("incremental", "shared", "reference"):
+    if method not in ("incremental", "reference"):
         raise ValueError(f"unknown minimize_cycle_period method {method!r}")
 
     with span("retiming.minimize", graph=g.name, nodes=g.num_nodes) as sp:
@@ -134,34 +131,23 @@ def minimize_cycle_period(
             if wd is None:
                 wd = wd_kernel(g)
             if isinstance(wd, WDKernel):
-                wdk = wd
-                candidates = wdk.d_values()
+                candidates = wd.d_values()
+                solver = IncrementalFeasibility(g, wd=wd)
             else:
-                wdk = None
-                _W, D = wd
-                candidates = sorted(set(D.values()))
-            if method == "incremental":
-                if wdk is not None:
-                    solver = IncrementalFeasibility(g, wd=wdk)
-                else:
-                    solver = IncrementalFeasibility(g, *wd)
+                candidates = sorted(set(wd[1].values()))
+                solver = IncrementalFeasibility(g, *wd)
 
-                def probe(c: int) -> Retiming | None:
-                    solution = solver.try_period(c)
-                    if solution is None:
-                        return None
-                    r = Retiming(g, solution).normalized()
-                    if verify:
-                        assert cycle_period(r.apply()) <= c, (
-                            "internal error: incremental solver violated "
-                            "the LS reduction"
-                        )
-                    return r
-
-            else:  # "shared"
-
-                def probe(c: int) -> Retiming | None:
-                    return retime_for_period(g, c, wd=wd, verify=verify)
+            def probe(c: int) -> Retiming | None:
+                solution = solver.try_period(c)
+                if solution is None:
+                    return None
+                r = Retiming(g, solution).normalized()
+                if verify:
+                    assert cycle_period(r.apply()) <= c, (
+                        "internal error: incremental solver violated "
+                        "the LS reduction"
+                    )
+                return r
 
         lo, hi = 0, len(candidates) - 1
         best: tuple[int, Retiming] | None = None

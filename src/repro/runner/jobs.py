@@ -324,7 +324,7 @@ def _oracle_payload(g: DFG, timeout: float | None) -> dict:
     opt = optimal_cycle_period(g, timeout=timeout)
     periods = {
         m: minimize_cycle_period(g, method=m)[0]
-        for m in ("reference", "shared", "incremental")
+        for m in ("reference", "incremental")
     }
     violations: list[str] = []
     if len(set(periods.values())) != 1:

@@ -63,7 +63,7 @@ def analyze_graph(params: dict) -> dict:
             g = from_json(graph_json)
             digest = graph_digest(graph_json)
             wd = WD_POOL.get_or_build(digest, lambda: wd_kernel(g))
-            period, r = minimize_cycle_period(g, method="shared", wd=wd)
+            period, r = minimize_cycle_period(g, wd=wd)
             program = warm_program(
                 ("csr-pipelined", digest), lambda: csr_pipelined_loop(g, r)
             )

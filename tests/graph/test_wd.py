@@ -100,29 +100,42 @@ class TestWDMatrices:
         assert 4 in vals
 
 
+def _packed_wd(g: DFG):
+    """``(W, D)`` from the packed numpy Floyd–Warshall, whatever the
+    graph's size (the dispatch threshold is bypassed)."""
+    from repro.graph.kernel import shared_kernel
+    from repro.graph.wd import WDKernel, _packed_floyd_warshall
+
+    kernel = shared_kernel(g)
+    wdk = WDKernel(kernel, matrices=_packed_floyd_warshall(kernel))
+    return (wdk.W, wdk.D)
+
+
 class TestNumpyPath:
+    """The packed numpy Floyd–Warshall (fast path) against the pure-python
+    tuple-weight pass (reference)."""
+
     def test_dispatch_threshold(self):
         """Graphs above the threshold use the vectorized path; both paths
         must agree exactly."""
-        from repro.graph.wd import _wd_matrices_numpy, wd_matrices_python
+        from repro.graph.wd import wd_matrices_python
         from repro.workloads import get_workload
 
         for name in ("elliptic", "lattice", "volterra"):
             g = get_workload(name)
-            assert _wd_matrices_numpy(g) == wd_matrices_python(g)
+            assert _packed_wd(g) == wd_matrices_python(g)
 
     @given(dfgs(max_nodes=8, max_extra_edges=8, max_delay=4))
     @settings(max_examples=60, deadline=None)
     def test_numpy_matches_python_random(self, g):
-        from repro.graph.wd import _wd_matrices_numpy, wd_matrices_python
+        from repro.graph.wd import wd_matrices_python
 
-        assert _wd_matrices_numpy(g) == wd_matrices_python(g)
+        assert _packed_wd(g) == wd_matrices_python(g)
 
     def test_numpy_matches_python_timed(self, fig8):
-        from repro.graph.wd import _wd_matrices_numpy, wd_matrices_python
+        from repro.graph.wd import wd_matrices_python
 
-        assert _wd_matrices_numpy(fig8) == wd_matrices_python(fig8)
-
+        assert _packed_wd(fig8) == wd_matrices_python(fig8)
     def test_retiming_results_unchanged(self):
         """End-to-end: the optimizer over the numpy path reproduces the
         Table-1 statistics for the large benchmarks."""
@@ -136,17 +149,7 @@ class TestNumpyPath:
 
 
 class TestNumpyThresholdDispatch:
-    """The python/numpy dispatch threshold and its env-var override."""
-
-    def test_env_override(self, monkeypatch):
-        from repro.graph import wd
-
-        monkeypatch.setenv("REPRO_WD_NUMPY_THRESHOLD", "7")
-        assert wd._threshold_from_env() == 7
-        monkeypatch.setenv("REPRO_WD_NUMPY_THRESHOLD", "not-a-number")
-        assert wd._threshold_from_env(default=64) == 64
-        monkeypatch.delenv("REPRO_WD_NUMPY_THRESHOLD")
-        assert wd._threshold_from_env(default=64) == 64
+    """The python/numpy dispatch threshold, forced both ways."""
 
     @staticmethod
     def _awkward_graph(rng, num_nodes):
@@ -186,16 +189,17 @@ class TestNumpyThresholdDispatch:
     def test_dispatch_straddles_threshold(self, monkeypatch):
         """With the threshold pinned between two graph sizes, the smaller
         graph exercises the python path and the larger the numpy path —
-        both matching their explicit reference implementations."""
+        both matching the python reference."""
         import random
 
         from repro.graph import wd
-        from repro.graph.wd import _wd_matrices_numpy, wd_matrices_python
+        from repro.graph.wd import wd_matrices_python
 
         monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 8)
         rng = random.Random(99)
         small = self._awkward_graph(rng, 6)   # 6 <= 8: python path
         large = self._awkward_graph(rng, 11)  # 11 > 8: numpy path
+        assert wd.wd_kernel(small)._matrices is None
+        assert wd.wd_kernel(large)._dicts is None
         assert wd.wd_matrices(small) == wd_matrices_python(small)
-        assert wd.wd_matrices(large) == _wd_matrices_numpy(large)
-        assert wd_matrices_python(large) == _wd_matrices_numpy(large)
+        assert wd.wd_matrices(large) == wd_matrices_python(large)

@@ -70,26 +70,20 @@ def test_timeout_degrades_to_bounded_gap(two_node_cycle):
     assert cycle_period(cut.retiming.apply()) == cut.period
 
 
-def test_unknown_backend_rejected(fig1):
-    with pytest.raises(ValueError, match="backend"):
-        optimal_cycle_period(fig1, backend="nonsense")
-
-
 def test_certificate_gap_property(fig1):
     opt = optimal_cycle_period(fig1)
     assert isinstance(opt, OptimalPeriod)
     assert opt.gap == opt.period - opt.optimum_lower
     assert opt.proven == (opt.gap == 0)
-    assert opt.backend == "lattice"
 
 
 def test_benchmarks_proven_and_match_heuristic(bench_graph):
     """On every paper benchmark the oracle proves optimality, agrees with
-    all three heuristic probe strategies, and respects its own bounds."""
+    both heuristic probe strategies, and respects its own bounds."""
     opt = optimal_cycle_period(bench_graph)
     assert opt.proven
     assert opt.optimum_lower >= math.ceil(iteration_bound(bench_graph))
-    for method in ("incremental", "shared", "reference"):
+    for method in ("incremental", "reference"):
         period, _ = minimize_cycle_period(bench_graph, method=method)
         assert period == opt.period
     assert cycle_period(opt.retiming.apply()) == opt.period

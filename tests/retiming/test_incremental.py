@@ -152,22 +152,21 @@ class TestIncrementalFeasibility:
     @given(dfgs(max_nodes=8, max_extra_edges=8, max_delay=4, max_time=4))
     @settings(max_examples=40, deadline=None)
     def test_minimize_methods_agree_exactly(self, g):
-        """All three search strategies return the same period and the same
-        normalized witness."""
+        """Both search strategies return the same period and the same
+        normalized witness, with or without precomputed (W, D) dicts."""
+        from repro.graph.wd import wd_matrices
         from repro.retiming.optimal import minimize_cycle_period
 
         p_ref, r_ref = minimize_cycle_period(g, method="reference")
-        p_shared, r_shared = minimize_cycle_period(
-            g, method="shared", verify=True
-        )
         p_inc, r_inc = minimize_cycle_period(
             g, method="incremental", verify=True
         )
-        assert p_ref == p_shared == p_inc
-        assert r_ref.as_dict() == r_shared.as_dict() == r_inc.as_dict()
+        p_wd, r_wd = minimize_cycle_period(g, verify=True, wd=wd_matrices(g))
+        assert p_ref == p_inc == p_wd
+        assert r_ref.as_dict() == r_inc.as_dict() == r_wd.as_dict()
 
     def test_numpy_and_python_backends_agree(self, monkeypatch):
-        """Swing REPRO_INC_NUMPY_THRESHOLD so the same graph runs through
+        """Swing the numpy threshold so the same graph runs through
         both relaxation backends; fixpoints are pinned equal."""
         import random
 

@@ -98,11 +98,9 @@ class TestWarmWD:
     def test_wd_parameter_is_bit_identical(self, bench_graph):
         """Feeding precomputed (W, D) into minimize_cycle_period must not
         change the result — the safety property warming relies on."""
-        cold_period, cold_r = minimize_cycle_period(bench_graph, method="shared")
+        cold_period, cold_r = minimize_cycle_period(bench_graph)
         wd = wd_matrices(bench_graph)
-        warm_period, warm_r = minimize_cycle_period(
-            bench_graph, method="shared", wd=wd
-        )
+        warm_period, warm_r = minimize_cycle_period(bench_graph, wd=wd)
         assert warm_period == cold_period
         assert warm_r.as_dict() == cold_r.as_dict()
 

@@ -78,10 +78,16 @@ class TestImportBudget:
 
     def test_vector_modules_import_without_numpy(self):
         loaded = _imported(
-            ["-c", "import repro.machine.vm, repro.native, repro.retiming"]
+            ["-c", "import repro.machine.vm, repro.graph.wd, repro.retiming"]
         )
         assert "repro.machine.trace" in loaded
+        assert "repro.retiming.incremental" in loaded
         assert "numpy" not in loaded
+
+    def test_tables_loads_no_ctypes_or_pulp(self):
+        loaded = _imported(["-m", "repro", "tables", "1"])
+        assert "repro.optimal" in loaded  # imported, but without a pulp probe
+        assert sorted(m for m in ("ctypes", "pulp") if m in loaded) == []
 
     @pytest.mark.parametrize("command", ["tables", "sweep", "report", "worker"])
     def test_help_skips_heavy_modules(self, command):
