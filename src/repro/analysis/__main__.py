@@ -67,23 +67,12 @@ def validate_engine_args(args: argparse.Namespace) -> None:
             "exclusive (pick one execution fabric)"
         )
     if workers != "remote":
-        for value, flag in (
-            (getattr(args, "coordinator", None), "--coordinator"),
-            (getattr(args, "remote_workers", None), "--remote-workers"),
-        ):
-            if value is not None:
-                raise SystemExit(f"error: {flag} requires --workers remote")
+        if getattr(args, "remote_workers", None) is not None:
+            raise SystemExit("error: --remote-workers requires --workers remote")
         if getattr(args, "lease_timeout", None) is not None and not supervised:
             raise SystemExit(
                 "error: --lease-timeout requires --workers remote or --supervised"
             )
-    elif getattr(args, "coordinator", None) and (
-        getattr(args, "remote_workers", None) is not None
-    ):
-        raise SystemExit(
-            "error: --coordinator and --remote-workers are mutually "
-            "exclusive (an existing daemon brings its own workers)"
-        )
 
 
 def topology_from_args(args: argparse.Namespace) -> dict:
@@ -130,12 +119,10 @@ def engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
     ``--fault-plan`` (or ``$REPRO_FAULT_PLAN``) activates the
     fault-injection plan process-wide, so the engine forwards it to its
     pool workers; without one every resilience hook stays a no-op.
-    ``--workers remote`` swaps the local pool for a distributed executor:
-    a spawned work plane (:class:`~repro.runner.remote.RemoteFabric`) or,
-    with ``--coordinator``, offload to an existing serve daemon
-    (:class:`~repro.server.client.RemoteOffloadExecutor`).
-    ``--supervised`` is the same work plane with ``--jobs`` spawned
-    local workers.
+    ``--workers remote`` and ``--supervised`` both swap the local pool
+    for the lease fabric (:class:`~repro.runner.remote.RemoteFabric`);
+    they differ only in the spawned worker count, ``--remote-workers``
+    (default 2) against ``--jobs``.
     """
     validate_engine_args(args)
     if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
@@ -155,11 +142,7 @@ def engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
         )
     remote = None
     remote_workers = getattr(args, "workers", "local") == "remote"
-    if remote_workers and getattr(args, "coordinator", None):
-        from ..server.client import RemoteOffloadExecutor
-
-        remote = RemoteOffloadExecutor(args.coordinator)
-    elif remote_workers or getattr(args, "supervised", False):
+    if remote_workers or getattr(args, "supervised", False):
         from ..runner.remote import RemoteFabric
 
         if remote_workers:

@@ -131,13 +131,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "(see docs/SERVER.md)",
     )
     dgroup.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --workers remote: offload units to an existing "
-        "`repro serve` daemon instead of spawning a work plane",
-    )
-    dgroup.add_argument(
         "--remote-workers",
         type=int,
         default=None,

@@ -41,7 +41,6 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ..graph.dfg import DFG
-from ..graph.kernel import shared_kernel
 from ..graph.wd import WDKernel
 from ..observability import count
 from .function import Retiming, RetimingError
@@ -59,11 +58,10 @@ _NUMPY_THRESHOLD = 64
 class IncrementalFeasibility:
     """Warm-started feasibility oracle for the period binary search.
 
-    Built once per graph from the shared ``(W, D)`` matrices — either the
-    classic pair-keyed dicts (positional ``W``/``D``) or, preferably, a
-    :class:`~repro.graph.wd.WDKernel` (keyword ``wd``) whose dense layout
-    the vectorized backend consumes directly, skipping dict construction
-    entirely.  Each call to :meth:`try_period` answers "is there a legal
+    Built once per graph from its shared
+    :class:`~repro.graph.wd.WDKernel`, whose dense layout the vectorized
+    backend consumes directly, skipping dict construction entirely.  Each
+    call to :meth:`try_period` answers "is there a legal
     retiming with cycle period ``<= c``?" and, when feasible, returns the
     shortest-path solution of the full constraint system — *identical* to
     :meth:`repro.retiming.constraints.DifferenceConstraints.solve` on the
@@ -88,27 +86,14 @@ class IncrementalFeasibility:
         ``retiming.incremental.*``) used by the perf-smoke benchmark.
     """
 
-    def __init__(
-        self,
-        g: DFG,
-        W: dict[tuple[str, str], int] | None = None,
-        D: dict[tuple[str, str], int] | None = None,
-        *,
-        wd: WDKernel | None = None,
-    ) -> None:
-        if wd is None and (W is None or D is None):
-            raise ValueError("IncrementalFeasibility needs (W, D) dicts or wd=")
-        kernel = wd.kernel if wd is not None else shared_kernel(g)
+    def __init__(self, wd: WDKernel) -> None:
+        kernel = wd.kernel
         self._kernel = kernel
-        names = kernel.names
-        index = kernel.index
         n = kernel.num_nodes
-        self._names = names
+        self._names = kernel.names
         self._n = n
         self._max_time = max(kernel.times, default=0)
         self._wd = wd
-        self._W = W
-        self._D = D
 
         # Base legality constraints r(dst) - r(src) <= d(e): relaxation edge
         # src -> dst of weight d.  All weights are >= 0, so the base
@@ -130,11 +115,6 @@ class IncrementalFeasibility:
     # ------------------------------------------------------------------
     # construction of the two relaxation layouts
     # ------------------------------------------------------------------
-    def _pair_dicts(self) -> tuple[dict, dict]:
-        if self._W is None:
-            self._W, self._D = self._wd.W, self._wd.D
-        return self._W, self._D
-
     def _init_python(self) -> None:
         """Sorted flat pair-constraint list for the per-edge backend.
 
@@ -143,7 +123,7 @@ class IncrementalFeasibility:
         (ties broken by node index for full determinism) makes the active
         set at period ``c`` a prefix of the list.
         """
-        W, D = self._pair_dicts()
+        W, D = self._wd
         index = self._kernel.index
         pairs = sorted(
             (
@@ -163,20 +143,7 @@ class IncrementalFeasibility:
         by ``(|V| + 1) * max|w|``)."""
         import numpy as np
 
-        if self._wd is not None:
-            Wm, Dm, reach = self._wd.matrices()
-        else:
-            Wm = np.zeros((self._n, self._n), dtype=np.int64)
-            Dm = np.zeros((self._n, self._n), dtype=np.int64)
-            reach = np.zeros((self._n, self._n), dtype=bool)
-            index = self._kernel.index
-            W, D = self._pair_dicts()
-            for (u, v), w in W.items():
-                i, j = index[u], index[v]
-                Wm[i, j] = w
-                Dm[i, j] = D[(u, v)]
-                reach[i, j] = True
-
+        Wm, Dm, reach = self._wd.matrices()
         max_w = 0
         if reach.any():
             max_w = int(np.abs(Wm[reach] - 1).max())

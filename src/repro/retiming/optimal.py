@@ -40,40 +40,21 @@ from .incremental import IncrementalFeasibility
 
 __all__ = ["retime_for_period", "minimize_cycle_period", "minimum_cycle_period"]
 
-_WD = (
-    tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]] | WDKernel
-)
 
-
-def retime_for_period(
-    g: DFG,
-    c: int,
-    *,
-    wd: _WD | None = None,
-    verify: bool = True,
-) -> Retiming | None:
+def retime_for_period(g: DFG, c: int) -> Retiming | None:
     """A normalized legal retiming of ``g`` with cycle period ``<= c``,
     or ``None`` if none exists.
 
     Nodes with computation time ``t(v) > c`` make any period ``<= c``
     impossible regardless of retiming; that case returns ``None``
-    immediately.
-
-    ``wd`` supplies precomputed ``(W, D)`` matrices — either the dict pair
-    from :func:`repro.graph.wd.wd_matrices` or a
-    :class:`~repro.graph.wd.WDKernel` — so that repeated probes on the same
-    graph skip the O(V³) recomputation; ``verify=False`` skips the
-    self-check that re-applies the witness and recomputes its cycle period
-    (the reduction is exact; the check is for the function's self-checking
-    contract on one-shot calls, not for tight probe loops).
+    immediately.  The witness is self-checked: it is re-applied and its
+    cycle period recomputed.
     """
     count("retiming.feasibility_checks")
     if any(v.time > c for v in g.nodes()):
         return None
 
-    if wd is None:
-        wd = wd_kernel(g)
-    W, D = (wd.W, wd.D) if isinstance(wd, WDKernel) else wd
+    W, D = wd_kernel(g)
     system = DifferenceConstraints()
     for n in g.node_names():
         system.add_variable(n)
@@ -87,9 +68,7 @@ def retime_for_period(
     if solution is None:
         return None
     r = Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
-    if verify:
-        retimed = r.apply()
-        assert cycle_period(retimed) <= c, "internal error: LS reduction violated"
+    assert cycle_period(r.apply()) <= c, "internal error: LS reduction violated"
     return r
 
 
@@ -98,7 +77,7 @@ def minimize_cycle_period(
     *,
     method: str = "incremental",
     verify: bool = False,
-    wd: _WD | None = None,
+    wd: WDKernel | None = None,
 ) -> tuple[int, Retiming]:
     """The minimum cycle period achievable by retiming, with a witness.
 
@@ -110,10 +89,9 @@ def minimize_cycle_period(
     strategies return identical results.  ``verify=True`` additionally
     re-applies every feasible probe's witness and checks its period (always
     on for ``method="reference"``, matching the original behavior).
-    ``wd`` supplies precomputed (W, D) data — the :func:`wd_matrices` dict
-    pair or a :class:`~repro.graph.wd.WDKernel` (ignored by
-    ``method="reference"``) — so long-lived callers such as the request
-    server keep the matrices warm across calls.
+    ``wd`` supplies a precomputed :class:`~repro.graph.wd.WDKernel`
+    (ignored by ``method="reference"``), so long-lived callers such as the
+    request server keep the matrices warm across calls.
     """
     if method not in ("incremental", "reference"):
         raise ValueError(f"unknown minimize_cycle_period method {method!r}")
@@ -130,12 +108,8 @@ def minimize_cycle_period(
         else:
             if wd is None:
                 wd = wd_kernel(g)
-            if isinstance(wd, WDKernel):
-                candidates = wd.d_values()
-                solver = IncrementalFeasibility(g, wd=wd)
-            else:
-                candidates = sorted(set(wd[1].values()))
-                solver = IncrementalFeasibility(g, *wd)
+            candidates = wd.d_values()
+            solver = IncrementalFeasibility(wd)
 
             def probe(c: int) -> Retiming | None:
                 solution = solver.try_period(c)

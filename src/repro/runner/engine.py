@@ -21,7 +21,7 @@ parent except once per result.  The process pool is sent graph-affine
 graph, split only while there are fewer chunks than workers.  A worker
 runs a chunk in one go (:func:`_pool_chunk`), so one process builds a
 graph's stages once and the submit/pickle round trip is paid per chunk.
-The remote executors run one unit per task through :func:`_pool_worker`,
+The remote fabric runs one unit per task through :func:`_pool_worker`,
 the same body on a chunk of one.
 Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
 die with the worker, so every result travels in an envelope carrying the
@@ -289,14 +289,10 @@ class ExperimentEngine:
         (:func:`repro.runner.resilience.activate`), which the engine
         forwards to its pool workers.
     remote:
-        A distributed executor — a
-        :class:`~repro.runner.remote.RemoteFabric` (lease units to
-        worker processes over the work plane; ``--supervised`` is one
-        with ``--jobs`` spawned local workers) or a
-        :class:`~repro.server.client.RemoteOffloadExecutor` (ship units
-        to a ``repro serve`` coordinator) — honoring the
-        ``run(tasks, on_result)`` submission-order contract.  Call
-        :meth:`close` when done: the executor persists across batches.
+        A :class:`~repro.runner.remote.RemoteFabric`: lease units to
+        worker processes over the work plane (``--supervised`` is one
+        with ``--jobs`` spawned local workers).  Call :meth:`close` when
+        done: the fabric persists across batches.
 
     Checkpointing: assigning a
     :class:`~repro.runner.journal.RunJournal` to ``engine.journal``
@@ -480,7 +476,7 @@ class ExperimentEngine:
         """Pool execution: workers own cache I/O and ship deltas home.
 
         The process pool runs graph-affine chunks (:func:`_chunks`); the
-        remote executor runs one unit per task.
+        remote fabric runs one unit per task.
         """
         root = getattr(self.cache, "root", None)
         cache_spec = (
@@ -510,13 +506,13 @@ class ExperimentEngine:
                 for params, key, label in zip(params_list, keys, labels)
             ]
             sp.set(chunks=len(tasks))
-            # The fabric/offload executor honors the same submission-order
-            # + per-completion-callback contract; journal appends stay on
+            # The fabric honors the pool's submission-order +
+            # per-completion-callback contract; journal appends stay on
             # this thread.
             self.remote.journal = self.journal
-            respawns = getattr(self.remote, "respawns", 0)
+            respawns = self.remote.respawns
             envelopes = self.remote.run(tasks, on_result=on_result)
-            respawned = getattr(self.remote, "respawns", 0) - respawns
+            respawned = self.remote.respawns - respawns
             if respawned:
                 self.stats.respawned += respawned
                 count("workers.respawned", respawned)

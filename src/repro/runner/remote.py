@@ -67,7 +67,6 @@ __all__ = [
     "fn_name",
     "resolve_fn",
     "run_task_local",
-    "run_wire_task_local",
     "task_from_wire",
     "wire_task",
 ]
@@ -146,7 +145,7 @@ def task_from_wire(doc: dict, obs_on: bool | None = None) -> tuple:
 def run_task_local(task: tuple) -> dict:
     """Execute one engine task tuple inline in the calling process.
 
-    The structured-degradation path (no reachable workers): the same
+    The fabric's local fallback (no reachable workers): the same
     cached/retried :func:`~repro.runner.engine._pool_worker` body runs,
     but with ``obs_on`` forced off — the caller's live collectors already
     record everything — and the caller's active fault plan saved and
@@ -165,11 +164,6 @@ def run_task_local(task: tuple) -> dict:
             resilience.activate(previous)
         else:
             resilience.deactivate()
-
-
-def run_wire_task_local(doc: dict) -> dict:
-    """:func:`run_task_local` for a unit in its wire form."""
-    return run_task_local(task_from_wire(doc))
 
 
 @dataclass
@@ -771,7 +765,7 @@ class RemoteFabric:
             if self.coordinator.expire():
                 continue  # expiry events pump on the next iteration
             self._respawn_dead()
-            if self._maybe_fallback(on_result):
+            if self._maybe_fallback(tasks, on_result):
                 continue
             time.sleep(self.poll_interval)
         self._pump(on_result)
@@ -826,7 +820,7 @@ class RemoteFabric:
                 "lease age at completion or expiry",
             ).observe(age)
 
-    def _maybe_fallback(self, on_result) -> bool:
+    def _maybe_fallback(self, tasks: list[tuple], on_result) -> bool:
         """Run the backlog locally once workers have gone quiet."""
         if time.monotonic() - self._last_grant <= self.worker_grace:
             return False
@@ -834,8 +828,8 @@ class RemoteFabric:
         if not seized:
             return False
         count("remote.local_fallback", len(seized))
-        for idx, doc in seized:
-            envelope = run_wire_task_local(doc)
+        for idx, _doc in seized:
+            envelope = run_task_local(tasks[idx])
             self.coordinator.deliver_local(idx, envelope)
             self.fallback_units += 1
             self._pump(on_result)

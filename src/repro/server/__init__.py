@@ -30,7 +30,6 @@ __getattr__, __dir__ = _lazy_exports(
         ".client": (
             "CircuitOpenError",
             "ClientPolicy",
-            "RemoteOffloadExecutor",
             "RemoteUnavailableError",
             "ResilientClient",
         ),
@@ -59,7 +58,6 @@ __all__ = [
     "ClientPolicy",
     "HttpFrontend",
     "OverloadedError",
-    "RemoteOffloadExecutor",
     "RemoteUnavailableError",
     "ResilientClient",
     "ProtocolError",

@@ -1,30 +1,19 @@
-"""Chaos-proof HTTP client: retries, circuit breaking, hedging, degradation.
+"""Chaos-proof HTTP client: retries and circuit breaking.
 
-Both halves of the distributed fabric talk through
-:class:`ResilientClient` — the worker loop (lease / renew / complete
-against the coordinator's work plane) and ``--workers remote`` sweeps
-offloading units to a ``python -m repro serve`` daemon — so the failure
-discipline lives in exactly one place:
+The remote worker loop (``python -m repro worker``: lease / renew /
+complete against the coordinator's work plane) talks through
+:class:`ResilientClient`, so its failure discipline lives in one place:
 
 * **capped-exponential retry with deterministic jitter**, honoring a
   503 response's ``Retry-After`` before the next attempt;
 * a **per-endpoint circuit breaker** (closed → open after consecutive
   transport failures → half-open with a single probe request → closed on
   probe success), so a dead coordinator costs one fast
-  :class:`CircuitOpenError` per call instead of a full retry ladder;
-* **request hedging** for idempotent reads: when the primary attempt is
-  slow, a second identical request races it and the first response wins.
-  Hedging is safe here *by construction* — the server single-flights on
-  content address, so a hedge duplicate joins the in-flight computation
-  rather than doubling work;
-* **structured degradation**: :class:`RemoteOffloadExecutor` runs any
-  unit the server cannot take (unreachable, shedding past the retry
-  budget, protocol mismatch) locally through the same cached worker
-  body, so a sweep survives the total loss of its coordinator.
+  :class:`CircuitOpenError` per call instead of a full retry ladder.
 
 The network-shaped fault sites (``remote.connect``, ``remote.send``,
 ``remote.recv``) fire inside the default transport, making every retry /
-breaker / hedge path reachable under a deterministic seeded
+breaker path reachable under a deterministic seeded
 :class:`~repro.runner.resilience.FaultPlan`.  ``remote.recv`` is the
 treacherous one — it fires *after* the response is read, simulating a
 reply lost on the wire after the server committed the work; the retry is
@@ -38,22 +27,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPConnection
 
-from .. import observability
 from ..observability import count
 from ..runner import resilience
-from ..runner.remote import run_task_local
 
 __all__ = [
     "CircuitOpenError",
     "ClientPolicy",
-    "RemoteOffloadExecutor",
     "RemoteUnavailableError",
     "ResilientClient",
 ]
@@ -69,15 +53,13 @@ class CircuitOpenError(RemoteUnavailableError):
 
 @dataclass(frozen=True)
 class ClientPolicy:
-    """Retry / breaker / hedging knobs for one client.
+    """Retry / breaker knobs for one client.
 
     ``backoff * 2**(attempt-1)`` (capped at ``backoff_cap``) scaled by a
     deterministic jitter in ``[0.5, 1.0)`` is slept between attempts; a
     503's ``Retry-After`` raises the floor.  ``breaker_threshold``
     consecutive transport failures open an endpoint's breaker for
     ``breaker_reset`` seconds, after which one probe is admitted.
-    ``hedge_delay`` is how long an idempotent hedged request waits for
-    the primary before racing a duplicate.
     """
 
     max_attempts: int = 4
@@ -86,7 +68,6 @@ class ClientPolicy:
     timeout: float = 30.0
     breaker_threshold: int = 5
     breaker_reset: float = 10.0
-    hedge_delay: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -168,8 +149,6 @@ class ResilientClient:
         self.clock = clock
         self.sleep = sleep
         self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
         self.breaker_opens = 0
         self._lock = threading.Lock()
         self._breakers: dict[str, _Breaker] = {}
@@ -212,48 +191,11 @@ class ResilientClient:
 
     # -- request machinery ---------------------------------------------
 
-    def _fire(self, method: str, path: str, body: bytes | None, hedge: bool):
-        """One attempt, optionally hedged against its own slowness."""
-        if not hedge:
-            return self.transport(method, path, body)
-        results: queue.Queue = queue.Queue()
-
-        def runner(tag: str) -> None:
-            try:
-                results.put((tag, self.transport(method, path, body), None))
-            except Exception as exc:
-                results.put((tag, None, exc))
-
-        threading.Thread(target=runner, args=("primary",), daemon=True).start()
-        launched = 1
-        try:
-            tag, res, exc = results.get(timeout=self.policy.hedge_delay)
-        except queue.Empty:
-            with self._lock:
-                self.hedges += 1
-            count("client.hedges")
-            threading.Thread(target=runner, args=("hedge",), daemon=True).start()
-            launched = 2
-            tag, res, exc = results.get()
-        received = 1
-        while exc is not None and received < launched:
-            tag, res, exc = results.get()
-            received += 1
-        if exc is not None:
-            raise exc
-        if tag == "hedge":
-            with self._lock:
-                self.hedge_wins += 1
-            count("client.hedge_wins")
-        return res
-
     def request(
         self,
         path: str,
         doc: dict | None = None,
         method: str = "POST",
-        idempotent: bool = False,
-        hedge: bool = False,
     ) -> tuple[int, dict, dict]:
         """One logical request through the full resilience stack.
 
@@ -262,17 +204,15 @@ class ResilientClient:
         the caller's policy problem).  Raises :class:`CircuitOpenError`
         without touching the network while the endpoint's breaker is
         open, and :class:`RemoteUnavailableError` when every attempt
-        failed at the transport level.  Transport failures are only
-        retried for idempotent requests beyond the first attempt —
-        every request in this protocol is idempotent by construction,
-        but the contract is explicit at the call sites.
+        failed at the transport level.  Every request is retried: the
+        work plane's requests are idempotent by construction (lease
+        epochs discard a duplicate completion).
         """
         body = (
             json.dumps(doc).encode() if doc is not None else None
         )
         breaker = self._breaker(path)
-        attempts = self.policy.max_attempts if idempotent else 1
-        hedging = hedge and idempotent
+        attempts = self.policy.max_attempts
         last_exc: Exception | None = None
         for attempt in range(1, attempts + 1):
             with self._lock:
@@ -283,7 +223,7 @@ class ResilientClient:
                     f"circuit open for {self.host}:{self.port}{path}"
                 )
             try:
-                status, headers, raw = self._fire(method, path, body, hedging)
+                status, headers, raw = self.transport(method, path, body)
             except Exception as exc:
                 last_exc = exc
                 with self._lock:
@@ -311,9 +251,9 @@ class ResilientClient:
             f"{attempts} attempt(s): {last_exc}"
         ) from last_exc
 
-    def call(self, path: str, doc: dict | None = None, **kw) -> dict:
+    def call(self, path: str, doc: dict | None = None) -> dict:
         """``request`` returning just the parsed body (any status)."""
-        _, _, body = self.request(path, doc, **kw)
+        _, _, body = self.request(path, doc)
         return body
 
     def _delay(self, path: str, attempt: int) -> float:
@@ -337,157 +277,3 @@ class ResilientClient:
             return max(0.0, float(value))
         except (TypeError, ValueError):
             return 0.0
-
-    def stats_line(self) -> str:
-        return (
-            f"{self.retries} retries, {self.hedges} hedges "
-            f"({self.hedge_wins} won), {self.breaker_opens} breaker opens"
-        )
-
-
-class RemoteOffloadExecutor:
-    """Engine executor that ships units to a ``repro serve`` coordinator.
-
-    The ``--workers remote --coordinator HOST:PORT`` mode: each sweep
-    cell becomes a ``/v1/request`` transform/oracle request (hedged —
-    the server single-flights on the unit's content address, so a hedge
-    joins rather than recomputes), and any unit the coordinator cannot
-    answer — unreachable, open breaker, shedding past the retry budget,
-    a kind the protocol cannot express — degrades to local execution of
-    the *same* cached worker body.  Mirrors the ``RemoteFabric.run``
-    contract (submission-order envelopes, per-completion ``on_result``),
-    so the engine cannot tell the two executors apart.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        client: ResilientClient | None = None,
-        concurrency: int = 8,
-        hedge: bool = True,
-        policy: ClientPolicy | None = None,
-    ) -> None:
-        self.client = (
-            client if client is not None else ResilientClient(address, policy=policy)
-        )
-        self.concurrency = max(1, concurrency)
-        self.hedge = hedge
-        self.journal = None  # assigned by the engine per batch; unused
-        self.offloaded = 0
-        self.local_units = 0
-
-    @staticmethod
-    def _request_doc(task: tuple) -> dict | None:
-        """The ``/v1/request`` document for one task, if expressible."""
-        fn, params, _key, _cache, _obs, _label, _policy, _plan = task
-        if f"{fn.__module__}:{fn.__qualname__}" != "repro.runner.jobs:execute_job":
-            return None
-        if params.get("trace"):
-            return None  # the wire protocol has no trace knob
-        if params["transform"] == "oracle":
-            return {
-                "kind": "oracle",
-                "params": {
-                    "graph": params["graph"],
-                    "oracle_timeout": params.get("oracle_timeout"),
-                },
-            }
-        return {
-            "kind": "transform",
-            "params": {
-                "graph": params["graph"],
-                "transform": params["transform"],
-                "factor": params["factor"],
-                "trip_count": params["trip_count"],
-                "verify": params["verify"],
-            },
-        }
-
-    def _offload_one(self, doc: dict, key: str, label: str) -> dict | None:
-        """One unit against the coordinator; ``None`` = run it locally."""
-        try:
-            status, _headers, body = self.client.request(
-                "/v1/request", doc, idempotent=True, hedge=self.hedge
-            )
-        except RemoteUnavailableError:
-            return None
-        if status != 200 or "payload" not in body or body.get("key") != key:
-            # An error envelope (shed past the budget, injected server
-            # fault, version skew on the content address) — the unit
-            # still owes a result; compute it here.
-            return None
-        cached = bool(body.get("cached"))
-        envelope = {
-            "payload": body["payload"],
-            "cached": cached,
-            "wall": 0.0,
-            "cache_stats": {},
-        }
-        if not cached:
-            envelope["outcome"] = resilience.JobOutcome(label, "ok").as_dict()
-        return envelope
-
-    def run(self, tasks: list[tuple], on_result=None) -> list[dict]:
-        """Execute every task: offload what the server takes, run the rest.
-
-        Submission-order envelopes; ``on_result`` fires per completion on
-        this thread (``as_completed`` drains here), keeping journal
-        appends single-threaded.
-        """
-        if not tasks:
-            return []
-        envelopes: list[dict | None] = [None] * len(tasks)
-        docs = [self._request_doc(t) for t in tasks]
-        local = [i for i in range(len(tasks)) if docs[i] is None]
-        remote = [i for i in range(len(tasks)) if docs[i] is not None]
-        if remote:
-            with ThreadPoolExecutor(
-                max_workers=min(self.concurrency, len(remote))
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        self._offload_one, docs[i], tasks[i][2], tasks[i][5]
-                    ): i
-                    for i in remote
-                }
-                for fut in as_completed(futures):
-                    i = futures[fut]
-                    envelope = fut.result()
-                    if envelope is None:
-                        local.append(i)
-                        continue
-                    envelopes[i] = envelope
-                    self.offloaded += 1
-                    count("client.offloaded")
-                    if on_result is not None:
-                        on_result(i, envelope)
-        for i in sorted(local):
-            # Structured degradation: same cached worker body, inline.
-            envelope = run_task_local(tasks[i])
-            envelopes[i] = envelope
-            self.local_units += 1
-            count("client.local_fallback")
-            if on_result is not None:
-                on_result(i, envelope)
-        return envelopes  # type: ignore[return-value]
-
-    def close(self) -> None:
-        pass  # nothing persistent: connections are per-request
-
-    def stats_line(self) -> str:
-        return (
-            f"{self.offloaded} units offloaded, {self.local_units} run "
-            f"locally ({self.client.stats_line()})"
-        )
-
-    def publish_metrics(self) -> None:
-        m = observability.OBS.metrics
-        m.gauge("client.offloaded_units", "units answered by the coordinator").set(
-            self.offloaded
-        )
-        m.gauge("client.local_fallback_units", "units degraded to local").set(
-            self.local_units
-        )
-        m.gauge("client.breaker_opens", "circuit-breaker open transitions").set(
-            self.client.breaker_opens
-        )

@@ -89,7 +89,6 @@ class _Heartbeat(threading.Thread):
                 resp = self.client.call(
                     "/v1/work/renew",
                     {"token": self.token, "epoch": self.epoch},
-                    idempotent=True,
                 )
             except (resilience.FaultInjected, RemoteUnavailableError):
                 self.lost = True
@@ -185,7 +184,6 @@ def _execute_lease(client: ResilientClient, lease: dict, args) -> None:
                 "worker": args.id,
                 "envelope": envelope,
             },
-            idempotent=True,
         )
     except RemoteUnavailableError as exc:
         _log(args.id, f"could not deliver {label}: {exc}")
@@ -213,9 +211,7 @@ def worker_main(args) -> int:
     units = 0
     while True:
         try:
-            lease = client.call(
-                "/v1/work/lease", {"worker": args.id}, idempotent=True
-            )
+            lease = client.call("/v1/work/lease", {"worker": args.id})
         except RemoteUnavailableError as exc:
             _log(args.id, f"coordinator unreachable: {exc}")
             return 3

@@ -39,9 +39,6 @@ class TestValidateEngineArgs:
             _args("--workers", "remote", "--remote-workers", "3",
                   "--lease-timeout", "5")
         )
-        validate_engine_args(
-            _args("--workers", "remote", "--coordinator", "127.0.0.1:8750")
-        )
 
     def test_supervised_and_remote_are_mutually_exclusive(self):
         with pytest.raises(SystemExit, match="mutually exclusive"):
@@ -49,39 +46,31 @@ class TestValidateEngineArgs:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("--coordinator", "127.0.0.1:8750"),
-            ("--remote-workers", "2"),
-            ("--lease-timeout", "5"),
-        ],
+        [("--remote-workers", "2"), ("--lease-timeout", "5")],
     )
     def test_remote_flags_require_remote_workers(self, argv):
         with pytest.raises(SystemExit, match="requires --workers remote"):
             validate_engine_args(_args(*argv))
 
-    @pytest.mark.parametrize(
-        "argv", [("--coordinator", "h:1"), ("--remote-workers", "2")]
-    )
-    def test_supervised_still_rejects_remote_only_flags(self, argv):
+    def test_supervised_still_rejects_remote_only_flags(self):
         with pytest.raises(SystemExit, match="requires --workers remote"):
-            validate_engine_args(_args("--supervised", *argv))
+            validate_engine_args(_args("--supervised", "--remote-workers", "2"))
 
     def test_worker_heartbeat_timeout_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             _args("--supervised", "--worker-heartbeat-timeout", "5")
         assert "--worker-heartbeat-timeout" in capsys.readouterr().err
 
-    def test_coordinator_excludes_spawned_workers(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            validate_engine_args(
-                _args("--workers", "remote", "--coordinator", "h:1",
-                      "--remote-workers", "2")
-            )
+    def test_coordinator_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            _args("--workers", "remote", "--coordinator", "127.0.0.1:9")
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --coordinator" in err
 
     def test_cli_dies_with_single_error_line(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "1",
-             "--coordinator", "127.0.0.1:9"],
+             "--remote-workers", "2"],
             env={**os.environ, "PYTHONPATH": "src"},
             capture_output=True,
             text=True,
@@ -89,7 +78,7 @@ class TestValidateEngineArgs:
         )
         assert proc.returncode != 0
         lines = [l for l in proc.stderr.splitlines() if l]
-        assert lines == ["error: --coordinator requires --workers remote"]
+        assert lines == ["error: --remote-workers requires --workers remote"]
         assert proc.stdout == ""  # validation fired before any work
 
 

@@ -67,11 +67,11 @@ class TestIncrementalFeasibility:
 
     @staticmethod
     def _solver_and_candidates(g):
-        from repro.graph.wd import wd_matrices
+        from repro.graph.wd import wd_kernel
         from repro.retiming.incremental import IncrementalFeasibility
 
-        W, D = wd_matrices(g)
-        return (W, D), IncrementalFeasibility(g, W, D), sorted(set(D.values()))
+        wd = wd_kernel(g)
+        return IncrementalFeasibility(wd), wd.d_values()
 
     @given(dfgs(max_nodes=8, max_extra_edges=8, max_delay=4))
     @settings(max_examples=60, deadline=None)
@@ -82,9 +82,9 @@ class TestIncrementalFeasibility:
         from repro.retiming import Retiming
         from repro.retiming.optimal import retime_for_period
 
-        wd, solver, candidates = self._solver_and_candidates(g)
+        solver, candidates = self._solver_and_candidates(g)
         for c in reversed(candidates):
-            fresh = retime_for_period(g, c, wd=wd, verify=False)
+            fresh = retime_for_period(g, c)
             warm = solver.try_period(c)
             if fresh is None:
                 assert warm is None
@@ -107,11 +107,11 @@ class TestIncrementalFeasibility:
         from repro.retiming import Retiming
         from repro.retiming.optimal import retime_for_period
 
-        wd, solver, candidates = self._solver_and_candidates(g)
+        solver, candidates = self._solver_and_candidates(g)
         order = list(candidates) * 2  # revisits exercise warm == committed
         random.Random(seed).shuffle(order)
         for c in order:
-            fresh = retime_for_period(g, c, wd=wd, verify=False)
+            fresh = retime_for_period(g, c)
             warm = solver.try_period(c)
             if fresh is None:
                 assert warm is None
@@ -139,7 +139,7 @@ class TestIncrementalFeasibility:
         try:
             for label, threshold in (("python", 10**9), ("numpy", 0)):
                 inc_mod._NUMPY_THRESHOLD = threshold
-                _wd, solver, candidates = self._solver_and_candidates(g)
+                solver, candidates = self._solver_and_candidates(g)
                 assert solver._use_numpy == (label == "numpy")
                 if order is None:
                     order = list(candidates) * 2
@@ -153,15 +153,15 @@ class TestIncrementalFeasibility:
     @settings(max_examples=40, deadline=None)
     def test_minimize_methods_agree_exactly(self, g):
         """Both search strategies return the same period and the same
-        normalized witness, with or without precomputed (W, D) dicts."""
-        from repro.graph.wd import wd_matrices
+        normalized witness, with or without a precomputed WDKernel."""
+        from repro.graph.wd import wd_kernel
         from repro.retiming.optimal import minimize_cycle_period
 
         p_ref, r_ref = minimize_cycle_period(g, method="reference")
         p_inc, r_inc = minimize_cycle_period(
             g, method="incremental", verify=True
         )
-        p_wd, r_wd = minimize_cycle_period(g, verify=True, wd=wd_matrices(g))
+        p_wd, r_wd = minimize_cycle_period(g, verify=True, wd=wd_kernel(g))
         assert p_ref == p_inc == p_wd
         assert r_ref.as_dict() == r_inc.as_dict() == r_wd.as_dict()
 
@@ -179,7 +179,7 @@ class TestIncrementalFeasibility:
         results = {}
         for label, threshold in (("python", 10**9), ("numpy", 0)):
             monkeypatch.setattr(inc_mod, "_NUMPY_THRESHOLD", threshold)
-            _wd, solver, candidates = self._solver_and_candidates(g)
+            solver, candidates = self._solver_and_candidates(g)
             assert solver._use_numpy == (label == "numpy")
             results[label] = [solver.try_period(c) for c in reversed(candidates)]
         assert results["python"] == results["numpy"]
@@ -193,7 +193,7 @@ class TestIncrementalFeasibility:
             minimize_cycle_period(fig2, method="spfa")
 
     def test_stats_counters_populated(self, fig2):
-        _wd, solver, candidates = self._solver_and_candidates(fig2)
+        solver, candidates = self._solver_and_candidates(fig2)
         for c in reversed(candidates):
             solver.try_period(c)
         assert solver.stats["probes"] == len(candidates)

@@ -1,22 +1,18 @@
-"""Tests for the resilient HTTP client and the offload executor.
+"""Tests for the resilient HTTP client.
 
 Everything runs against injected fakes — ``transport``, ``clock``,
-``sleep`` — so the retry ladder, the Retry-After floor, the circuit
-breaker's closed/open/half-open walk and the hedging race are asserted
-without sockets or real seconds.
+``sleep`` — so the retry ladder, the Retry-After floor and the circuit
+breaker's closed/open/half-open walk are asserted without sockets or
+real seconds.
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.runner.jobs import Job, execute_job
 from repro.server.client import (
     CircuitOpenError,
     ClientPolicy,
-    RemoteOffloadExecutor,
     RemoteUnavailableError,
     ResilientClient,
     _jitter,
@@ -89,7 +85,7 @@ class TestRequestRetries:
     def test_transport_failures_retried_with_capped_backoff(self):
         sleeps: list[float] = []
         client, transport = make_client([FAIL, FAIL, OK], sleeps=sleeps)
-        assert client.call("/v1/x", {"a": 1}, idempotent=True) == {"ok": True}
+        assert client.call("/v1/x", {"a": 1}) == {"ok": True}
         assert transport.calls == 3
         assert client.retries == 2
         # backoff * 2**(attempt-1), scaled into [0.5, 1.0) by the jitter
@@ -99,20 +95,14 @@ class TestRequestRetries:
     def test_budget_exhaustion_raises_unavailable(self):
         client, transport = make_client([FAIL], max_attempts=3)
         with pytest.raises(RemoteUnavailableError, match="3 attempt"):
-            client.request("/v1/x", {}, idempotent=True)
-        assert transport.calls == 3
-
-    def test_non_idempotent_requests_never_retry(self):
-        client, transport = make_client([FAIL, OK])
-        with pytest.raises(RemoteUnavailableError, match="1 attempt"):
             client.request("/v1/x", {})
-        assert transport.calls == 1
+        assert transport.calls == 3
 
     def test_503_retry_after_raises_the_backoff_floor(self):
         sleeps: list[float] = []
         shed = (503, {"retry-after": "3"}, b'{"error": "overloaded"}')
         client, transport = make_client([shed, OK], sleeps=sleeps)
-        status, _, body = client.request("/v1/x", {}, idempotent=True)
+        status, _, body = client.request("/v1/x", {})
         assert status == 200 and body == {"ok": True}
         assert transport.calls == 2
         assert sleeps == [3.0]  # far above the 0.1 backoff base
@@ -121,18 +111,18 @@ class TestRequestRetries:
         sleeps: list[float] = []
         shed = (503, {}, b'{"retry_after": 2.5}')
         client, _ = make_client([shed, OK], sleeps=sleeps)
-        client.request("/v1/x", {}, idempotent=True)
+        client.request("/v1/x", {})
         assert sleeps == [2.5]
 
     def test_error_statuses_are_answers_not_failures(self):
         client, transport = make_client([(400, {}, b'{"error": "bad"}')])
-        status, _, body = client.request("/v1/x", {}, idempotent=True)
+        status, _, body = client.request("/v1/x", {})
         assert status == 400 and body == {"error": "bad"}
         assert transport.calls == 1  # no retry: the server answered
 
     def test_non_json_body_is_wrapped_not_fatal(self):
         client, _ = make_client([(200, {}, b"<html>oops</html>")])
-        _, _, body = client.request("/v1/x", {}, idempotent=True)
+        _, _, body = client.request("/v1/x", {})
         assert body == {"raw": "<html>oops</html>"}
 
 
@@ -142,20 +132,20 @@ class TestCircuitBreaker:
             [FAIL], max_attempts=2, breaker_threshold=2
         )
         with pytest.raises(RemoteUnavailableError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         assert client.breaker_state("/v1/x") == "open"
         assert client.breaker_opens == 1
         calls = transport.calls
         with pytest.raises(CircuitOpenError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         assert transport.calls == calls  # the network was never touched
 
     def test_breakers_are_per_endpoint(self):
         client, _ = make_client([FAIL, OK], max_attempts=1, breaker_threshold=1)
         with pytest.raises(RemoteUnavailableError):
-            client.request("/v1/dead", {}, idempotent=True)
+            client.request("/v1/dead", {})
         assert client.breaker_state("/v1/dead") == "open"
-        assert client.call("/v1/alive", {}, idempotent=True) == {"ok": True}
+        assert client.call("/v1/alive", {}) == {"ok": True}
 
     def test_half_open_probe_success_closes(self):
         clock = FakeClock()
@@ -167,11 +157,11 @@ class TestCircuitBreaker:
             breaker_reset=10.0,
         )
         with pytest.raises(RemoteUnavailableError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         with pytest.raises(CircuitOpenError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         clock.advance(11.0)  # past breaker_reset: one probe is admitted
-        assert client.call("/v1/x", {}, idempotent=True) == {"ok": True}
+        assert client.call("/v1/x", {}) == {"ok": True}
         assert client.breaker_state("/v1/x") == "closed"
 
     def test_half_open_probe_failure_reopens(self):
@@ -181,165 +171,10 @@ class TestCircuitBreaker:
             breaker_reset=10.0,
         )
         with pytest.raises(RemoteUnavailableError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         clock.advance(11.0)
         with pytest.raises(RemoteUnavailableError):
-            client.request("/v1/x", {}, idempotent=True)  # the failed probe
+            client.request("/v1/x", {})  # the failed probe
         with pytest.raises(CircuitOpenError):
-            client.request("/v1/x", {}, idempotent=True)
+            client.request("/v1/x", {})
         assert client.breaker_opens == 2
-
-
-class TestHedging:
-    def test_slow_primary_loses_to_hedge(self):
-        release = threading.Event()
-        calls = []
-
-        def transport(method, path, body):
-            calls.append(path)
-            if len(calls) == 1:
-                release.wait(10.0)  # the primary stalls
-            return OK
-
-        client = ResilientClient(
-            "127.0.0.1:1",
-            policy=ClientPolicy(hedge_delay=0.02),
-            transport=transport,
-        )
-        try:
-            status, _, body = client.request(
-                "/v1/x", {}, idempotent=True, hedge=True
-            )
-            assert status == 200 and body == {"ok": True}
-            assert client.hedges == 1
-            assert client.hedge_wins == 1
-        finally:
-            release.set()
-
-    def test_fast_primary_never_hedges(self):
-        client, transport = make_client([OK])
-        client.request("/v1/x", {}, idempotent=True, hedge=True)
-        assert transport.calls == 1
-        assert client.hedges == 0
-
-    def test_hedge_requires_idempotence(self):
-        release = threading.Event()
-        calls = []
-
-        def transport(method, path, body):
-            calls.append(path)
-            return OK
-
-        client = ResilientClient(
-            "127.0.0.1:1",
-            policy=ClientPolicy(hedge_delay=0.0),
-            transport=transport,
-        )
-        client.request("/v1/x", {}, idempotent=False, hedge=True)
-        assert len(calls) == 1 and client.hedges == 0
-        release.set()
-
-    def test_stats_line_mentions_everything(self):
-        client, _ = make_client([OK])
-        line = client.stats_line()
-        assert "retries" in line and "hedges" in line and "breaker" in line
-
-
-def _tasks(count: int = 2) -> list[tuple]:
-    jobs = [
-        Job(transform="csr-pipelined", workload="iir", trip_count=3),
-        Job(transform="pipelined", workload="fir", trip_count=4),
-    ][:count]
-    return [
-        (execute_job, j.to_params(), f"key{i}", None, False, j.label,
-         None, None)
-        for i, j in enumerate(jobs)
-    ]
-
-
-class _UnreachableClient:
-    def __init__(self) -> None:
-        self.breaker_opens = 0
-
-    def request(self, path, doc, **kw):
-        raise RemoteUnavailableError("nobody home")
-
-    def stats_line(self) -> str:
-        return "unreachable"
-
-
-class _AnsweringClient:
-    """Answers every offload with a canned payload keyed to the request."""
-
-    def __init__(self, key_for) -> None:
-        self.key_for = key_for
-        self.breaker_opens = 0
-        self.docs: list[dict] = []
-
-    def request(self, path, doc, **kw):
-        self.docs.append(doc)
-        key = self.key_for(len(self.docs) - 1)
-        return 200, {}, {"ok": True, "key": key, "cached": True,
-                         "payload": {"ok": True, "served": "remote"}}
-
-    def stats_line(self) -> str:
-        return "fake"
-
-
-class TestRemoteOffloadExecutor:
-    def test_request_doc_shapes(self):
-        [(fn, params, *_rest)] = _tasks(1)
-        doc = RemoteOffloadExecutor._request_doc(
-            (fn, params, "k", None, False, "l", None, None)
-        )
-        assert doc["kind"] == "transform"
-        assert doc["params"]["transform"] == "csr-pipelined"
-
-        oracle = dict(params, transform="oracle", oracle_timeout=1.0)
-        doc = RemoteOffloadExecutor._request_doc(
-            (fn, oracle, "k", None, False, "l", None, None)
-        )
-        assert doc["kind"] == "oracle"
-
-        traced = dict(params, trace=True)
-        assert RemoteOffloadExecutor._request_doc(
-            (fn, traced, "k", None, False, "l", None, None)
-        ) is None  # the wire protocol has no trace knob
-
-        assert RemoteOffloadExecutor._request_doc(
-            (print, params, "k", None, False, "l", None, None)
-        ) is None  # not the job executor
-
-    def test_unreachable_coordinator_degrades_to_local(self):
-        tasks = _tasks()
-        ex = RemoteOffloadExecutor("127.0.0.1:1", client=_UnreachableClient())
-        seen: list[int] = []
-        out = ex.run(tasks, on_result=lambda i, env: seen.append(i))
-        assert len(out) == len(tasks)
-        assert all(env["payload"]["ok"] for env in out)
-        assert ex.local_units == len(tasks) and ex.offloaded == 0
-        assert sorted(seen) == list(range(len(tasks)))
-
-    def test_offload_accepted_when_key_matches(self):
-        tasks = _tasks()
-        client = _AnsweringClient(key_for=lambda i: tasks[i][2])
-        # One in-flight request at a time keeps request order == task
-        # order, so the fake can key its answers by arrival.
-        ex = RemoteOffloadExecutor("127.0.0.1:1", client=client, concurrency=1)
-        out = ex.run(tasks)
-        assert ex.offloaded == len(tasks) and ex.local_units == 0
-        assert all(env["payload"]["served"] == "remote" for env in out)
-        assert all(env["cached"] for env in out)
-
-    def test_key_mismatch_falls_back_to_local(self):
-        tasks = _tasks(1)
-        client = _AnsweringClient(key_for=lambda i: "wrong-key")
-        ex = RemoteOffloadExecutor("127.0.0.1:1", client=client, concurrency=1)
-        out = ex.run(tasks)
-        assert ex.offloaded == 0 and ex.local_units == 1
-        assert out[0]["payload"]["ok"]  # computed locally instead
-
-    def test_empty_batch(self):
-        ex = RemoteOffloadExecutor("127.0.0.1:1", client=_UnreachableClient())
-        assert ex.run([]) == []
-        ex.close()

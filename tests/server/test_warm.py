@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.graph.wd import wd_matrices
+from repro.graph.wd import wd_kernel
 from repro.machine.dispatch import WarmPool, program_pool, warm_program
 from repro.retiming.optimal import minimize_cycle_period
 from repro.server import parse_request
@@ -96,10 +96,10 @@ class TestWarmPool:
 
 class TestWarmWD:
     def test_wd_parameter_is_bit_identical(self, bench_graph):
-        """Feeding precomputed (W, D) into minimize_cycle_period must not
+        """Feeding a precomputed WDKernel into minimize_cycle_period must not
         change the result — the safety property warming relies on."""
         cold_period, cold_r = minimize_cycle_period(bench_graph)
-        wd = wd_matrices(bench_graph)
+        wd = wd_kernel(bench_graph)
         warm_period, warm_r = minimize_cycle_period(bench_graph, wd=wd)
         assert warm_period == cold_period
         assert warm_r.as_dict() == cold_r.as_dict()
