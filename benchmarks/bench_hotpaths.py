@@ -11,7 +11,7 @@ Measures the four hot paths end to end, old vs new, on random graphs of
   (:func:`~repro.graph.iteration_bound.iteration_bound_fraction`) vs the
   exact integer parametric search over the shared edge kernel;
 * ``vm`` — the dataclass-walking reference interpreter
-  (``run_program(..., dispatch=False)``) vs threaded dispatch;
+  (``run_program(..., dispatch=False)``) vs compiled dispatch;
 * ``vliw`` — the packed executor, reference vs pre-compiled word slots.
 
 Besides wall times and speedup ratios, each measurement snapshots the
@@ -64,7 +64,6 @@ GATED_COUNTERS = (
     "kernel.relax_edges",
     "kernel.relax_sweeps",
     "vm.instructions.executed",
-    "vm.trace.steps",
     "vliw.cycles",
 )
 

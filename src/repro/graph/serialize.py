@@ -77,7 +77,7 @@ def from_json(text: str, source: str | Path | None = None) -> DFG:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise GraphFormatError(f"not valid JSON: {exc}", source=source) from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise GraphFormatError(f"not a {_FORMAT} document", source=source)
@@ -117,7 +117,7 @@ def from_json(text: str, source: str | Path | None = None) -> DFG:
             )
         try:
             return cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(
                 f"malformed {_FORMAT} document: bad value for {path}: {exc}",
                 source=source,

@@ -8,9 +8,8 @@ actually running both.
 """
 
 from .registers import ConditionalRegisterFile, MachineError
-from .trace import ExecutionTrace, TraceEvent
 from .vliw_vm import PackedResult, run_packed
-from .vm import VMResult, default_initial, run_program
+from .vm import ExecutionTrace, TraceEvent, VMResult, default_initial, run_program
 
 __all__ = [
     "ConditionalRegisterFile",

@@ -160,7 +160,7 @@ def _compile_region(instrs: tuple[Instr, ...], in_body: bool) -> list[tuple]:
 class CompiledProgram:
     """A :class:`LoopProgram` lowered to flat dispatch lists."""
 
-    __slots__ = ("name", "pre", "body", "post", "program_ref", "__weakref__")
+    __slots__ = ("name", "pre", "body", "post", "program_ref")
 
     def __init__(self, program: LoopProgram, on_death=None) -> None:
         self.name = program.name
@@ -307,7 +307,6 @@ def execute_compiled(
     reg_values: dict[str, int],
     reg_capacity: int | None,
     loop_indices,
-    body_hook: Callable | None = None,
 ) -> tuple[dict[str, dict[int, int]], int, int]:
     """Run a compiled program; returns ``(arrays, executed, disabled)``.
 
@@ -316,12 +315,6 @@ def execute_compiled(
     ``-n < p + offset <= 0``, capacity exhaustion, reads before setup —
     replicate :class:`~repro.machine.registers.ConditionalRegisterFile`
     exactly, including error messages.
-
-    ``body_hook``, when provided (see :func:`repro.machine.trace.body_hook`),
-    is offered the whole loop after the pre region: it either executes every
-    iteration vectorized — returning the ``(executed, disabled)`` deltas —
-    or returns ``None`` with machine state untouched, in which case the
-    interpreter loop below runs as usual.
     """
     arrays: dict[str, dict[int, int]] = {}
     arrays_get = arrays.get
@@ -408,13 +401,8 @@ def execute_compiled(
                 reg_values[reg] -= op[2]
 
     run_region(compiled.pre, None)
-    handled = body_hook(arrays, reg_values) if body_hook is not None else None
-    if handled is None:
-        body = compiled.body
-        for i in loop_indices:
-            run_region(body, i)
-    else:
-        executed += handled[0]
-        disabled += handled[1]
+    body = compiled.body
+    for i in loop_indices:
+        run_region(body, i)
     run_region(compiled.post, None)
     return arrays, executed, disabled

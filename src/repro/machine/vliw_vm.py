@@ -33,7 +33,6 @@ from ..schedule.resources import ResourceModel
 from ..schedule.vliw import VliwSchedule, pack_body, pack_straightline
 from .dispatch import _COMPUTE, _CONST, _LOOP, _SETUP, _TRIP, _compile_region
 from .registers import ConditionalRegisterFile, MachineError
-from .trace import packed_body_trace
 from .vm import default_initial
 
 __all__ = ["PackedResult", "run_packed"]
@@ -177,16 +176,8 @@ def _run_packed_dispatch(
 
     with span("vm.packed_run", program=program.name, n=n) as sp:
         run_words(pre_words, None)
-        handled = packed_body_trace(
-            body_words, program.loop, n, reg_values, arrays, initial
-        )
-        if handled is None:
-            for i in program.loop.iter_indices(n):
-                run_words(body_words, i)
-        else:
-            executed += handled[0]
-            disabled += handled[1]
-            cycles += program.loop.trip_count(n) * len(body_words)
+        for i in program.loop.iter_indices(n):
+            run_words(body_words, i)
         run_words(post_words, None)
         sp.set(cycles=cycles, executed=executed)
 

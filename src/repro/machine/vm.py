@@ -18,16 +18,59 @@ out-of-range instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..codegen.ir import ComputeInstr, DecInstr, Instr, LoopProgram, SetupInstr
 from ..graph.dfg import evaluate_op
 from ..observability import OBS, span
 from .registers import ConditionalRegisterFile, MachineError
-from .trace import ExecutionTrace
 
-__all__ = ["VMResult", "run_program", "default_initial", "MachineError"]
+__all__ = [
+    "ExecutionTrace",
+    "TraceEvent",
+    "VMResult",
+    "run_program",
+    "default_initial",
+    "MachineError",
+]
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One executed compute: node name, instance written, region of origin.
+
+    ``region`` is ``"pre"``, ``"body"`` or ``"post"``; ``i`` is the loop
+    variable value for body events and ``None`` elsewhere.
+    """
+
+    node: str
+    instance: int
+    region: str
+    i: int | None
+
+
+@dataclass
+class ExecutionTrace:
+    """Ordered record of one program execution."""
+
+    events: list[TraceEvent] = field(default_factory=list)
+    disabled: int = 0  # guarded computes whose predicate was off
+
+    def record(self, node: str, instance: int, region: str, i: int | None) -> None:
+        """Append one executed compute."""
+        self.events.append(TraceEvent(node=node, instance=instance, region=region, i=i))
+
+    def order_of(self) -> dict[tuple[str, int], int]:
+        """Map ``(node, instance) -> position`` in execution order."""
+        return {(e.node, e.instance): k for k, e in enumerate(self.events)}
+
+    def instances_of(self, node: str) -> list[int]:
+        """Instances of ``node`` in execution order."""
+        return [e.instance for e in self.events if e.node == node]
+
+    def __len__(self) -> int:
+        return len(self.events)
 
 
 def default_initial(array: str, index: int) -> int:
@@ -113,7 +156,6 @@ def run_program(
 
     if dispatch and not trace:
         from .dispatch import compile_program, execute_compiled
-        from .trace import body_hook
 
         if register_capacity is not None and register_capacity < 0:
             raise MachineError(f"capacity must be >= 0, got {register_capacity}")
@@ -126,7 +168,6 @@ def run_program(
                 {},
                 register_capacity,
                 program.loop.iter_indices(n),
-                body_hook=body_hook(compiled, program.loop, n, initial),
             )
             sp.set(executed=executed, disabled=disabled)
         if OBS.enabled:

@@ -30,7 +30,7 @@ and the same normalized witness, which the test-suite pins exactly):
 
 from __future__ import annotations
 
-from ..graph.dfg import DFG
+from ..graph.dfg import DFG, DFGError
 from ..graph.period import cycle_period
 from ..graph.wd import WDKernel, wd_kernel
 from ..observability import count, span
@@ -136,8 +136,8 @@ def minimize_cycle_period(
                 hi = mid - 1
             else:
                 lo = mid + 1
-        if best is None:  # pragma: no cover - cannot happen for legal graphs
-            raise AssertionError("no feasible cycle period found; graph is illegal")
+        if best is None:  # no candidate periods: only an empty graph has none
+            raise DFGError("graph has no nodes")
         # The optimum is the *achieved* period of the witness, which can be
         # strictly below the candidate bound that the search proved feasible.
         c, r = best

@@ -2,7 +2,9 @@
 
 The contract is total behavioral equivalence with the reference
 interpreter — same arrays, same counters, same exceptions with the same
-messages — plus sane compile-cache behavior.
+messages — plus sane compile-cache behavior.  The broad random battery
+over original, pipelined, CSR and unfolded programs lives in
+``test_trace_backend.py`` and uses the helpers defined here.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ from repro.graph.dfg import DFGError
 from repro.graph.generators import random_dfg
 from repro.machine import MachineError, run_program
 from repro.machine.dispatch import _CACHE, compile_program
+from repro.machine.vliw_vm import run_packed
 from repro.retiming import minimize_cycle_period
+from repro.schedule.resources import ResourceModel
 from repro.workloads import WORKLOADS
+
+_MACHINE = ResourceModel(units={"alu": 2, "mul": 1})
 
 _EMPTY_LOOP = Loop(
     start=IndexExpr(IndexBase.CONST, 1),
@@ -37,25 +43,41 @@ _EMPTY_LOOP = Loop(
 )
 
 
-def _assert_same_outcome(program, n, **kwargs):
-    """Run both engines; pin results or exceptions equal."""
+def _same_outcome(run, fields):
+    """Call ``run(dispatch=False)`` and ``run()``; pin the named result
+    fields, or the exception type and message, equal."""
     ref_exc = new_exc = ref = new = None
     try:
-        ref = run_program(program, n, dispatch=False, **kwargs)
+        ref = run(dispatch=False)
     except Exception as exc:  # noqa: BLE001 - parity check needs everything
         ref_exc = exc
     try:
-        new = run_program(program, n, **kwargs)
+        new = run()
     except Exception as exc:  # noqa: BLE001
         new_exc = exc
     if ref_exc is not None or new_exc is not None:
         assert type(ref_exc) is type(new_exc), (ref_exc, new_exc)
         assert str(ref_exc) == str(new_exc)
         return None
-    assert new.arrays == ref.arrays
-    assert new.executed == ref.executed
-    assert new.disabled == ref.disabled
+    for name in fields:
+        assert getattr(new, name) == getattr(ref, name), name
     return new
+
+
+def _assert_same_outcome(program, n, **kwargs):
+    """Sequential VM: dispatch against the reference interpreter."""
+    return _same_outcome(
+        lambda **kw: run_program(program, n, **kwargs, **kw),
+        ("arrays", "executed", "disabled"),
+    )
+
+
+def _assert_packed_outcome(program, n):
+    """VLIW VM: dispatch against the reference interpreter, cycles too."""
+    return _same_outcome(
+        lambda **kw: run_packed(program, n, _MACHINE, **kw),
+        ("arrays", "cycles", "executed", "disabled"),
+    )
 
 
 class TestDispatchEquivalence:

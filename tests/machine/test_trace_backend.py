@@ -1,13 +1,11 @@
-"""Differential battery for the trace-compiling vector VM backend.
+"""Differential battery: the dispatch VMs against the reference interpreters.
 
-The contract is identical to the dispatch engine's: total behavioral
-equivalence with the reference interpreter — same arrays, same
-executed/disabled counters, same exceptions with the same messages — with
-the extra twist that the trace backend silently falls back to the
-interpreter whenever it cannot *prove* the loop body vectorizable, so the
-battery deliberately mixes traceable programs (guarded CSR bodies, affine
-recurrences) with fallback shapes (multi-writer unfolded bodies, malformed
-arities, out-of-range writes, zero trip counts).
+Total behavioral equivalence — same arrays, same executed/disabled (and
+VLIW cycle) counters, same exceptions with the same messages — over
+original, pipelined, CSR and unfolded programs from random graphs at
+several trip counts, plus hand-built bodies that stress the error paths:
+setup inside the body, constant destinations, malformed arities,
+out-of-range writes and non-affine recurrences.
 """
 
 from __future__ import annotations
@@ -16,10 +14,10 @@ import random
 
 import pytest
 
-from repro import observability
 from repro.codegen import original_loop, pipelined_loop, retimed_unfolded_loop
 from repro.codegen.ir import (
     ComputeInstr,
+    DecInstr,
     Guard,
     IndexBase,
     IndexExpr,
@@ -31,50 +29,11 @@ from repro.codegen.ir import (
 from repro.core.csr import csr_pipelined_loop
 from repro.graph import OpKind
 from repro.graph.generators import random_dfg
-from repro.machine.dispatch import compile_program
-from repro.machine.trace import body_hook
 from repro.machine.vm import run_program
-from repro.machine.vliw_vm import run_packed
 from repro.retiming import minimize_cycle_period
-from repro.schedule.resources import ResourceModel
 from repro.workloads import WORKLOADS
 
-_MACHINE = ResourceModel(units={"alu": 2, "mul": 1})
-
-
-def _outcome(fn):
-    try:
-        return fn(), None
-    except Exception as exc:  # noqa: BLE001 - parity check needs everything
-        return None, exc
-
-
-def _assert_trace_parity(program, n, monkeypatch=None, **kwargs):
-    """Reference vs dispatch-with-trace vs dispatch-without-trace."""
-    ref, ref_exc = _outcome(lambda: run_program(program, n, dispatch=False, **kwargs))
-    new, new_exc = _outcome(lambda: run_program(program, n, **kwargs))
-    if ref_exc is not None or new_exc is not None:
-        assert type(ref_exc) is type(new_exc), (ref_exc, new_exc)
-        assert str(ref_exc) == str(new_exc)
-        return None
-    assert new.arrays == ref.arrays
-    assert new.executed == ref.executed
-    assert new.disabled == ref.disabled
-    return new
-
-
-def _assert_packed_parity(program, n):
-    ref, ref_exc = _outcome(lambda: run_packed(program, n, _MACHINE, dispatch=False))
-    new, new_exc = _outcome(lambda: run_packed(program, n, _MACHINE))
-    if ref_exc is not None or new_exc is not None:
-        assert type(ref_exc) is type(new_exc), (ref_exc, new_exc)
-        assert str(ref_exc) == str(new_exc)
-        return None
-    assert new.arrays == ref.arrays
-    assert new.cycles == ref.cycles
-    assert new.executed == ref.executed
-    assert new.disabled == ref.disabled
-    return new
+from .test_dispatch import _assert_packed_outcome, _assert_same_outcome
 
 
 def _program_variants(g, rng):
@@ -84,13 +43,13 @@ def _program_variants(g, rng):
     yield pipelined_loop(g, r)
     yield csr_pipelined_loop(g, r)
     # Unfolded bodies write each array from several instructions per
-    # iteration — a guaranteed static-fallback shape.
+    # iteration.
     yield retimed_unfolded_loop(g, r, rng.choice((2, 3)))
 
 
 class TestTraceDifferential:
     def test_random_program_battery(self):
-        """200+ program/trip-count differential runs, trace vs reference."""
+        """200+ program/trip-count differential runs, dispatch vs reference."""
         rng = random.Random(0xC0DE)
         runs = 0
         for i in range(20):
@@ -103,7 +62,7 @@ class TestTraceDifferential:
                     n = min_n + k * factor
                     if factor > 1 and (n - shift) % factor != (min_n - shift) % factor:
                         continue
-                    _assert_trace_parity(p, n)
+                    _assert_same_outcome(p, n)
                     runs += 1
         assert runs >= 200
 
@@ -112,7 +71,7 @@ class TestTraceDifferential:
         p = csr_pipelined_loop(bench_graph, r)
         min_n = p.meta.get("min_n", 1) or 1
         for n in (min_n, min_n + 1, min_n + 29):
-            _assert_trace_parity(p, n)
+            _assert_same_outcome(p, n)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_registry_workloads_packed(self, name):
@@ -121,7 +80,7 @@ class TestTraceDifferential:
         p = csr_pipelined_loop(g, r)
         min_n = p.meta.get("min_n", 1) or 1
         for n in (min_n, min_n + 23):
-            _assert_packed_parity(p, n)
+            _assert_packed_outcome(p, n)
 
     def test_random_packed_battery(self):
         rng = random.Random(0xF00D)
@@ -129,7 +88,7 @@ class TestTraceDifferential:
             g = random_dfg(rng, num_nodes=rng.randint(3, 9), name=f"pk{i}")
             p = original_loop(g)
             min_n = p.meta.get("min_n", 1) or 1
-            _assert_packed_parity(p, min_n + rng.randint(0, 9))
+            _assert_packed_outcome(p, min_n + rng.randint(0, 9))
 
     def test_zero_trip_count(self, fig8):
         """An empty trip must leave pre/post semantics untouched."""
@@ -139,28 +98,28 @@ class TestTraceDifferential:
             hi = p.loop.end.resolve(None, 0)
             min_n = p.meta.get("min_n", 0) or 0
             if hi < lo and min_n == 0:
-                _assert_trace_parity(p, 0)
+                _assert_same_outcome(p, 0)
 
     def test_custom_initial_values(self, fig8):
-        """A non-default initial function must flow through the vector
-        prestate path bit-identically."""
+        """A non-default initial function must reach every live-in read
+        bit-identically."""
         p = original_loop(fig8)
-        _assert_trace_parity(p, 9, initial=lambda a, i: (len(a) * 1000 + i) % 97)
-        _assert_trace_parity(p, 9, initial=lambda a, i: -3 * i)  # negative values
+        _assert_same_outcome(p, 9, initial=lambda a, i: (len(a) * 1000 + i) % 97)
+        _assert_same_outcome(p, 9, initial=lambda a, i: -3 * i)  # negative values
 
     def test_raising_initial_falls_back(self, fig8):
-        """An initial function that raises must surface the interpreter's
-        exception, not a vector-path artifact."""
+        """An initial function that raises must surface the same exception
+        on both paths."""
 
         def bad(array, index):
             raise ValueError(f"no live-in for {array}[{index}]")
 
         p = original_loop(fig8)
-        _assert_trace_parity(p, 5, initial=bad)
+        _assert_same_outcome(p, 5, initial=bad)
 
 
 class TestTraceFallbackShapes:
-    """Statically untraceable bodies must be *detected*, not mis-executed."""
+    """Hand-built bodies that hit the VMs' error and edge paths."""
 
     def _loop(self, body, start=1, end_off=0):
         return Loop(
@@ -182,8 +141,7 @@ class TestTraceFallbackShapes:
             ),
         ]
         p = LoopProgram(name="setup-body", pre=(), loop=self._loop(body), post=())
-        assert body_hook(compile_program(p), p.loop, 6, None) is None
-        _assert_trace_parity(p, 6)
+        _assert_same_outcome(p, 6)
 
     def test_constant_dest_in_body(self):
         body = [
@@ -195,9 +153,8 @@ class TestTraceFallbackShapes:
             )
         ]
         p = LoopProgram(name="const-dest", pre=(), loop=self._loop(body), post=())
-        assert body_hook(compile_program(p), p.loop, 1, None) is None
-        _assert_trace_parity(p, 1)  # n=1: single write, no double-write error
-        _assert_trace_parity(p, 3)  # n=3: double write must raise identically
+        _assert_same_outcome(p, 1)  # n=1: single write, no double-write error
+        _assert_same_outcome(p, 3)  # n=3: double write must raise identically
 
     def test_malformed_arity_falls_back(self):
         body = [
@@ -209,8 +166,7 @@ class TestTraceFallbackShapes:
             )
         ]
         p = LoopProgram(name="bad-mac", pre=(), loop=self._loop(body), post=())
-        assert body_hook(compile_program(p), p.loop, 4, None) is None
-        _assert_trace_parity(p, 4)
+        _assert_same_outcome(p, 4)
 
     def test_out_of_range_write_error_parity(self):
         body = [
@@ -222,11 +178,11 @@ class TestTraceFallbackShapes:
             )
         ]
         p = LoopProgram(name="oob-body", pre=(), loop=self._loop(body), post=())
-        _assert_trace_parity(p, 4)
+        _assert_same_outcome(p, 4)
 
     def test_nonaffine_recurrence_falls_back_correctly(self):
-        """x[i] = x[i-1] * x[i-2]: a cyclic component whose recurrence is
-        state * state — must run through the interpreter, bit-identically."""
+        """x[i] = x[i-1] * x[i-2]: a recurrence that multiplies two
+        loop-carried values."""
         body = [
             ComputeInstr(
                 dest=Operand("X", IndexExpr(IndexBase.I, 0)),
@@ -239,11 +195,11 @@ class TestTraceFallbackShapes:
             )
         ]
         p = LoopProgram(name="nonaffine", pre=(), loop=self._loop(body), post=())
-        result = _assert_trace_parity(p, 12)
+        result = _assert_same_outcome(p, 12)
         assert result is not None and result.executed == 12
 
     def test_affine_self_recurrence_is_traced(self):
-        """x[i] = 7*x[i-1] + 11: the simplest cyclic-scan case."""
+        """x[i] = 7*x[i-1] + 11 over a long trip."""
         body = [
             ComputeInstr(
                 dest=Operand("X", IndexExpr(IndexBase.I, 0)),
@@ -256,9 +212,7 @@ class TestTraceFallbackShapes:
             )
         ]
         p = LoopProgram(name="affine-rec", pre=(), loop=self._loop(body), post=())
-        hook = body_hook(compile_program(p), p.loop, 500, run_program.__defaults__[0])
-        assert hook is not None
-        _assert_trace_parity(p, 500)
+        _assert_same_outcome(p, 500)
 
     def test_guard_windows_cover_never_and_always(self):
         """Guards that are always-off, always-on and windowed mid-trip."""
@@ -297,54 +251,19 @@ class TestTraceFallbackShapes:
                 guard=Guard("win"),
             ),
         ]
-        from repro.codegen.ir import DecInstr
-
         body.append(DecInstr(register="win", amount=1))
         p = LoopProgram(
             name="windows", pre=tuple(pre), loop=self._loop(body), post=()
         )
-        result = _assert_trace_parity(p, 9)
+        result = _assert_same_outcome(p, 9)
         assert result is not None
         assert result.disabled > 0  # the windows really masked instances
 
 
 class TestTraceSwitchesAndCounters:
-    def test_kill_switch(self, fig8, monkeypatch):
-        """REPRO_VM_TRACE=0 must disable the backend (hook is None) while
-        results stay identical through the interpreter."""
-        _, r = minimize_cycle_period(fig8)
-        p = csr_pipelined_loop(fig8, r)
-        compiled = compile_program(p)
-        n = (p.meta.get("min_n", 1) or 1) + 10
-        enabled = run_program(p, n)
-        assert body_hook(compiled, p.loop, n, run_program.__defaults__[0]) is not None
-        monkeypatch.setenv("REPRO_VM_TRACE", "0")
-        assert body_hook(compiled, p.loop, n, run_program.__defaults__[0]) is None
-        disabled = run_program(p, n)
-        assert disabled.arrays == enabled.arrays
-        assert disabled.executed == enabled.executed
-        assert disabled.disabled == enabled.disabled
-
-    def test_trace_steps_counter(self, fig8):
-        """A traced run must report vm.trace.steps and the same
-        vm.instructions.* totals as the interpreter."""
-        _, r = minimize_cycle_period(fig8)
-        p = csr_pipelined_loop(fig8, r)
-        n = (p.meta.get("min_n", 1) or 1) + 15
-        observability.enable()
-        try:
-            run_program(p, n)
-            counters = observability.OBS.metrics.as_dict()["counters"]
-        finally:
-            observability.disable()
-        assert counters.get("vm.trace.steps", 0) > 0
-        ref = run_program(p, n, dispatch=False)
-        assert counters["vm.instructions.executed"] == ref.executed
-        assert counters["vm.instructions.disabled"] == ref.disabled
-
     def test_trace_flag_still_uses_reference_path(self, fig8):
         p = original_loop(fig8)
         traced = run_program(p, 9, trace=True)
         assert traced.trace is not None
-        vectored = run_program(p, 9)
-        assert vectored.arrays == traced.arrays
+        dispatched = run_program(p, 9)
+        assert dispatched.arrays == traced.arrays

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from repro.graph import DFG, cycle_period, iteration_bound
+from repro.graph import DFG, DFGError, cycle_period, iteration_bound
 from repro.retiming import (
     Retiming,
     feas,
@@ -75,6 +75,11 @@ class TestMinimizeCyclePeriod:
 
     def test_minimum_cycle_period_shortcut(self, fig1):
         assert minimum_cycle_period(fig1) == 1
+
+    @pytest.mark.parametrize("method", ["incremental", "reference"])
+    def test_empty_graph_is_a_dfg_error(self, method):
+        with pytest.raises(DFGError, match="graph has no nodes"):
+            minimize_cycle_period(DFG("empty"), method=method)
 
     @given(dfgs())
     @settings(max_examples=60, deadline=None)

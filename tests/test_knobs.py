@@ -59,7 +59,7 @@ def test_every_documented_variable_is_read():
 
 
 def test_inventory():
-    assert _read_in_src() == {"REPRO_CACHE_DIR", "REPRO_FAULT_PLAN", "REPRO_VM_TRACE"}
+    assert _read_in_src() == {"REPRO_CACHE_DIR", "REPRO_FAULT_PLAN"}
 
 
 def _cli_flags() -> set[str]:

@@ -8,7 +8,6 @@ numpy loads only when a vector path first runs.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -80,7 +79,6 @@ class TestImportBudget:
         loaded = _imported(
             ["-c", "import repro.machine.vm, repro.graph.wd, repro.retiming"]
         )
-        assert "repro.machine.trace" in loaded
         assert "repro.retiming.incremental" in loaded
         assert "numpy" not in loaded
 
@@ -94,6 +92,21 @@ class TestImportBudget:
         loaded = _imported(["-m", "repro", command, "--help"])
         assert sorted(m for m in HEAVY if m in loaded) == []
         assert sorted(m for m in loaded if m.startswith("repro.server")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--graphs", "2", "--no-cache"],
+            ["run", "iir", "-n", "1000"],
+        ],
+        ids=["sweep", "run"],
+    )
+    def test_vm_commands_load_no_numpy(self, argv):
+        """The VM is pure Python, and these commands' graphs stay below
+        every numpy threshold, so running programs loads no numpy."""
+        loaded = _imported(["-m", "repro", *argv])
+        assert "repro.machine.dispatch" in loaded
+        assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
 
     def test_serve_help_skips_numpy(self):
         loaded = _imported(["-m", "repro", "serve", "--help"])
@@ -130,43 +143,3 @@ class TestLazyExports:
         )
         assert out.strip() == "ok"
 
-
-_TRACE_RUN = """
-import json, sys
-from repro import observability
-from repro.core.csr import csr_pipelined_loop
-from repro.machine.vm import run_program
-from repro.retiming import minimize_cycle_period
-from repro.workloads import get_workload
-
-numpy_before = "numpy" in sys.modules
-g = get_workload("iir")
-_, r = minimize_cycle_period(g)
-program = csr_pipelined_loop(g, r)
-observability.enable()
-result = run_program(program, 1000)
-counters = observability.OBS.metrics.as_dict()["counters"]
-print(json.dumps({
-    "numpy_before": numpy_before,
-    "steps": counters.get("vm.trace.steps", 0),
-    "arrays": {k: sorted(v.items()) for k, v in result.arrays.items()},
-    "executed": result.executed,
-    "disabled": result.disabled,
-}))
-"""
-
-
-class TestTraceVmStillTraces:
-    """A lazy numpy import that failed quietly would drop every traceable
-    loop to the interpreter: same results, 13-16x slower, no error.  So
-    this checks the trace backend really runs in a fresh interpreter
-    where nothing has loaded numpy yet."""
-
-    def test_first_traceable_run_loads_numpy_and_traces(self):
-        traced = json.loads(_python(_TRACE_RUN, REPRO_VM_TRACE="1"))
-        reference = json.loads(_python(_TRACE_RUN, REPRO_VM_TRACE="0"))
-        assert traced["numpy_before"] is False
-        assert traced["steps"] > 0
-        assert reference["steps"] == 0
-        for key in ("arrays", "executed", "disabled"):
-            assert traced[key] == reference[key], key
