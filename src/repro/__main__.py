@@ -530,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, help="result cache location")
     p.add_argument("--no-cache", action="store_true", help="disable the cache")
     p.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="activate a JSON fault-injection plan (testing)",
+        "--fault-plan", default=None, metavar="PLAN",
+        help="activate a fault-injection plan: a JSON file path or inline "
+        "JSON (testing)",
     )
     p.add_argument(
         "--distributed", action="store_true",

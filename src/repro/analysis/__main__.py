@@ -131,7 +131,11 @@ def engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
         resilience.FAULT_PLAN_ENV
     )
     if spec:
-        resilience.activate(FaultPlan.from_spec(spec))
+        try:
+            resilience.activate(FaultPlan.from_spec(spec))
+        except ValueError as exc:
+            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     retry = RetryPolicy()
     retries = getattr(args, "retries", None)
     timeout = getattr(args, "job_timeout", None)

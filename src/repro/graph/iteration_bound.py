@@ -100,15 +100,6 @@ def _relax_positive_cycle(
     return False
 
 
-def _has_positive_cycle(g: DFG, lam: Fraction, strict: bool) -> bool:
-    """Does a cycle with weight ``> 0`` (or ``>= 0`` if not strict) exist?
-
-    Fraction-arithmetic reference implementation; the hot path uses the
-    integer oracle of :class:`~repro.graph.kernel.EdgeKernel` instead.
-    """
-    return _relax_positive_cycle(g, _prepare_edges(g), lam, strict)
-
-
 def iteration_bound_fraction(g: DFG) -> Fraction:
     """The original ``Fraction``-relaxation iteration bound.
 
@@ -235,12 +226,6 @@ def _verify_bound_kernel(kernel: EdgeKernel, lam: Fraction) -> bool:
     return kernel.has_positive_cycle(p, q, strict=False) and not (
         kernel.has_positive_cycle(p, q, strict=True)
     )
-
-
-def _verify_bound(g: DFG, lam: Fraction) -> bool:
-    """``lam`` is the iteration bound iff a zero-weight cycle exists and no
-    positive-weight cycle exists at ``lam``."""
-    return _verify_bound_kernel(shared_kernel(g), lam)
 
 
 def iteration_bound_exhaustive(g: DFG) -> Fraction:

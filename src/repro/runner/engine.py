@@ -16,13 +16,12 @@ sweep shares:
 
 In parallel mode the *workers* perform the cache lookups and stores,
 which parallelizes the disk I/O and keeps payload bytes out of the
-parent except once per result.  The process pool is sent graph-affine
-*chunks* (:func:`_chunks`): maximal runs of consecutive units on the same
-graph, split only while there are fewer chunks than workers.  A worker
-runs a chunk in one go (:func:`_pool_chunk`), so one process builds a
-graph's stages once and the submit/pickle round trip is paid per chunk.
-The remote fabric runs one unit per task through :func:`_pool_worker`,
-the same body on a chunk of one.
+parent except once per result.  Both executors — the process pool and
+the remote fabric — are sent graph-affine *chunks* (:func:`_chunks`):
+maximal runs of consecutive units on the same graph, split only while
+there are fewer chunks than workers.  A worker runs a chunk in one go
+(:func:`_pool_chunk`), so one process builds a graph's stages once and
+the submit/pickle (or lease/complete) round trip is paid per chunk.
 Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
 die with the worker, so every result travels in an envelope carrying the
 worker's hit/miss deltas — and, when observability is on, its serialized
@@ -56,7 +55,8 @@ submission and completion is an fsync'd write-ahead record, completed
 units rehydrate on ``--resume`` instead of re-executing, and parallel
 completions are journaled as they land.  A batch's submissions are one
 group commit, durable before any unit is dispatched, and so is each
-landed chunk's completions: a crash loses at most the in-flight chunks.
+landed envelope's completions, from either executor: a crash loses at
+most the in-flight chunks.
 Fault tolerance against dying or hanging workers is the lease fabric's
 (:mod:`repro.runner.remote`, the ``remote=`` executor that ``--supervised``
 and ``--workers remote`` both build): a lost worker's unit is requeued
@@ -159,25 +159,6 @@ def _pool_chunk(task: tuple) -> dict:
     if obs_on:
         envelope["obs"] = observability.export_state(reset=True)
     return envelope
-
-
-def _pool_worker(task: tuple) -> dict:
-    """One-unit entry point: :func:`_pool_chunk` on a chunk of one.
-
-    ``task`` is ``(fn, params, key, cache_spec, obs_on, label, policy,
-    plan)``, the shape the remote fabric and ``repro worker`` ship.
-    Returns the unit's result merged with the chunk-level deltas::
-
-        {"payload", "cached", "wall", "cache_stats", "reuse_stats",
-         "outcome"?, "obs"?}
-    """
-    fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc = task
-    envelope = _pool_chunk(
-        (fn, cache_spec, obs_on, policy_doc, plan_doc, [(params, key, label)])
-    )
-    (unit,) = envelope.pop("results")
-    unit.update(envelope)
-    return unit
 
 
 def _node_count(graph: str) -> int | None:
@@ -289,7 +270,7 @@ class ExperimentEngine:
         (:func:`repro.runner.resilience.activate`), which the engine
         forwards to its pool workers.
     remote:
-        A :class:`~repro.runner.remote.RemoteFabric`: lease units to
+        A :class:`~repro.runner.remote.RemoteFabric`: lease chunks to
         worker processes over the work plane (``--supervised`` is one
         with ``--jobs`` spawned local workers).  Call :meth:`close` when
         done: the fabric persists across batches.
@@ -473,10 +454,13 @@ class ExperimentEngine:
     def _map_parallel(
         self, sp, fn, params_list: list[dict], keys: list[str], labels: list[str]
     ) -> list[tuple[dict, bool, float, JobOutcome | None]]:
-        """Pool execution: workers own cache I/O and ship deltas home.
+        """Pool or fabric execution: workers own cache I/O and ship deltas
+        home.
 
-        The process pool runs graph-affine chunks (:func:`_chunks`); the
-        remote fabric runs one unit per task.
+        Both executors run the same graph-affine chunks (:func:`_chunks`)
+        through :func:`_pool_chunk`, split for the pool's ``jobs`` or the
+        fabric's worker count.  Each landed envelope is journaled as one
+        group commit and its deltas are merged once.
         """
         root = getattr(self.cache, "root", None)
         cache_spec = (
@@ -488,86 +472,63 @@ class ExperimentEngine:
         plan = resilience.active_plan()
         plan_doc = plan.as_dict() if plan is not None else None
         policy_doc = self.retry.as_dict()
-        workers = max(1, min(self.jobs, len(params_list)))
+        workers = self.jobs if self.remote is None else self.remote.workers
+        workers = max(1, min(workers, len(params_list)))
+        chunks = _chunks(params_list, workers)
+        sp.set(chunks=len(chunks))
+        tasks = [
+            (fn, cache_spec, obs_on, policy_doc, plan_doc,
+             [(params_list[i], keys[i], labels[i]) for i in chunk])
+            for chunk in chunks
+        ]
 
-        def journal_result(i: int, envelope: dict) -> None:
-            self._journal_envelope(
-                keys[i],
-                labels[i],
-                envelope["payload"],
-                envelope["cached"],
-                envelope.get("outcome"),
-            )
+        def land(idxs, envelope: dict) -> None:
+            if self.journal is not None:
+                # Each envelope's completions are journaled the moment it
+                # lands, as one group commit — a crash loses at most the
+                # in-flight chunks.
+                with self.journal.batch():
+                    for i, unit in zip(idxs, envelope["results"]):
+                        self._journal_envelope(
+                            keys[i], labels[i], unit["payload"],
+                            unit["cached"], unit.get("outcome"),
+                        )
+            # Fleet-wide accounting: merge the worker's deltas.
+            self.cache.stats.merge(envelope["cache_stats"])
+            self.reuse.merge(envelope.get("reuse_stats", {}))
+            observability.absorb_state(envelope.get("obs"))
 
-        on_result = journal_result if self.journal is not None else None
         if self.remote is not None:
-            tasks = [
-                (fn, params, key, cache_spec, obs_on, label, policy_doc, plan_doc)
-                for params, key, label in zip(params_list, keys, labels)
-            ]
-            sp.set(chunks=len(tasks))
-            # The fabric honors the pool's submission-order +
-            # per-completion-callback contract; journal appends stay on
-            # this thread.
+            # Journal appends stay on this thread: the fabric lands
+            # envelopes from its run loop.
             self.remote.journal = self.journal
             respawns = self.remote.respawns
-            envelopes = self.remote.run(tasks, on_result=on_result)
+            units = self.remote.run(tasks, land)
             respawned = self.remote.respawns - respawns
             if respawned:
                 self.stats.respawned += respawned
                 count("workers.respawned", respawned)
-            landed = envelopes  # each unit's envelope carries its deltas
         else:
-            chunks = _chunks(params_list, workers)
-            sp.set(chunks=len(chunks))
-            landed = [None] * len(chunks)
+            landed: list = [None] * len(tasks)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(
-                        _pool_chunk,
-                        (
-                            fn,
-                            cache_spec,
-                            obs_on,
-                            policy_doc,
-                            plan_doc,
-                            [(params_list[i], keys[i], labels[i]) for i in chunk],
-                        ),
-                    ): c
-                    for c, chunk in enumerate(chunks)
+                    pool.submit(_pool_chunk, task): c for c, task in enumerate(tasks)
                 }
                 for fut in as_completed(futures):
                     c = futures[fut]
                     landed[c] = fut.result()
-                    if on_result is not None:
-                        # Each chunk's completions are journaled the moment
-                        # it lands, as one group commit — a crash loses at
-                        # most the in-flight chunks.
-                        with self.journal.batch():
-                            for i, unit in zip(chunks[c], landed[c]["results"]):
-                                on_result(i, unit)
-            envelopes = [unit for envelope in landed for unit in envelope["results"]]
-        for envelope in landed:
-            # Fleet-wide accounting: merge the workers' deltas.
-            self.cache.stats.merge(envelope["cache_stats"])
-            self.reuse.merge(envelope.get("reuse_stats", {}))
-            observability.absorb_state(envelope.get("obs"))
+                    land(chunks[c], landed[c])
+            units = [unit for envelope in landed for unit in envelope["results"]]
         out: list[tuple[dict, bool, float, JobOutcome | None]] = []
-        for label, envelope in zip(labels, envelopes):
-            payload = envelope["payload"]
-            cached = envelope["cached"]
-            wall = envelope["wall"]
+        for label, unit in zip(labels, units):
+            payload, cached, wall = unit["payload"], unit["cached"], unit["wall"]
             outcome = None
-            if envelope.get("outcome") is not None:
-                outcome = JobOutcome.from_dict(envelope["outcome"])
+            if unit.get("outcome") is not None:
+                outcome = JobOutcome.from_dict(unit["outcome"])
                 self._absorb_outcome(outcome)
             self.stats.record(label, payload, wall, cached=cached)
             out.append((payload, cached, wall, outcome))
         return out
-
-    def call_cached(self, kind: str, fn, params: dict, label: str | None = None) -> dict:
-        """Single-call convenience wrapper around :meth:`map_cached`."""
-        return self.map_cached(kind, fn, [params], [label or kind])[0]
 
     # -- heterogeneous batching ----------------------------------------
 
@@ -720,8 +681,6 @@ class ExperimentEngine:
         m.gauge("workers.respawned", "fabric workers replaced").set(
             s.respawned
         )
-        if self.remote is not None:
-            self.remote.publish_metrics()
 
     def close(self) -> None:
         """Release persistent executor resources (the remote fabric)."""

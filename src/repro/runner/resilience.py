@@ -189,6 +189,22 @@ def _coin(seed: int, site: str, label: str, occurrence: int, prob: float) -> boo
     return int.from_bytes(h[:8], "big") / 2**64 < prob
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_fields(what: str, doc, types: dict) -> None:
+    """Reject a non-object ``doc``, a key outside ``types`` and a value
+    (a bool included) not of its key's type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key, value in doc.items():
+        if key not in types:
+            raise ValueError(f"unknown {what} key {key!r}; one of {sorted(types)}")
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise ValueError(f"{what} {key!r} has an invalid value: {value!r}")
+
+
 class FaultPlan:
     """A deterministic schedule of faults to inject into one run.
 
@@ -214,18 +230,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
-        if not isinstance(doc, dict):
-            raise ValueError(f"fault plan must be a JSON object, got {type(doc).__name__}")
-        faults = [
-            FaultSpec(
-                site=f["site"],
-                match=f.get("match", "*"),
-                times=int(f.get("times", 1)),
-                prob=float(f.get("prob", 1.0)),
-            )
-            for f in doc.get("faults", [])
-        ]
-        return cls(faults, seed=int(doc.get("seed", 0)))
+        """Parse a plan document; :class:`ValueError` for any malformed
+        one, unknown keys included."""
+        _check_fields("fault plan", doc, {"seed": int, "faults": list})
+        faults = []
+        for f in doc.get("faults", []):
+            _check_fields("fault spec", f, {
+                "site": str, "match": str, "times": int, "prob": (int, float)
+            })
+            if "site" not in f:
+                raise ValueError(f"fault spec needs a site: {f!r}")
+            faults.append(FaultSpec(**f))  # checks the site, times and prob
+        return cls(faults, seed=doc.get("seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -237,13 +253,17 @@ class FaultPlan:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read fault plan {path}: {exc}") from None
+        return cls.from_json(text)
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
-        """Inline JSON (leading ``{``) or a path to a JSON file."""
+        """Inline JSON (leading ``{`` or ``[``) or a path to a JSON file."""
         spec = spec.strip()
-        if spec.startswith("{"):
+        if spec.startswith(("{", "[")):
             return cls.from_json(spec)
         return cls.from_file(spec)
 
@@ -375,6 +395,14 @@ def worker_stop_point(label: str, prior_attempts: int = 0) -> None:
     """
     if _fires_past("worker.stop", label, prior_attempts):
         os.kill(os.getpid(), signal.SIGSTOP)
+
+
+def worker_partition_point(label: str, prior_attempts: int = 0) -> bool:
+    """Injection hook for ``worker.partition``: whether this dispatch of
+    ``label`` loses the network.  The worker, not the hook, acts on it;
+    ``prior_attempts`` advances the counter as in :func:`worker_kill_point`.
+    """
+    return _fires_past("worker.partition", label, prior_attempts)
 
 
 def _fires_past(site: str, label: str, prior_attempts: int) -> bool:

@@ -41,7 +41,7 @@ class ServerConfig:
     shards: int = 0  # cache shard count (0/1 = unsharded layout)
     cache_dir: str | None = None  # None = default cache location
     no_cache: bool = False
-    fault_plan: str | None = None  # JSON FaultPlan file (testing)
+    fault_plan: str | None = None  # inline JSON or file FaultPlan (testing)
     distributed: bool = False  # run engine units through a work plane
     remote_workers: int = 0  # worker processes spawned on the work plane
     lease_timeout: float = 30.0  # work-plane lease expiry
@@ -117,7 +117,11 @@ def serve_main(config: ServerConfig) -> int:
     """Blocking entry point for the ``serve`` subcommand."""
     observability.enable()
     if config.fault_plan is not None:
-        resilience.activate(FaultPlan.from_file(config.fault_plan))
+        try:
+            resilience.activate(FaultPlan.from_spec(config.fault_plan))
+        except ValueError as exc:
+            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
+            return 2
         print(f"fault plan active: {config.fault_plan}", file=sys.stderr)
     try:
         return asyncio.run(_serve(config))

@@ -4,25 +4,29 @@
 coordinator's work plane (a :class:`~repro.runner.remote.RemoteFabric`,
 spawned by ``--workers remote`` sweeps or ``serve --distributed``):
 
-1. **lease** a unit (``POST /v1/work/lease``) — the grant carries the
-   wire task, a lease token, the lease **epoch**, the lease timeout, and
-   the unit's prior dispatch count (for deterministic fault replay);
-2. **renew** the lease from a daemon heartbeat thread every quarter of
-   the timeout; a renewal that fails (network fault, expired lease)
-   marks the worker a suspected zombie — it finishes the computation
-   anyway, and the coordinator's epoch check decides;
+1. **lease** a chunk (``POST /v1/work/lease``) — the grant carries the
+   wire chunk, a lease token, the lease timeout, and per unit its
+   ``idx``, lease **epoch** and prior dispatch count (for deterministic
+   fault replay);
+2. **renew** the lease by token from a daemon heartbeat thread every
+   quarter of the timeout; a renewal that fails (network fault, expired
+   lease) marks the worker a suspected zombie — it finishes the
+   computation anyway, and the coordinator's epoch check decides;
 3. **execute** through the exact
-   :func:`~repro.runner.engine._pool_worker` body a local pool runs —
-   same cache I/O, retry policy, fresh-per-task fault plan and
-   observability deltas, so distributed results are bit-identical;
-4. **complete** (``POST /v1/work/complete``) with the lease token and
-   epoch; a ``{"accepted": false}`` response means the lease expired and
-   the unit was requeued elsewhere — the worker logs and moves on.
+   :func:`~repro.runner.engine._pool_chunk` body a local pool runs —
+   same cache I/O, retry policy, fresh-per-chunk fault plan, stage
+   reuse and observability deltas, so distributed results are
+   bit-identical;
+4. **complete** (``POST /v1/work/complete``) once, with the lease token
+   and each unit's ``(idx, epoch)``; a ``{"accepted": false}`` response
+   means the lease expired and its units were requeued elsewhere — the
+   worker logs and moves on.
 
-Chaos hooks: ``worker.kill`` SIGKILLs the process at unit start (the
-dead-host case — the lease expires and the unit requeues; a spawning
+Chaos hooks, fired for each unit of the chunk before any compute:
+``worker.kill`` SIGKILLs the process (the dead-host case — the lease
+expires and each of its units requeues as a chunk of one; a spawning
 fabric sees the death and expires the lease at once), ``worker.stop``
-SIGSTOPs it there (the hung-host case — a spawning fabric sees the stop,
+SIGSTOPs it (the hung-host case — a spawning fabric sees the stop,
 kills and replaces the worker and expires the lease at once), and
 ``worker.partition`` simulates a network partition: heartbeats stop, the
 worker sleeps past its own lease expiry, then executes and submits — a
@@ -42,7 +46,7 @@ import threading
 import time
 
 from ..runner import resilience
-from ..runner.remote import task_from_wire
+from ..runner.remote import chunk_from_wire
 from ..runner.resilience import JobOutcome, failure_payload
 from .client import ClientPolicy, RemoteUnavailableError, ResilientClient
 
@@ -54,7 +58,8 @@ def _log(worker_id: str, message: str) -> None:
 
 
 class _Heartbeat(threading.Thread):
-    """Renews one lease until stopped; goes silent on the first failure.
+    """Renews one lease (all of its chunk's units) until stopped; goes
+    silent on the first failure.
 
     A failed renewal (injected ``remote.lease_renew`` fault, transport
     loss, or an ``ok: false`` answer because the lease already expired)
@@ -68,15 +73,13 @@ class _Heartbeat(threading.Thread):
         self,
         client: ResilientClient,
         token: str,
-        epoch: int,
-        label: str,
+        labels: list[str],
         interval: float,
     ) -> None:
         super().__init__(name=f"lease-renew-{token}", daemon=True)
         self.client = client
         self.token = token
-        self.epoch = epoch
-        self.label = label
+        self.labels = labels
         self.interval = interval
         self.lost = False
         # Not named _stop: Thread.join() calls an internal _stop() method.
@@ -85,11 +88,9 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:
         while not self._halt.wait(self.interval):
             try:
-                resilience.fault_point("remote.lease_renew", self.label)
-                resp = self.client.call(
-                    "/v1/work/renew",
-                    {"token": self.token, "epoch": self.epoch},
-                )
+                for label in self.labels:
+                    resilience.fault_point("remote.lease_renew", label)
+                resp = self.client.call("/v1/work/renew", {"token": self.token})
             except (resilience.FaultInjected, RemoteUnavailableError):
                 self.lost = True
                 return
@@ -102,97 +103,94 @@ class _Heartbeat(threading.Thread):
         self.join(timeout=2.0)
 
 
-def _failure_envelope(label: str, exc: BaseException) -> dict:
-    return {
-        "payload": failure_payload(exc, "failed"),
-        "cached": False,
-        "wall": 0.0,
-        "outcome": JobOutcome(
-            label,
-            "failed",
-            faults=[f"{type(exc).__name__}@worker"],
-            error=str(exc),
-        ).as_dict(),
-        "cache_stats": {},
-    }
+def _failure_envelope(labels: list[str], exc: BaseException) -> dict:
+    faults = [f"{type(exc).__name__}@worker"]
+    results = [
+        {"payload": failure_payload(exc, "failed"), "cached": False, "wall": 0.0,
+         "outcome": JobOutcome(label, "failed", faults=faults,
+                               error=str(exc)).as_dict()}
+        for label in labels
+    ]
+    return {"results": results, "cache_stats": {}, "reuse_stats": {}}
 
 
 def _execute_lease(client: ResilientClient, lease: dict, args) -> None:
-    """Run one leased unit end to end (may SIGKILL itself: chaos)."""
-    from ..runner.engine import _pool_worker
+    """Run one leased chunk end to end (may SIGKILL itself: chaos)."""
+    from ..runner.engine import _pool_chunk
 
     doc = dict(lease["task"])
-    label = doc["label"]
-    token = lease["token"]
-    epoch = lease["epoch"]
-    idx = lease["idx"]
+    labels = [unit["label"] for unit in doc["units"]]
+    priors = [int(unit.get("prior_attempts", 0)) for unit in lease["units"]]
+    what = labels[0] if len(labels) == 1 else f"{labels[0]} (+{len(labels) - 1})"
     lease_timeout = float(lease.get("lease_timeout", 30.0))
-    prior = int(lease.get("prior_attempts", 0))
     if args.no_cache:
         doc["cache"] = None
 
-    # Install the task's plan before any chaos hook — a worker reuses one
-    # process across units, and the fresh-per-task instance (with the
-    # occurrence counters advanced past prior dispatches) is what keeps
-    # fault sequences identical however work lands on the fleet.
+    # Install the chunk's plan before any chaos hook — a worker reuses
+    # one process across leases, and the fresh-per-lease instance (each
+    # unit's occurrence counters advanced past its prior dispatches) is
+    # what keeps fault sequences identical however work lands on the
+    # fleet.  Every hook fires before any compute, so a kill or stop
+    # loses the whole chunk's dispatch.
     plan_doc = doc.get("plan")
     if plan_doc is not None:
         resilience.activate(resilience.FaultPlan.from_dict(plan_doc))
     else:
         resilience.deactivate()
-    resilience.worker_kill_point(label, prior)  # may not return
-    resilience.worker_stop_point(label, prior)  # may freeze for good
-    partitioned = False
-    plan = resilience.active_plan()
-    if plan is not None:
-        for _ in range(prior):
-            plan.fire("worker.partition", label)
-        partitioned = plan.fire("worker.partition", label) is not None
+    for label, prior in zip(labels, priors):
+        resilience.worker_kill_point(label, prior)  # may not return
+        resilience.worker_stop_point(label, prior)  # may freeze for good
+    partitioned = [
+        resilience.worker_partition_point(label, prior)
+        for label, prior in zip(labels, priors)
+    ]
 
     heartbeat: _Heartbeat | None = None
-    if partitioned:
+    if any(partitioned):
         # The network is gone: no renewals ever happen, and the worker
         # lingers past its own lease's expiry before "reconnecting" —
-        # guaranteeing the coordinator requeued the unit first, so this
+        # guaranteeing the coordinator requeued the units first, so this
         # completion arrives as a stale-epoch zombie.
-        _log(args.id, f"partitioned while holding {label} (injected)")
+        _log(args.id, f"partitioned while holding {what} (injected)")
         time.sleep(lease_timeout * 1.5)
     else:
         heartbeat = _Heartbeat(
-            client, token, epoch, label, interval=max(0.05, lease_timeout / 4.0)
+            client, lease["token"], labels,
+            interval=max(0.05, lease_timeout / 4.0),
         )
         heartbeat.start()
 
     try:
-        envelope = _pool_worker(task_from_wire(doc))
+        envelope = _pool_chunk(chunk_from_wire(doc))
     except BaseException as exc:  # defensive: report, never die silently
-        envelope = _failure_envelope(label, exc)
+        envelope = _failure_envelope(labels, exc)
     finally:
         if heartbeat is not None:
             heartbeat.stop()
     if heartbeat is not None and heartbeat.lost:
-        _log(args.id, f"lease renewal lost for {label}; submitting anyway")
+        _log(args.id, f"lease renewal lost for {what}; submitting anyway")
 
     try:
         resp = client.call(
             "/v1/work/complete",
             {
-                "token": token,
-                "epoch": epoch,
-                "idx": idx,
+                "token": lease["token"],
+                "units": [
+                    {"idx": u["idx"], "epoch": u["epoch"]} for u in lease["units"]
+                ],
                 "batch": lease.get("batch"),
                 "worker": args.id,
                 "envelope": envelope,
             },
         )
     except RemoteUnavailableError as exc:
-        _log(args.id, f"could not deliver {label}: {exc}")
+        _log(args.id, f"could not deliver {what}: {exc}")
         return
     if not resp.get("accepted"):
         _log(
             args.id,
-            f"completion of {label} discarded by coordinator "
-            f"({resp.get('reason', 'unknown')})",
+            f"completion of {what} discarded by coordinator "
+            f"({resp.get('reason') or resp.get('error', 'unknown')})",
         )
 
 
@@ -223,7 +221,7 @@ def worker_main(args) -> int:
             time.sleep(min(max(wait, 0.01), args.poll_max))
             continue
         _execute_lease(client, lease, args)
-        units += 1
+        units += len(lease["units"])
         if args.max_units and units >= args.max_units:
             _log(args.id, f"--max-units reached; executed {units} unit(s)")
             return 0

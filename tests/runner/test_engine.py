@@ -330,16 +330,3 @@ class TestChunkedDispatch:
         assert types == ["run.start"] + ["job.submitted"] * 9 + ["job.done"] * 9
         done = scan.completed()
         assert sorted(d["payload"]["i"] for d in done.values()) == [p["i"] for p in out]
-
-    def test_pool_worker_returns_the_one_unit_envelope(self):
-        from repro.runner.engine import _pool_worker
-
-        task = (_square, {"x": 3}, "key", None, False, "sq", None, None)
-        envelope = _pool_worker(task)
-        assert set(envelope) == {
-            "payload", "cached", "wall", "outcome", "cache_stats", "reuse_stats"
-        }
-        assert envelope["payload"] == {"ok": True, "y": 9}
-        assert envelope["cached"] is False
-        assert envelope["outcome"]["status"] == "ok"
-        assert envelope["cache_stats"]["misses"] == 1

@@ -12,10 +12,12 @@ serial run's.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -32,13 +34,14 @@ from repro.runner import (
     resilience,
     scan_journal,
 )
+from repro.runner.engine import _chunks
 from repro.runner.jobs import Job, execute_job
 from repro.runner.remote import (
     REMOTE_FNS,
+    chunk_from_wire,
     fn_name,
     run_task_local,
-    task_from_wire,
-    wire_task,
+    wire_chunk,
 )
 from repro.runner.journal import JOURNAL_NAME
 from repro.runner.resilience import FaultPlan, FaultSpec
@@ -59,28 +62,53 @@ class FakeClock:
         self.t += dt
 
 
-def _docs(n: int) -> list[dict]:
-    return [{"key": f"k{i}", "label": f"unit#{i}"} for i in range(n)]
+def _docs(sizes: list[int]) -> list[dict]:
+    """Chunk docs, one per entry of ``sizes``; units numbered in order."""
+    docs, first = [], 0
+    for size in sizes:
+        units = [{"key": f"k{i}", "label": f"unit#{i}"}
+                 for i in range(first, first + size)]
+        docs.append({"fn": "f", "units": units})
+        first += size
+    return docs
 
 
-def _envelope(i: int, status: str = "ok") -> dict:
-    return {
-        "payload": {"ok": status == "ok", "i": i},
-        "cached": False,
-        "wall": 0.0,
-        "outcome": {"label": f"unit#{i}", "status": status},
-        "cache_stats": {},
-    }
+def _envelope(idxs: list[int], status: str = "ok") -> dict:
+    results = [
+        {
+            "payload": {"ok": status == "ok", "i": i},
+            "cached": False,
+            "wall": 0.0,
+            "outcome": {"label": f"unit#{i}", "status": status},
+        }
+        for i in idxs
+    ]
+    return {"results": results, "cache_stats": {}, "reuse_stats": {}}
 
 
-def _coord(n: int = 2, max_attempts: int = 3, lease_timeout: float = 10.0):
+def _idxs(grant: dict) -> list[int]:
+    return [u["idx"] for u in grant["units"]]
+
+
+def _submit(coord, grant: dict, worker: str = "w") -> dict:
+    """Complete ``grant`` the way a worker does: each unit's (idx, epoch)
+    and one chunk envelope."""
+    units = [{"idx": u["idx"], "epoch": u["epoch"]} for u in grant["units"]]
+    return coord.complete(grant["token"], units, _envelope(_idxs(grant)),
+                          worker=worker, batch=grant["batch"])
+
+
+def _coord(n: int = 2, max_attempts: int = 3, lease_timeout: float = 10.0,
+           sizes: list[int] | None = None):
+    """A coordinator loaded with ``sizes`` chunks (default: ``n`` chunks
+    of one unit)."""
     clock = FakeClock()
     coord = LeaseCoordinator(
         policy=RetryPolicy(max_attempts=max_attempts, backoff=0.0),
         lease_timeout=lease_timeout,
         clock=clock,
     )
-    coord.load(_docs(n))
+    coord.load(_docs(sizes or [1] * n))
     return coord, clock
 
 
@@ -92,16 +120,15 @@ class TestLeaseCoordinator:
     def test_grant_complete_roundtrip(self):
         coord, _ = _coord(2)
         grants = [coord.lease("w0"), coord.lease("w1")]
-        assert [g["idx"] for g in grants] == [0, 1]
-        assert all(g["epoch"] == 1 and g["prior_attempts"] == 0 for g in grants)
+        assert [_idxs(g) for g in grants] == [[0], [1]]
+        assert all(
+            u["epoch"] == 1 and u["prior_attempts"] == 0
+            for g in grants for u in g["units"]
+        )
         # Backlog empty, leases live: the next worker is told to wait.
         assert "wait" in coord.lease("w2")
         for g in grants:
-            resp = coord.complete(
-                g["token"], g["epoch"], g["idx"], _envelope(g["idx"]),
-                worker="w", batch=g["batch"],
-            )
-            assert resp == {"accepted": True}
+            assert _submit(coord, g) == {"accepted": True}
         assert coord.done
         assert [e["payload"]["i"] for e in coord.results_in_order()] == [0, 1]
         kinds = [k for k, _ in coord.drain_events()]
@@ -123,12 +150,12 @@ class TestLeaseCoordinator:
         coord, clock = _coord(1, lease_timeout=10.0)
         g = coord.lease("w")
         clock.advance(8.0)
-        assert coord.renew(g["token"], g["epoch"]) == {"ok": True}
+        assert coord.renew(g["token"]) == {"ok": True}
         clock.advance(8.0)  # t=16 < renewed deadline of 18
         assert coord.expire() == 0
         clock.advance(3.0)
         assert coord.expire() == 1
-        assert coord.renew(g["token"], g["epoch"])["ok"] is False
+        assert coord.renew(g["token"])["ok"] is False
 
     def test_expiry_requeues_and_stale_epoch_is_discarded(self):
         coord, clock = _coord(1, lease_timeout=5.0)
@@ -137,19 +164,12 @@ class TestLeaseCoordinator:
         assert coord.expire() == 1
         assert coord.requeues == 1
         regrant = coord.lease("w1")
-        assert regrant["epoch"] == 2 and regrant["prior_attempts"] == 1
+        assert regrant["units"] == [{"idx": 0, "epoch": 2, "prior_attempts": 1}]
         # The zombie resurfaces with the original (stale) epoch: discarded.
-        resp = coord.complete(
-            zombie["token"], zombie["epoch"], 0, _envelope(0),
-            worker="w0", batch=zombie["batch"],
-        )
+        resp = _submit(coord, zombie, worker="w0")
         assert resp == {"accepted": False, "reason": "stale-epoch"}
         assert coord.duplicates_discarded == 1
-        resp = coord.complete(
-            regrant["token"], regrant["epoch"], 0, _envelope(0),
-            worker="w1", batch=regrant["batch"],
-        )
-        assert resp["accepted"]
+        assert _submit(coord, regrant, worker="w1")["accepted"]
         assert coord.done
         # Losses are stamped into the surviving completion's outcome.
         outcome = coord.results_in_order()[0]["outcome"]
@@ -166,36 +186,24 @@ class TestLeaseCoordinator:
         g = coord.lease("w0")
         clock.advance(6.0)
         assert coord.expire() == 1
-        resp = coord.complete(
-            g["token"], g["epoch"], 0, _envelope(0), worker="w0",
-            batch=g["batch"],
-        )
-        assert resp["accepted"]
+        assert _submit(coord, g, worker="w0")["accepted"]
         assert coord.done
         assert "wait" in coord.lease("w1")  # nothing left to grant
 
     def test_double_completion_discarded_as_duplicate(self):
         coord, _ = _coord(1)
         g = coord.lease("w")
-        assert coord.complete(
-            g["token"], g["epoch"], 0, _envelope(0), batch=g["batch"]
-        )["accepted"]
-        resp = coord.complete(
-            g["token"], g["epoch"], 0, _envelope(0), batch=g["batch"]
-        )
+        assert _submit(coord, g)["accepted"]
+        resp = _submit(coord, g)
         assert resp == {"accepted": False, "reason": "duplicate"}
         assert coord.duplicates_discarded == 1
 
     def test_stale_batch_discarded(self):
         coord, _ = _coord(1)
         g = coord.lease("w")
-        assert coord.complete(
-            g["token"], g["epoch"], 0, _envelope(0), batch=g["batch"]
-        )["accepted"]
-        coord.load(_docs(1))  # next batch: old coordinates are meaningless
-        resp = coord.complete(
-            g["token"], g["epoch"], 0, _envelope(0), batch=g["batch"]
-        )
+        assert _submit(coord, g)["accepted"]
+        coord.load(_docs([1]))  # next batch: old coordinates are meaningless
+        resp = _submit(coord, g)
         assert resp == {"accepted": False, "reason": "stale-batch"}
         g2 = coord.lease("w")
         assert g2["batch"] == g["batch"] + 1
@@ -209,13 +217,17 @@ class TestLeaseCoordinator:
         assert coord.expire(worker="w0") == 2
         assert coord.requeues == 2
         expiries = [d for k, d in coord.drain_events() if k == "lease_expired"]
-        assert sorted(d["idx"] for d in expiries) == [g["idx"] for g in dead]
-        assert all(d["requeued"] and d["age"] == 1.0 for d in expiries)
+        assert sorted(u["idx"] for d in expiries for u in d["units"]) == [
+            i for g in dead for i in _idxs(g)
+        ]
+        assert all(d["age"] == 1.0 for d in expiries)
+        assert all(u["requeued"] for d in expiries for u in d["units"])
         # The live worker's lease is untouched, and a dead worker's unit
         # is granted again with the same budget and provenance.
-        assert coord.renew(alive["token"], alive["epoch"]) == {"ok": True}
+        assert coord.renew(alive["token"]) == {"ok": True}
         regrant = coord.lease("w1")
-        assert regrant["epoch"] == 2 and regrant["prior_attempts"] == 1
+        assert regrant["units"][0]["epoch"] == 2
+        assert regrant["units"][0]["prior_attempts"] == 1
 
     def test_budget_exhaustion_degrades_to_timed_out(self):
         coord, clock = _coord(1, max_attempts=2, lease_timeout=5.0)
@@ -232,29 +244,128 @@ class TestLeaseCoordinator:
             "lease.expired@1", "lease.expired@2"
         ]
         expiries = [d for k, d in coord.drain_events() if k == "lease_expired"]
-        assert [d["requeued"] for d in expiries] == [True, False]
+        assert [u["requeued"] for d in expiries for u in d["units"]] == [
+            True, False
+        ]
 
     def test_load_over_live_leases_raises(self):
         coord, _ = _coord(1)
         coord.lease("w")
         with pytest.raises(RuntimeError, match="live leases"):
-            coord.load(_docs(1))
+            coord.load(_docs([1]))
 
     def test_seize_pending_is_atomic_and_lease_aware(self):
         coord, _ = _coord(2)
         g = coord.lease("w")
         # A live lease blocks the seize: its result may still arrive.
         assert coord.seize_pending() == []
-        assert coord.complete(
-            g["token"], g["epoch"], g["idx"], _envelope(g["idx"]),
-            batch=g["batch"],
-        )["accepted"]
+        assert _submit(coord, g)["accepted"]
         taken = coord.seize_pending()
-        assert [idx for idx, _ in taken] == [1]
+        assert [idxs for idxs, _ in taken] == [[1]]
+        assert taken[0][1]["units"] == [{"key": "k1", "label": "unit#1"}]
         assert coord.seize_pending() == []  # backlog is gone
         assert "wait" in coord.lease("w2")  # and so is any grantable unit
-        coord.deliver_local(1, _envelope(1))
+        coord.deliver_local([1], _envelope([1]))
         assert coord.done
+
+
+class TestChunkLeases:
+    """A grant leases a whole chunk; a lost lease requeues its units one
+    per group, each with its own epoch and budget."""
+
+    def test_a_chunk_is_leased_and_lands_whole(self):
+        coord, _ = _coord(sizes=[3, 2])
+        first = coord.lease("w")
+        assert _idxs(first) == [0, 1, 2]
+        assert [u["label"] for u in first["task"]["units"]] == [
+            "unit#0", "unit#1", "unit#2"
+        ]
+        assert first["task"]["fn"] == "f"
+        assert _submit(coord, first) == {"accepted": True}
+        completed = [d for k, d in coord.drain_events() if k == "completed"]
+        assert [d["idxs"] for d in completed] == [[0, 1, 2]]
+        assert not coord.done
+        assert _submit(coord, coord.lease("w"))["accepted"]
+        assert [r["payload"]["i"] for r in coord.results_in_order()] == [
+            0, 1, 2, 3, 4
+        ]
+        assert coord.leases_granted == 2
+
+    def test_lost_chunk_requeues_units_one_per_group(self):
+        coord, clock = _coord(sizes=[3], lease_timeout=5.0)
+        zombie = coord.lease("w0")
+        clock.advance(6.0)
+        assert coord.expire() == 1
+        assert coord.requeues == 3
+        regrant = coord.lease("w1")
+        assert regrant["units"] == [{"idx": 0, "epoch": 2, "prior_attempts": 1}]
+        # One unit moved on: the zombie's chunk is discarded whole.
+        assert _submit(coord, zombie, worker="w0") == {
+            "accepted": False, "reason": "stale-epoch"
+        }
+        assert _submit(coord, regrant)["accepted"]
+        rest = [coord.lease("w1"), coord.lease("w1")]
+        assert [_idxs(g) for g in rest] == [[1], [2]]
+        assert all(_submit(coord, g)["accepted"] for g in rest)
+        assert coord.done
+        for result in coord.results_in_order():
+            assert result["outcome"]["faults"] == ["lease.expired@1"]
+        events = coord.drain_events()
+        (expired,) = [d for k, d in events if k == "lease_expired"]
+        assert [u["idx"] for u in expired["units"]] == [0, 1, 2]
+        assert [k for k, _ in events].count("leased") == 4
+
+    def test_expired_chunk_completion_lands_and_clears_the_backlog(self):
+        coord, clock = _coord(sizes=[2], lease_timeout=5.0)
+        g = coord.lease("w0")
+        clock.advance(6.0)
+        coord.expire()
+        assert _submit(coord, g)["accepted"]
+        assert coord.done
+        assert "wait" in coord.lease("w1")
+
+    def test_poisoned_unit_is_isolated_from_its_chunk(self):
+        coord, clock = _coord(sizes=[2], max_attempts=2, lease_timeout=5.0)
+        coord.lease("w")
+        clock.advance(6.0)
+        coord.expire()
+        poisoned, healthy = coord.lease("w"), coord.lease("w")
+        assert _submit(coord, healthy)["accepted"]
+        clock.advance(6.0)
+        coord.expire()  # the poisoned unit's second loss spends its budget
+        assert coord.done
+        statuses = [r["outcome"]["status"] for r in coord.results_in_order()]
+        assert statuses == ["timed_out", "ok"]
+        assert _idxs(poisoned) == [0]
+
+    @pytest.mark.parametrize(
+        "units, envelope",
+        [
+            ("junk", _envelope([0, 1])),
+            ([{"idx": 0, "epoch": "1"}, {"idx": 1, "epoch": 1}], _envelope([0, 1])),
+            ([{"idx": 0.0, "epoch": 1}, {"idx": 1, "epoch": 1}], _envelope([0, 1])),
+            ([{"idx": True, "epoch": 1}, {"idx": 1, "epoch": 1}], _envelope([0, 1])),
+            ([{"idx": 0, "epoch": 1}], _envelope([0])),  # not the lease's units
+            ([{"idx": 0, "epoch": 1}, {"idx": 0, "epoch": 1}], _envelope([0, 0])),
+            ([{"idx": 0, "epoch": 1}, {"idx": 1, "epoch": 1}], {"junk": 1}),
+            ([{"idx": 0, "epoch": 1}, {"idx": 1, "epoch": 1}], _envelope([0])),
+            ([{"idx": 0, "epoch": 1}, {"idx": 1, "epoch": 1}],
+             {**_envelope([0, 1]), "cache_stats": {"hits": "1"}}),
+            ([{"idx": 0, "epoch": 1}, {"idx": 1, "epoch": 1}],
+             {**_envelope([0, 1]), "results": [{"payload": {}}, {"payload": {}}]}),
+            ([{"idx": 7, "epoch": 1}, {"idx": 1, "epoch": 1}], _envelope([7, 1])),
+        ],
+    )
+    def test_malformed_completion_is_refused_and_the_lease_stays_live(
+        self, units, envelope
+    ):
+        coord, _ = _coord(sizes=[2])
+        g = coord.lease("w")
+        with pytest.raises(ValueError):
+            coord.complete(g["token"], units, envelope, batch=g["batch"])
+        assert coord.leases_active == 1
+        assert coord.renew(g["token"]) == {"ok": True}
+        assert _submit(coord, g)["accepted"]
 
 
 # Operation codes for the hypothesis schedule below.
@@ -268,21 +379,20 @@ class TestCoordinatorProperty:
     @given(data=st.data())
     def test_hostile_schedule_preserves_exactly_once(self, data):
         """Any interleaving of grants, completions, zombie resubmissions,
-        expiries and clock jumps ends with exactly one result per unit and
-        every discard accounted."""
-        n = data.draw(st.integers(1, 5), label="units")
-        coord, clock = _coord(n, max_attempts=3, lease_timeout=10.0)
+        expiries and clock jumps over chunked groups ends with exactly one
+        result per unit and every discard accounted."""
+        sizes = data.draw(
+            st.lists(st.integers(1, 3), min_size=1, max_size=4), label="chunks"
+        )
+        n = sum(sizes)
+        coord, clock = _coord(max_attempts=3, lease_timeout=10.0, sizes=sizes)
         held: list[dict] = []
         finished: list[dict] = []
-        accepted = 0
+        accepted = 0  # units whose completion landed
         events: list[tuple[str, dict]] = []
 
-        def submit(grant: dict) -> bool:
-            resp = coord.complete(
-                grant["token"], grant["epoch"], grant["idx"],
-                _envelope(grant["idx"]), worker="w", batch=grant["batch"],
-            )
-            return bool(resp["accepted"])
+        def submit(grant: dict) -> int:
+            return len(grant["units"]) if _submit(coord, grant)["accepted"] else 0
 
         for op in data.draw(st.lists(_OPS, max_size=40), label="schedule"):
             if op == "lease":
@@ -303,10 +413,10 @@ class TestCoordinatorProperty:
                 accepted += submit(g)
             elif op == "duplicate" and finished:
                 g = finished[data.draw(st.integers(0, len(finished) - 1))]
-                assert submit(g) is False
+                assert submit(g) == 0  # never lands twice
             elif op == "renew" and held:
                 g = held[data.draw(st.integers(0, len(held) - 1))]
-                coord.renew(g["token"], g["epoch"])
+                coord.renew(g["token"])
             elif op == "advance":
                 clock.advance(data.draw(st.floats(0.0, 15.0)))
             elif op == "expire":
@@ -328,13 +438,14 @@ class TestCoordinatorProperty:
 
         assert coord.done
         assert len(coord.results_in_order()) == n
-        completed = [d["idx"] for k, d in events if k == "completed"]
+        completed = [i for k, d in events if k == "completed" for i in d["idxs"]]
         assert sorted(completed) == list(range(n))  # exactly once, each
         timed_out = sum(
             1
             for k, d in events
             if k == "completed"
-            and d["envelope"]["outcome"]["status"] == "timed_out"
+            for r in d["envelope"]["results"]
+            if r["outcome"]["status"] == "timed_out"
         )
         assert accepted + timed_out == n  # conservation
         discards = sum(1 for k, _ in events if k == "discarded")
@@ -343,14 +454,18 @@ class TestCoordinatorProperty:
 
 class TestWireFormat:
     def test_roundtrip(self):
-        params = Job(transform="csr-pipelined", workload="iir",
-                     trip_count=3).to_params()
-        task = (execute_job, params, "key0", ("/tmp/c", 4), True,
-                "iir/csr-pipelined/f=1/n=3", {"max_attempts": 2}, None)
-        doc = wire_task(task)
+        jobs = [
+            Job(transform=t, workload="iir", trip_count=3)
+            for t in ("csr-pipelined", "pipelined")
+        ]
+        units = [(j.to_params(), f"key{i}", j.label) for i, j in enumerate(jobs)]
+        task = (execute_job, ("/tmp/c", 4), True, {"max_attempts": 2}, None,
+                units)
+        doc = wire_chunk(task)
         assert doc["fn"] == "repro.runner.jobs:execute_job"
+        assert [u["label"] for u in doc["units"]] == [j.label for j in jobs]
         assert json.loads(json.dumps(doc)) == doc  # JSON-clean
-        assert task_from_wire(doc) == task
+        assert chunk_from_wire(doc) == task
 
     def test_only_allowlisted_functions_cross_the_wire(self):
         with pytest.raises(ValueError, match="not registered"):
@@ -400,8 +515,12 @@ class TestFabricLocalFallback:
             engine.close()
         assert _strip(out) == _serial_reference(params, labels)
         assert fabric.fallback_units == len(params)
+        assert fabric.fallbacks == {"no worker took a lease": len(params)}
         assert fabric.coordinator.done
-        assert "run locally" in fabric.stats_line()
+        assert (
+            f"{len(params)} run locally [no worker took a lease: {len(params)}]"
+            in fabric.stats_line()
+        )
 
     def test_fabric_parameter_validation_and_close(self):
         with pytest.raises(ValueError, match="workers"):
@@ -411,7 +530,7 @@ class TestFabricLocalFallback:
         fabric = RemoteFabric(workers=0)
         fabric.close()
         with pytest.raises(RuntimeError, match="closed"):
-            fabric.run([(execute_job, {}, "k", None, False, "l", None, None)])
+            fabric.run([(execute_job, None, False, None, None, [({}, "k", "l")])])
 
     def test_supervised_and_remote_are_mutually_exclusive(self):
         # Both spell the lease fabric: the engine builder refuses two.
@@ -420,6 +539,65 @@ class TestFabricLocalFallback:
         args = build_parser().parse_args(["--supervised", "--workers", "remote"])
         with pytest.raises(SystemExit, match="mutually exclusive"):
             engine_from_args(args)
+
+
+def _post(address: str, path: str, doc: dict) -> tuple[int, dict]:
+    host, port = address.rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", path, json.dumps(doc),
+                     {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read() or b"{}")
+    finally:
+        conn.close()
+
+
+class TestWorkPlaneValidation:
+    """A malformed completion over HTTP gets a 400 and lands nothing: the
+    lease stays live, and its units finish through normal expiry."""
+
+    def test_malformed_completions_are_refused_and_the_run_finishes(self):
+        params, labels = _job_params()
+        fabric = RemoteFabric(workers=0, lease_timeout=0.5, worker_grace=0.3,
+                              poll_interval=0.01)
+        engine = ExperimentEngine(jobs=2, cache=None, remote=fabric)
+        fabric.ensure_started()
+        done: dict = {}
+        runner = threading.Thread(target=lambda: done.update(
+            out=engine.map_cached("job", execute_job, params, labels)
+        ))
+        runner.start()
+        try:
+            grant: dict = {}
+            deadline = time.monotonic() + 10.0
+            while "task" not in grant and time.monotonic() < deadline:
+                grant = _post(fabric.address, "/v1/work/lease", {"worker": "fake"})[1]
+            units = [{"idx": u["idx"], "epoch": u["epoch"]} for u in grant["units"]]
+            good = {"token": grant["token"], "batch": grant["batch"],
+                    "worker": "fake", "units": units}
+            bad_epoch = [{**units[0], "epoch": "1"}, *units[1:]]
+            bad_idx = [{**units[0], "idx": 0.5}, *units[1:]]
+            for doc in (
+                {**good, "envelope": {"junk": 1}},
+                {**good, "units": bad_epoch, "envelope": {"junk": 1}},
+                {**good, "units": bad_idx, "envelope": {"junk": 1}},
+                {**good, "units": units[:1], "envelope": {"results": []}},
+                {**good, "envelope": {"results": [], "cache_stats": {}}},
+            ):
+                status, body = _post(fabric.address, "/v1/work/complete", doc)
+                assert status == 400, body
+            runner.join(timeout=30.0)
+            assert not runner.is_alive()
+        finally:
+            engine.close()
+        assert _strip(done["out"]) == _serial_reference(params, labels)
+        c = fabric.coordinator
+        assert c.duplicates_discarded == 0
+        assert c.requeues == len(units)  # the refused lease expired
+        assert fabric.fallbacks == {
+            "workers went quiet after lease 1": len(params)
+        }
 
 
 class TestFabricEndToEnd:
@@ -441,7 +619,10 @@ class TestFabricEndToEnd:
                               poll_interval=0.01)
         out, engine = self._run(fabric, params, labels)
         assert _strip(out) == _serial_reference(params, labels)
-        assert fabric.coordinator.leases_granted == len(params)
+        # One lease per graph-affine chunk, not per unit.
+        chunks = _chunks(params, fabric.workers)
+        assert len(chunks) < len(params)
+        assert fabric.coordinator.leases_granted == len(chunks)
         assert fabric.coordinator.duplicates_discarded == 0
         assert fabric.fallback_units == 0
         assert engine.stats.respawned == fabric.respawns == 0
@@ -465,8 +646,10 @@ class TestFabricEndToEnd:
         assert time.monotonic() - started < 30.0
         assert fabric.lease_age_max < 30.0
         assert _strip(out) == _serial_reference(params, labels)
+        # The kill loses the dispatch of the victim's whole chunk (it
+        # shares its graph with labels[0]); each unit requeues alone.
         assert fabric.respawns == 1
-        assert fabric.coordinator.requeues == 1
+        assert fabric.coordinator.requeues == 2
         victim = next(o for o in engine.stats.outcomes if o.label == labels[1])
         assert victim.status == "ok"
         assert any(f.startswith("lease.expired@") for f in victim.faults)
@@ -479,8 +662,8 @@ class TestFabricEndToEnd:
             for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()
         ]
         types = [r["type"] for r in records]
-        assert types.count("job.leased") >= len(params) + 1
-        assert types.count("job.lease_expired") == 1
+        assert types.count("job.leased") >= len(params) + 2
+        assert types.count("job.lease_expired") == 2
         assert types.count("job.done") == len(params)  # zero duplicates
 
     def test_partitioned_worker_zombie_completion_is_discarded(self):
@@ -639,14 +822,14 @@ class TestTopologiesAgree:
 
 
 def test_run_task_local_restores_callers_fault_plan():
-    params, labels = _job_params(1)
+    params, labels = _job_params(2)
     plan = FaultPlan([FaultSpec("worker.kill", "elsewhere", times=1)])
     resilience.activate(plan)
     try:
-        task = (execute_job, params[0], "k0", None, False, labels[0],
-                None, None)
+        task = (execute_job, None, False, None, {"seed": 0, "faults": []},
+                [(params[0], "k0", labels[0]), (params[1], "k1", labels[1])])
         envelope = run_task_local(task)
-        assert envelope["payload"]["ok"]
+        assert [r["payload"]["ok"] for r in envelope["results"]] == [True, True]
         assert resilience.active_plan() is plan
     finally:
         resilience.deactivate()
