@@ -87,8 +87,7 @@ __getattr__, __dir__ = _lazy_exports(
         ".retiming": (
             "Retiming",
             "RetimingError",
-            "feas",
-            "minimize_cycle_period",
+                    "minimize_cycle_period",
             "rate_optimal_retiming",
             "retime_for_period",
         ),
@@ -136,7 +135,6 @@ __all__ = [
     "validate",
     "Retiming",
     "RetimingError",
-    "feas",
     "minimize_cycle_period",
     "rate_optimal_retiming",
     "retime_for_period",

@@ -203,8 +203,13 @@ def _cmd_sweep(args) -> int:
         topology_from_args,
     )
     from .ioutil import atomic_write_text
-    from .runner.difftest import differential_sweep
+    from .runner.difftest import check_sweep_params, differential_sweep
 
+    try:
+        check_sweep_params(args.graphs, args.factors, args.max_nodes, args.oracle_timeout)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     engine = engine_from_args(args)
     try:
         checkpoint = checkpoint_from_args(args)

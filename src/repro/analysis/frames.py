@@ -99,9 +99,6 @@ class Frame:
         for i in range(self._len):
             yield {name: self._cols[name][i] for name in names}
 
-    def to_records(self) -> list[dict]:
-        return list(self.rows())
-
     # -- row operations ------------------------------------------------
 
     def filter(self, pred: Callable[[dict], bool]) -> "Frame":
@@ -110,15 +107,6 @@ class Frame:
         return Frame(
             {name: [col[i] for i in keep] for name, col in self._cols.items()}
         )
-
-    def select(self, *names: str) -> "Frame":
-        return Frame({name: self._cols[name] for name in names})
-
-    def with_column(self, name: str, fn: Callable[[dict], object]) -> "Frame":
-        """A new frame with ``name`` computed per-row by ``fn``."""
-        cols = dict(self._cols)
-        cols[name] = [fn(row) for row in self.rows()]
-        return Frame(cols)
 
     def sort_by(self, *names: str) -> "Frame":
         """Stable sort by the named columns (``None`` sorts first).
@@ -170,16 +158,6 @@ class Frame:
                 )
             )
         return out
-
-    def concat(self, other: "Frame") -> "Frame":
-        """Row-wise concatenation over the union of columns."""
-        names = list(dict.fromkeys(self.columns + other.columns))
-        data = {}
-        for name in names:
-            a = self._cols.get(name, [None] * self._len)
-            b = other._cols.get(name, [None] * len(other))
-            data[name] = list(a) + list(b)
-        return Frame(data)
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,13 @@ from dataclasses import dataclass
 from ..graph.dfg import DFG, DFGError
 from ..graph.period import cycle_period
 from ..graph.wd import wd_matrices
-from ..retiming.constraints import DifferenceConstraints
 from ..retiming.function import Retiming
-from ..retiming.optimal import minimize_cycle_period, retime_for_period
+from ..retiming.optimal import (
+    minimize_cycle_period,
+    period_bounds,
+    retime_for_period,
+    solve_retiming,
+)
 
 __all__ = [
     "RegisterConstrainedResult",
@@ -61,31 +65,26 @@ def _quantize_levels(values: list[int], p: int) -> list[int]:
     return sorted(set(levels))
 
 
-def _solve_with_groups(g: DFG, c: int, groups: dict[str, int]) -> Retiming | None:
-    """Optimal-retiming constraint system for period ``c`` plus equality of
-    all nodes sharing a group id; ``None`` if infeasible."""
-    W, D = wd_matrices(g)
-    system = DifferenceConstraints()
-    for n in g.node_names():
-        system.add_variable(n)
-    for e in g.edges():
-        system.add(e.dst, e.src, e.delay)
-    for (u, v), d_val in D.items():
-        if d_val > c:
-            system.add(v, u, W[(u, v)] - 1)
-    # Force equality within groups: chain each group's members pairwise.
+def _equal_within(groups: dict[str, int]) -> list[tuple[str, str, int]]:
+    """Bounds forcing equal retiming values within each group: each
+    group's members chained pairwise both ways."""
     by_group: dict[int, list[str]] = {}
     for node, gid in groups.items():
         by_group.setdefault(gid, []).append(node)
-    for members in by_group.values():
-        for a, b in zip(members, members[1:]):
-            system.add(a, b, 0)
-            system.add(b, a, 0)
-    solution = system.solve()
-    if solution is None:
-        return None
-    r = Retiming(g, {n: int(v) for n, v in solution.items()}).normalized()
-    if cycle_period(r.apply()) > c:
+    return [
+        bound
+        for members in by_group.values()
+        for a, b in zip(members, members[1:])
+        for bound in ((a, b, 0), (b, a, 0))
+    ]
+
+
+def _solve_with_groups(g: DFG, c: int, groups: dict[str, int]) -> Retiming | None:
+    """Optimal-retiming constraint system for period ``c`` plus equality of
+    all nodes sharing a group id; ``None`` if infeasible."""
+    bounds = period_bounds(*wd_matrices(g), c) + _equal_within(groups)
+    r = solve_retiming(g, bounds)
+    if r is None or cycle_period(r.apply()) > c:
         return None
     return r
 
@@ -171,29 +170,14 @@ def _solve_unfold_grouped(
 ) -> Retiming | None:
     """Retiming with ``Phi(unfold(G_r, f)) <= c`` and all nodes of a group
     forced to equal retiming values; ``None`` if infeasible."""
-    from ..graph.period import cycle_period as _phi
     from ..unfolding.orders import min_delay_exceeding_time
     from ..unfolding.unfold import unfold
 
-    system = DifferenceConstraints()
-    for n in g.node_names():
-        system.add_variable(n)
-    for e in g.edges():
-        system.add(e.dst, e.src, e.delay)
-    for (u, v), w in min_delay_exceeding_time(g, c).items():
-        system.add(v, u, w - f)
-    by_group: dict[int, list[str]] = {}
-    for node, gid in groups.items():
-        by_group.setdefault(gid, []).append(node)
-    for members in by_group.values():
-        for a, b in zip(members, members[1:]):
-            system.add(a, b, 0)
-            system.add(b, a, 0)
-    solution = system.solve()
-    if solution is None:
+    bounds = [(v, u, w - f) for (u, v), w in min_delay_exceeding_time(g, c).items()]
+    r = solve_retiming(g, bounds + _equal_within(groups))
+    if r is None:
         return None
-    r = Retiming(g, {n: int(v) for n, v in solution.items()}).normalized()
-    if _phi(unfold(r.apply(), f)) > c:  # pragma: no cover - defensive
+    if cycle_period(unfold(r.apply(), f)) > c:  # pragma: no cover - defensive
         return None
     return r
 

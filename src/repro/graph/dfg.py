@@ -285,10 +285,6 @@ class DFG:
         except KeyError:
             raise DFGError(f"unknown node {name!r}") from None
 
-    def has_node(self, name: str) -> bool:
-        """Whether a node of that name exists."""
-        return name in self._nodes
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in insertion order."""
         return iter(self._edges.values())

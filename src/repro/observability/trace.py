@@ -66,10 +66,6 @@ class Span:
     def end_ns(self) -> int:
         return self.start_ns + self.duration_ns
 
-    @property
-    def duration_ms(self) -> float:
-        return self.duration_ns / 1e6
-
     def self_ns(self) -> int:
         """Duration not covered by direct children (exclusive time)."""
         return self.duration_ns - sum(c.duration_ns for c in self.children)

@@ -50,8 +50,8 @@ from ..graph.iteration_bound import iteration_bound
 from ..graph.period import cycle_period
 from ..graph.wd import wd_matrices_python
 from ..observability import count, span
-from ..retiming.constraints import DifferenceConstraints
 from ..retiming.function import Retiming
+from ..retiming.optimal import period_bounds, solve_retiming
 
 __all__ = [
     "OptimalPeriod",
@@ -60,9 +60,6 @@ __all__ = [
     "minimize_max_retiming",
     "minimal_code_size",
 ]
-
-_WD = tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]
-
 
 def period_lower_bound(g: DFG) -> int:
     """``L = max(max_v t(v), ceil(B(G)))`` — a certified lower bound on the
@@ -101,31 +98,12 @@ class OptimalPeriod:
         return self.period - self.optimum_lower
 
 
-def _retime_for_period_exact(g: DFG, c: int, wd: _WD) -> Retiming | None:
-    """Fresh-solve feasibility probe with a self-verified witness.
-
-    Same Leiserson–Saxe system as the heuristic, but rebuilt from scratch
-    per probe and cross-checked: a returned witness has been re-applied
-    and re-measured, so a bug in the reduction cannot yield a false
-    "feasible".
-    """
-    W, D = wd
-    system = DifferenceConstraints()
-    for n in g.node_names():
-        system.add_variable(n)
-    for e in g.edges():
-        system.add(e.dst, e.src, e.delay)
-    for (u, v), d_val in D.items():
-        if d_val > c:
-            system.add(v, u, W[(u, v)] - 1)
-    solution = system.solve()
-    if solution is None:
-        return None
-    r = Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
-    achieved = cycle_period(r.apply())
-    if achieved > c:
+def _checked(r: Retiming | None, c: int, what: str) -> Retiming | None:
+    """``r`` after re-applying it and re-measuring its period, so a bug in
+    the reduction cannot yield a false "feasible"."""
+    if r is not None and (achieved := cycle_period(r.apply())) > c:
         raise AssertionError(
-            f"oracle self-check failed: witness for c={c} achieves {achieved}"
+            f"oracle self-check failed: {what} for c={c} achieves {achieved}"
         )
     return r
 
@@ -155,7 +133,8 @@ def optimal_cycle_period(g: DFG, *, timeout: float | None = None) -> OptimalPeri
                     break
                 probes += 1
                 c = (lo + hi) // 2
-                r = _retime_for_period_exact(g, c, wd)
+                # A fresh solve per probe, self-checked.
+                r = _checked(solve_retiming(g, period_bounds(*wd, c)), c, "witness")
                 if r is None:
                     lo = c + 1  # infeasibility is monotone downward
                 else:
@@ -192,33 +171,14 @@ def minimize_max_retiming(g: DFG, c: int) -> Retiming | None:
     if any(v.time > c for v in g.nodes()):
         return None
     W, D = wd_matrices_python(g)
+    names = g.node_names()
 
     def solve_with_spread(s: int | None) -> Retiming | None:
-        system = DifferenceConstraints()
-        names = g.node_names()
-        for n in names:
-            system.add_variable(n)
-        for e in g.edges():
-            system.add(e.dst, e.src, e.delay)
-        for (u, v), d_val in D.items():
-            if d_val > c:
-                system.add(v, u, W[(u, v)] - 1)
-        if s is not None:
-            for u in names:
-                for v in names:
-                    if u != v:
-                        system.add(u, v, s)
-        solution = system.solve()
-        if solution is None:
-            return None
-        r = Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
-        achieved = cycle_period(r.apply())
-        if achieved > c:
-            raise AssertionError(
-                f"oracle self-check failed: spread witness for c={c} "
-                f"achieves {achieved}"
-            )
-        return r
+        spread = [] if s is None else [
+            (u, v, s) for u in names for v in names if u != v
+        ]
+        r = solve_retiming(g, period_bounds(W, D, c) + spread)
+        return _checked(r, c, "spread witness")
 
     base = solve_with_spread(None)
     if base is None:

@@ -9,7 +9,6 @@ rate-optimality analysis.
 """
 
 from .constraints import DifferenceConstraints
-from .feas import feas
 from .function import Retiming, RetimingError
 from .incremental import can_push, push_nodes, pushable_nodes
 from .optimal import minimize_cycle_period, minimum_cycle_period, retime_for_period
@@ -17,7 +16,6 @@ from .rate_optimal import RateOptimalResult, rate_optimal_retiming
 
 __all__ = [
     "DifferenceConstraints",
-    "feas",
     "Retiming",
     "RetimingError",
     "can_push",

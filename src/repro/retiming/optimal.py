@@ -1,21 +1,28 @@
 """Optimal retiming: minimum cycle period via the Leiserson–Saxe reduction.
 
-``retime_for_period(G, c)`` answers "is there a legal retiming with cycle
-period ``<= c``" constructively, by solving the difference-constraint system
+``retime_for_period(G, c)`` finds a legal retiming with cycle period
+``<= c`` by Leiserson–Saxe FEAS over the graph's shared
+:class:`~repro.graph.kernel.EdgeKernel`: simulate clock period ``c`` and
+pull a delay onto the inputs of every node whose zero-delay completion
+time exceeds ``c`` (in this library's sign convention, ``d_r(e(u->v)) =
+d(e) + r(u) - r(v)``, that *decrements* ``r(v)``).  Each pass is one Kahn
+pass, ``O(|V| + |E|)``, and ``|V| - 1`` decrementing passes suffice.
 
-* ``r(v) - r(u) <= d(e)``               for every edge ``e(u -> v)``
-  (legality: retimed delays stay non-negative — recall this paper's sign
-  convention ``d_r(e) = d(e) + r(u) - r(v)``), and
-* ``r(v) - r(u) <= W(u, v) - 1``        for every pair with ``D(u, v) > c``
-  (every minimum-delay path from ``u`` to ``v`` must retain a delay,
-  breaking all zero-delay paths longer than ``c``).
+Its reference, ``_retime_for_period_reference``, solves by Bellman–Ford
+the difference constraints, after the ``O(|V|³)`` ``W``/``D`` build,
+
+* ``r(v) - r(u) <= d(e)``          for every edge ``e(u -> v)`` (legality),
+* ``r(v) - r(u) <= W(u, v) - 1``   for every pair with ``D(u, v) > c``
+  (every minimum-delay ``u -> v`` path longer than ``c`` keeps a delay).
+
+Both return the greatest non-positive solution of that system, so their
+normalized witnesses are equal (``docs/THEORY.md`` §2 has the argument;
+``tests/retiming/test_optimal.py`` pins it).
 
 ``minimize_cycle_period(G)`` binary-searches the sorted distinct values of
 the ``D`` matrix — the optimum is always one of them — and returns the
-minimum period together with a witnessing *normalized* retiming.
-
-Two search strategies are available (both provably return the same period
-and the same normalized witness, which the test-suite pins exactly):
+minimum period with a witnessing *normalized* retiming.  Both search
+strategies return the same period and witness (pinned by the tests):
 
 ``method="incremental"`` (default)
     Compute ``(W, D)`` once, then drive the binary search through the
@@ -23,14 +30,15 @@ and the same normalized witness, which the test-suite pins exactly):
     solver, which exploits that the per-probe constraint systems are nested
     in ``c``.  The asymptotically and practically fastest path.
 ``method="reference"``
-    The original behavior: every probe rebuilds ``(W, D)`` from scratch and
-    self-verifies its witness.  Kept as the differential-testing reference
-    and benchmark baseline.
+    Every probe is a fresh ``_retime_for_period_reference``: ``(W, D)``
+    rebuilt, the system solved, the witness self-verified.  Kept as the
+    differential-testing reference and benchmark baseline.
 """
 
 from __future__ import annotations
 
 from ..graph.dfg import DFG, DFGError
+from ..graph.kernel import EdgeKernel, shared_kernel
 from ..graph.period import cycle_period
 from ..graph.wd import WDKernel, wd_kernel
 from ..observability import count, span
@@ -38,7 +46,13 @@ from .constraints import DifferenceConstraints
 from .function import Retiming
 from .incremental import IncrementalFeasibility
 
-__all__ = ["retime_for_period", "minimize_cycle_period", "minimum_cycle_period"]
+__all__ = [
+    "retime_for_period",
+    "minimize_cycle_period",
+    "minimum_cycle_period",
+    "period_bounds",
+    "solve_retiming",
+]
 
 
 def retime_for_period(g: DFG, c: int) -> Retiming | None:
@@ -54,22 +68,91 @@ def retime_for_period(g: DFG, c: int) -> Retiming | None:
     if any(v.time > c for v in g.nodes()):
         return None
 
-    W, D = wd_kernel(g)
+    kernel = shared_kernel(g)
+    values = _feas(kernel, c)
+    if values is None:
+        return None
+    r = Retiming(g, dict(zip(kernel.names, values))).normalized()
+    # ``apply`` raises on an illegal witness.
+    assert cycle_period(r.apply()) <= c, "internal error: FEAS witness too slow"
+    return r
+
+
+def _feas(kernel: EdgeKernel, c: int) -> list[int] | None:
+    """FEAS retiming values in :attr:`EdgeKernel.names` order, or ``None``.
+
+    A decremented node's zero-delay successors finish later still, so they
+    are decremented with it and the retiming stays legal.  A pass with no
+    decrement proves period ``<= c``; one still decrementing after
+    ``|V| - 1`` decrementing passes proves ``c`` infeasible.
+    """
+    n = kernel.num_nodes
+    times = kernel.times
+    edges = list(zip(kernel.src, kernel.dst, kernel.delay))
+    r = [0] * n
+    for passes in range(1, n + 1):
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for s, t, d in edges:
+            if d + r[s] == r[t]:
+                succ[s].append(t)
+                indeg[t] += 1
+        start = [0] * n
+        ready = [v for v in range(n) if not indeg[v]]
+        feasible = True
+        while ready:
+            u = ready.pop()
+            finish = start[u] + times[u]
+            if finish > c:
+                r[u] -= 1
+                feasible = False
+            for t in succ[u]:
+                if finish > start[t]:
+                    start[t] = finish
+                indeg[t] -= 1
+                if not indeg[t]:
+                    ready.append(t)
+        if feasible:
+            count("retiming.feas.passes", passes)
+            return r
+    count("retiming.feas.passes", n)
+    return None
+
+
+def _retime_for_period_reference(g: DFG, c: int) -> Retiming | None:
+    """:func:`retime_for_period` by the ``W``/``D`` difference-constraint
+    solve: the reference of the FEAS fast path, with the same witness."""
+    count("retiming.feasibility_checks")
+    if any(v.time > c for v in g.nodes()):
+        return None
+    r = solve_retiming(g, period_bounds(*wd_kernel(g), c))
+    assert r is None or cycle_period(r.apply()) <= c, (
+        "internal error: LS reduction violated"
+    )
+    return r
+
+
+def period_bounds(W, D, c: int) -> list[tuple[str, str, int]]:
+    """The Leiserson–Saxe period-``c`` constraints ``r(v) - r(u) <=
+    W(u, v) - 1`` for every pair with ``D(u, v) > c``, as ``(v, u, k)``."""
+    return [(v, u, W[(u, v)] - 1) for (u, v), d in D.items() if d > c]
+
+
+def solve_retiming(g: DFG, bounds) -> Retiming | None:
+    """The normalized greatest solution of legality (``r(v) - r(u) <=
+    d(e)`` per edge) plus ``bounds``, whose ``(a, b, k)`` means ``r(a) -
+    r(b) <= k``; ``None`` if that system is infeasible."""
     system = DifferenceConstraints()
     for n in g.node_names():
         system.add_variable(n)
     for e in g.edges():
         system.add(e.dst, e.src, e.delay)
-    for (u, v), d_val in D.items():
-        if d_val > c:
-            system.add(v, u, W[(u, v)] - 1)
-
+    for a, b, k in bounds:
+        system.add(a, b, k)
     solution = system.solve()
     if solution is None:
         return None
-    r = Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
-    assert cycle_period(r.apply()) <= c, "internal error: LS reduction violated"
-    return r
+    return Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
 
 
 def minimize_cycle_period(
@@ -103,7 +186,7 @@ def minimize_cycle_period(
             candidates = distinct_d_values(g)
 
             def probe(c: int) -> Retiming | None:
-                return retime_for_period(g, c)
+                return _retime_for_period_reference(g, c)
 
         else:
             if wd is None:

@@ -23,6 +23,7 @@ sweep that already passed costs only cache lookups.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ __all__ = [
     "OracleRecord",
     "SweepFailure",
     "SweepReport",
+    "check_sweep_params",
     "differential_jobs",
     "differential_sweep",
 ]
@@ -156,6 +158,29 @@ class SweepReport:
         if len(self.failures) > 20:
             lines.append(f"  ... and {len(self.failures) - 20} more")
         return "\n".join(lines)
+
+
+def check_sweep_params(
+    graphs: int = 1, factors=(1,), max_nodes: int = 1, oracle_timeout: float | None = None
+) -> None:
+    """Raise :class:`ValueError` naming the first out-of-range sweep
+    parameter: ``graphs``, a factor or ``max_nodes`` below 1, or an
+    ``oracle_timeout`` that is negative or not finite as a float.  The CLI
+    and the request server call this before any work starts."""
+    if graphs < 1:
+        raise ValueError(f"graphs must be >= 1, got {graphs}")
+    if not factors or min(factors) < 1:
+        raise ValueError(f"factors must be >= 1, got {list(factors)}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    try:
+        bad = oracle_timeout is not None and not 0 <= float(oracle_timeout) < math.inf
+    except OverflowError:  # an integer too large for a float deadline
+        bad = True
+    if bad:
+        raise ValueError(
+            f"oracle_timeout must be a finite number >= 0, got {oracle_timeout!r}"
+        )
 
 
 def _graph_for_seed(seed: int, max_nodes: int, max_extra_edges: int) -> str:

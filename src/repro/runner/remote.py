@@ -116,16 +116,28 @@ def resolve_fn(name: str):
 
 
 def wire_chunk(task: tuple) -> dict:
-    """Serialize one engine chunk task tuple for the work plane."""
+    """Serialize one engine chunk task tuple for the work plane.
+
+    A graph-affine chunk's units share one ``graph`` param; it travels
+    once, as the chunk's ``graph`` field, instead of once per unit.
+    """
     fn, cache_spec, obs_on, policy_doc, plan_doc, units = task
+    graphs = {params.get("graph") for params, _key, _label in units}
+    graph = graphs.pop() if len(graphs) == 1 else None
     return {
         "fn": fn_name(fn),
         "cache": list(cache_spec) if cache_spec is not None else None,
         "obs": bool(obs_on),
         "policy": policy_doc,
         "plan": plan_doc,
+        "graph": graph,
         "units": [
-            {"params": params, "key": key, "label": label}
+            {
+                "params": params if graph is None
+                else {k: v for k, v in params.items() if k != "graph"},
+                "key": key,
+                "label": label,
+            }
             for params, key, label in units
         ],
     }
@@ -134,13 +146,21 @@ def wire_chunk(task: tuple) -> dict:
 def chunk_from_wire(doc: dict) -> tuple:
     """Rebuild the engine chunk task tuple from its wire form."""
     cache = doc.get("cache")
+    graph = doc.get("graph")
     return (
         resolve_fn(doc["fn"]),
         (cache[0], cache[1]) if cache is not None else None,
         bool(doc.get("obs")),
         doc.get("policy"),
         doc.get("plan"),
-        [(u["params"], u["key"], u["label"]) for u in doc["units"]],
+        [
+            (
+                u["params"] if graph is None else {"graph": graph, **u["params"]},
+                u["key"],
+                u["label"],
+            )
+            for u in doc["units"]
+        ],
     )
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from ..graph.dfg import DFGError
 from ..graph.serialize import from_json, to_json
 from ..runner.cache import cache_key
+from ..runner.difftest import check_sweep_params
 from ..runner.jobs import TRANSFORMS, Job, execute_job
 from ..workloads.registry import get_workload
 from .work import analyze_graph
@@ -109,6 +110,25 @@ def _bool(params: dict, name: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ProtocolError(f"{name} must be a boolean, got {value!r}")
     return value
+
+
+def _timeout(params: dict) -> float | None:
+    """``oracle_timeout``: absent, or a finite number of seconds >= 0."""
+    timeout = params.get("oracle_timeout")
+    if timeout is not None and (
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+    ):
+        raise ProtocolError(f"oracle_timeout must be a number, got {timeout!r}")
+    _in_range(oracle_timeout=timeout)
+    return timeout
+
+
+def _in_range(**params) -> None:
+    """:func:`~repro.runner.difftest.check_sweep_params`, as a 400."""
+    try:
+        check_sweep_params(**params)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def _graph_json(params: dict) -> str:
@@ -175,12 +195,12 @@ def parse_request(doc: object) -> Request:
         ):
             raise ProtocolError(f"factors must be a non-empty integer list, got {factors!r}")
         nparams["factors"] = list(factors)
-        timeout = params.get("oracle_timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError(f"oracle_timeout must be a number, got {timeout!r}")
-        nparams["oracle_timeout"] = timeout
-        if nparams["graphs"] < 1:
-            raise ProtocolError(f"graphs must be >= 1, got {nparams['graphs']}")
+        nparams["oracle_timeout"] = _timeout(params)
+        _in_range(
+            graphs=nparams["graphs"],
+            factors=nparams["factors"],
+            max_nodes=nparams["max_nodes"],
+        )
         return Request(
             kind="sweep",
             params=nparams,
@@ -209,16 +229,13 @@ def parse_request(doc: object) -> Request:
         )
 
     if kind == "oracle":
-        timeout = params.get("oracle_timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError(f"oracle_timeout must be a number, got {timeout!r}")
         job = Job(
             transform="oracle",
             graph_json=graph_json,
             factor=1,
             trip_count=0,
             verify=False,
-            oracle_timeout=timeout,
+            oracle_timeout=_timeout(params),
         )
     else:  # transform
         transform = params.get("transform")

@@ -37,9 +37,8 @@ from fractions import Fraction
 from ..graph.dfg import DFG, DFGError
 from ..graph.iteration_bound import iteration_bound
 from ..graph.period import cycle_period
-from ..retiming.constraints import DifferenceConstraints
 from ..retiming.function import Retiming
-from ..retiming.optimal import minimize_cycle_period, retime_for_period
+from ..retiming.optimal import minimize_cycle_period, retime_for_period, solve_retiming
 from .unfold import unfold
 
 __all__ = [
@@ -158,17 +157,9 @@ def retime_unfold_for_period(g: DFG, f: int, c: int) -> Retiming | None:
     if any(v.time > c for v in g.nodes()):
         return None
     wc = min_delay_exceeding_time(g, c)
-    system = DifferenceConstraints()
-    for n in g.node_names():
-        system.add_variable(n)
-    for e in g.edges():
-        system.add(e.dst, e.src, e.delay)
-    for (u, v), w in wc.items():
-        system.add(v, u, w - f)
-    solution = system.solve()
-    if solution is None:
+    r = solve_retiming(g, [(v, u, w - f) for (u, v), w in wc.items()])
+    if r is None:
         return None
-    r = Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
     retimed = r.apply()
     assert cycle_period(unfold(retimed, f)) <= c, "internal error: W_c reduction violated"
     return r

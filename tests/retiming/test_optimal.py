@@ -1,22 +1,29 @@
-"""Tests for optimal retiming (W/D binary search) and FEAS agreement."""
+"""Tests for optimal retiming (W/D binary search) and the FEAS fast path
+of ``retime_for_period`` against its W/D constraint-solve reference."""
 
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import observability
 from repro.graph import DFG, DFGError, cycle_period, iteration_bound
 from repro.retiming import (
     Retiming,
-    feas,
     minimize_cycle_period,
     minimum_cycle_period,
     retime_for_period,
 )
+from repro.retiming.optimal import _retime_for_period_reference
+from repro.unfolding import unfold
 
 from ..conftest import dfgs, timed_dfgs
+
+EXAMPLES = int(os.environ.get("ORACLE_EXAMPLES", "60"))
 
 
 class TestRetimeForPeriod:
@@ -98,29 +105,51 @@ class TestMinimizeCyclePeriod:
         assert c >= math.ceil(bound)
 
 
+def _assert_same_witness(g: DFG, c: int) -> None:
+    fast = retime_for_period(g, c)
+    ref = _retime_for_period_reference(g, c)
+    assert (fast is None) == (ref is None), f"disagree at c={c}"
+    if fast is not None:
+        assert fast.as_dict() == ref.as_dict(), f"witnesses differ at c={c}"
+        assert cycle_period(fast.apply()) <= c
+
+
 class TestFeasAgreement:
-    @given(dfgs(max_nodes=6))
-    @settings(max_examples=60, deadline=None)
-    def test_feas_agrees_with_wd_search(self, g):
-        """FEAS and the W/D reduction must agree on feasibility for every
-        candidate period from 1 to the original cycle period."""
-        for c in range(1, cycle_period(g) + 1):
-            via_wd = retime_for_period(g, c)
-            via_feas = feas(g, c)
-            assert (via_wd is None) == (via_feas is None), f"disagree at c={c}"
-            if via_feas is not None:
-                assert cycle_period(via_feas.apply()) <= c
+    @given(timed_dfgs(max_nodes=6, max_time=3), st.integers(2, 4))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_feas_agrees_with_wd_search(self, g, f):
+        """FEAS and the W/D constraint solve return the same normalized
+        witness (or both ``None``) for every period from 1 to the cycle
+        period, on ``g`` and on its unfolding by ``f``."""
+        for graph in (g, unfold(g, f)):
+            for c in range(1, cycle_period(graph) + 1):
+                _assert_same_witness(graph, c)
 
     def test_feas_on_benchmarks(self, bench_graph):
-        c, _ = minimize_cycle_period(bench_graph)
-        r = feas(bench_graph, c)
-        assert r is not None
-        assert cycle_period(r.apply()) <= c
+        c, r = minimize_cycle_period(bench_graph)
+        assert retime_for_period(bench_graph, c) == r
+        _assert_same_witness(bench_graph, c)
+        _assert_same_witness(bench_graph, c - 1)
 
     def test_feas_infeasible(self, fig8):
-        assert feas(fig8, 9) is None
+        assert retime_for_period(fig8, 9) is None
+        assert _retime_for_period_reference(fig8, 9) is None
 
     def test_feas_trivially_feasible(self, fig1):
-        r = feas(fig1, 2)
+        r = retime_for_period(fig1, 2)
         assert r is not None
         assert cycle_period(r.apply()) <= 2
+
+    def test_feas_counts_at_most_one_pass_per_node(self, fig2):
+        observability.OBS.reset()
+        observability.enable()
+        try:
+            assert retime_for_period(fig2, 1) is not None
+            assert retime_for_period(fig2, 0) is None
+            counters = observability.OBS.metrics.as_dict()["counters"]
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        assert counters["retiming.feasibility_checks"] == 2
+        # c = 0 stops at the node-time check, before any pass.
+        assert 1 <= counters["retiming.feas.passes"] <= fig2.num_nodes

@@ -467,6 +467,42 @@ class TestWireFormat:
         assert json.loads(json.dumps(doc)) == doc  # JSON-clean
         assert chunk_from_wire(doc) == task
 
+    def test_a_shared_graph_travels_once_per_chunk(self):
+        from repro.runner.difftest import differential_jobs
+
+        jobs = differential_jobs(7)
+        assert len(jobs) == 70
+        units = [(j.to_params(), f"key{i}", j.label) for i, j in enumerate(jobs)]
+        task = (execute_job, None, False, None, None, units)
+        doc = wire_chunk(task)
+        body = json.dumps(doc)
+        assert doc["graph"] == jobs[0].graph_json
+        assert body.count(json.dumps(jobs[0].graph_json)) == 1
+        assert len(body) < 20_000
+        assert chunk_from_wire(json.loads(body)) == task
+
+    def test_mixed_graphs_stay_per_unit(self):
+        params, labels = _job_params(3)  # two iir units, one fir
+        units = [(p, f"key{i}", l) for i, (p, l) in enumerate(zip(params, labels))]
+        task = (execute_job, None, False, None, None, units)
+        doc = wire_chunk(task)
+        assert doc["graph"] is None
+        assert all("graph" in u["params"] for u in doc["units"])
+        assert chunk_from_wire(doc) == task
+
+    def test_requeued_unit_lease_carries_the_chunk_graph(self):
+        params, labels = _job_params(2)  # both units share the iir graph
+        units = [(p, f"key{i}", l) for i, (p, l) in enumerate(zip(params, labels))]
+        task = (execute_job, None, False, None, None, units)
+        coord, clock = _coord(lease_timeout=5.0)
+        coord.load([wire_chunk(task)])  # replaces the default batch
+        coord.lease("w0")
+        clock.advance(6.0)
+        assert coord.expire() == 1
+        for unit in units:  # one lease per requeued unit
+            grant = coord.lease("w1")
+            assert chunk_from_wire(json.loads(json.dumps(grant["task"])))[5] == [unit]
+
     def test_only_allowlisted_functions_cross_the_wire(self):
         with pytest.raises(ValueError, match="not registered"):
             fn_name(_coord)  # any non-allowlisted callable
