@@ -4,24 +4,25 @@
 Measures the four hot paths end to end, old vs new, on random graphs of
 20–500 nodes (``--quick`` stops at 120 for CI):
 
-* ``minimize_cycle_period`` — per-probe W/D rebuild + fresh solve
-  (``method="reference"``) vs shared W/D + warm-started incremental
-  feasibility (``method="incremental"``, the default);
-* ``iteration_bound`` — the Fraction-arithmetic relaxation
-  (:func:`~repro.graph.iteration_bound.iteration_bound_fraction`) vs the
-  exact integer parametric search over the shared edge kernel;
+* ``minimize_cycle_period`` — D-value search with a per-probe W/D
+  rebuild + fresh solve (``method="reference"``) vs the FEAS search over
+  integer periods (``method="feas"``, the default);
+* ``iteration_bound`` — the exact integer parametric search over the
+  shared edge kernel, timed alone: its reference,
+  :func:`~repro.graph.iteration_bound.iteration_bound_exhaustive`, is
+  exponential at these sizes, so these rows carry no ``ref_s``;
 * ``vm`` — the dataclass-walking reference interpreter
   (``run_program(..., dispatch=False)``) vs compiled dispatch;
 * ``vliw`` — the packed executor, reference vs pre-compiled word slots.
 
 Besides wall times and speedup ratios, each measurement snapshots the
 *deterministic operation counters* the new engines emit (relaxation edge
-visits, feasibility probes, executed instructions).  Counters — unlike
+visits, FEAS passes, executed instructions).  Counters — unlike
 wall time — are machine-independent, so CI gates on them: ``--check
 BASELINE.json`` exits non-zero if any counter grew more than
 ``--check-factor`` (default 2x) over the committed baseline, catching
-algorithmic regressions (a warm start that stopped warming, a search
-doing extra probes) without flaky timing thresholds.
+algorithmic regressions (a search doing extra probes, a FEAS probe
+taking extra passes) without flaky timing thresholds.
 
 Usage::
 
@@ -43,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.codegen import original_loop  # noqa: E402
 from repro.core import csr_pipelined_loop  # noqa: E402
-from repro.graph import iteration_bound, iteration_bound_fraction  # noqa: E402
+from repro.graph import iteration_bound  # noqa: E402
 from repro.graph.generators import random_dfg, random_unit_time_dfg  # noqa: E402
 from repro.machine import run_program  # noqa: E402
 from repro.machine.vliw_vm import run_packed  # noqa: E402
@@ -57,9 +58,7 @@ FULL_SIZES = (20, 60, 120, 250, 500)
 
 #: Counters that must stay bounded relative to the committed baseline.
 GATED_COUNTERS = (
-    "retiming.incremental.probes",
-    "retiming.incremental.relaxations",
-    "retiming.incremental.constraints_added",
+    "retiming.feas.passes",
     "iteration_bound.probes",
     "kernel.relax_edges",
     "kernel.relax_sweeps",
@@ -99,7 +98,7 @@ def bench_minimize(sizes) -> list[dict]:
             minimize_cycle_period, g, method="reference"
         )
         (res, new_s, counters) = _counted(
-            minimize_cycle_period, g, method="incremental"
+            minimize_cycle_period, g, method="feas"
         )
         assert res[0] == ref_period, f"period mismatch at size {size}"
         rows.append(
@@ -128,16 +127,12 @@ def bench_iteration_bound(sizes) -> list[dict]:
             max_delay=4,
             max_time=5,
         )
-        ref_bound, ref_s = _timed(iteration_bound_fraction, g)
-        new_bound, new_s, counters = _counted(iteration_bound, g)
-        assert new_bound == ref_bound, f"bound mismatch at size {size}"
+        bound, new_s, counters = _counted(iteration_bound, g)
         rows.append(
             {
                 "size": size,
-                "bound": str(ref_bound),
-                "ref_s": round(ref_s, 4),
+                "bound": str(bound),
                 "new_s": round(new_s, 4),
-                "speedup": round(ref_s / new_s, 2) if new_s else None,
                 "counters": {
                     k: v for k, v in counters.items()
                     if k.startswith(("iteration_bound.", "kernel."))
@@ -229,8 +224,7 @@ def run_benchmarks(quick: bool) -> dict:
     print("== iteration_bound ==", flush=True)
     report["results"]["iteration_bound"] = bench_iteration_bound(sizes)
     for row in report["results"]["iteration_bound"]:
-        print(f"  n={row['size']:4d}  ref {row['ref_s']:8.3f}s  "
-              f"new {row['new_s']:8.3f}s  {row['speedup']}x", flush=True)
+        print(f"  n={row['size']:4d}  new {row['new_s']:8.3f}s", flush=True)
     print(f"== vm (trip count ~{trip}) ==", flush=True)
     report["results"]["vm"] = bench_vm(trip)
     for row in report["results"]["vm"]:

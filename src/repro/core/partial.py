@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..graph.dfg import DFG, DFGError
 from ..graph.period import cycle_period
-from ..graph.wd import wd_matrices
+from ..graph.wd import wd_kernel
 from ..retiming.function import Retiming
 from ..retiming.optimal import (
     minimize_cycle_period,
@@ -82,7 +82,7 @@ def _equal_within(groups: dict[str, int]) -> list[tuple[str, str, int]]:
 def _solve_with_groups(g: DFG, c: int, groups: dict[str, int]) -> Retiming | None:
     """Optimal-retiming constraint system for period ``c`` plus equality of
     all nodes sharing a group id; ``None`` if infeasible."""
-    bounds = period_bounds(*wd_matrices(g), c) + _equal_within(groups)
+    bounds = period_bounds(*wd_kernel(g), c) + _equal_within(groups)
     r = solve_retiming(g, bounds)
     if r is None or cycle_period(r.apply()) > c:
         return None

@@ -12,14 +12,13 @@ from .dfg import DFG, DFGError, Edge, MODULUS, Node, OpKind, evaluate_op
 from .iteration_bound import (
     iteration_bound,
     iteration_bound_exhaustive,
-    iteration_bound_fraction,
     minimum_unfolding_for_rate_optimality,
 )
 from .kernel import EdgeKernel
 from .period import alap_times, asap_times, critical_path, cycle_period
 from .validate import is_valid, topological_order, validate
 from .serialize import GraphFormatError, from_json, load_graph, to_dot, to_json
-from .wd import distinct_d_values, wd_matrices
+from .wd import distinct_d_values, wd_kernel
 
 __all__ = [
     "critical_cycle",
@@ -34,7 +33,6 @@ __all__ = [
     "EdgeKernel",
     "iteration_bound",
     "iteration_bound_exhaustive",
-    "iteration_bound_fraction",
     "minimum_unfolding_for_rate_optimality",
     "alap_times",
     "asap_times",
@@ -44,7 +42,7 @@ __all__ = [
     "topological_order",
     "validate",
     "distinct_d_values",
-    "wd_matrices",
+    "wd_kernel",
     "GraphFormatError",
     "from_json",
     "load_graph",

@@ -8,7 +8,7 @@ equals ``B(G)``; when ``B(G)`` is non-integral that can only be achieved by
 unfolding the loop by a factor ``f`` that makes ``f * B(G)`` integral
 (Section 4 of the paper).
 
-Three independent algorithms are provided:
+Two independent algorithms are provided:
 
 * :func:`iteration_bound` — Lawler-style parametric binary search whose
   positive-cycle oracle runs on *exact integer* edge weights
@@ -16,12 +16,9 @@ Three independent algorithms are provided:
   :class:`~repro.graph.kernel.EdgeKernel` index-array adjacency; the result
   is snapped to an exact rational with bounded denominator and *verified*
   exactly.  This is the production hot path.
-* :func:`iteration_bound_fraction` — the original ``Fraction``-arithmetic
-  relaxation (edge preparation hoisted out of the search loop).  Kept as a
-  differential-testing reference and benchmark baseline.
 * :func:`iteration_bound_exhaustive` — direct enumeration of simple cycles
-  via networkx; exponential in general, used as a cross-check in tests and
-  as a fallback.
+  via networkx; exponential in general, the differential-testing reference
+  and a fallback.
 """
 
 from __future__ import annotations
@@ -34,133 +31,9 @@ from .kernel import EdgeKernel, shared_kernel
 
 __all__ = [
     "iteration_bound",
-    "iteration_bound_fraction",
     "iteration_bound_exhaustive",
-    "has_cycle_with_nonneg_weight",
     "minimum_unfolding_for_rate_optimality",
 ]
-
-
-# ----------------------------------------------------------------------
-# Fraction-arithmetic reference path
-# ----------------------------------------------------------------------
-
-def _edge_weights(g: DFG, lam: Fraction) -> list[tuple[str, str, Fraction]]:
-    """Weighted edge list ``(u, v, t(u) - lam * d)`` for the cycle test.
-
-    Assigning each edge the computation time of its *source* node makes the
-    weight sum of any cycle equal ``T(C) - lam * D(C)``, since every node of
-    a cycle is the source of exactly one of its edges.  Node times are
-    looked up once into a dict (not per edge per probe via ``g.node``).
-    """
-    times = {v.name: v.time for v in g.nodes()}
-    return [
-        (e.src, e.dst, Fraction(times[e.src]) - lam * e.delay) for e in g.edges()
-    ]
-
-
-def _prepare_edges(g: DFG) -> list[tuple[str, str, int, int]]:
-    """``(u, v, t(u), d)`` per edge — the λ-independent part of
-    :func:`_edge_weights`, hoisted out of the binary-search loop."""
-    times = {v.name: v.time for v in g.nodes()}
-    return [(e.src, e.dst, times[e.src], e.delay) for e in g.edges()]
-
-
-def _relax_positive_cycle(
-    g: DFG,
-    prepared: list[tuple[str, str, int, int]],
-    lam: Fraction,
-    strict: bool,
-) -> bool:
-    """Fraction-arithmetic Bellman–Ford cycle test over prepared edges."""
-    edges = [(u, v, Fraction(t) - lam * d) for (u, v, t, d) in prepared]
-    if not strict:
-        # Detect weight >= 0 cycles by nudging every edge up by an epsilon
-        # smaller than any achievable gap: with integral T and D and
-        # lam = p/q, cycle weights are multiples of 1/q, so eps = 1/(2q*|E|)
-        # per edge keeps total perturbation below 1/(2q) around zero.
-        q = lam.denominator
-        eps = Fraction(1, 2 * q * max(1, g.num_edges))
-        edges = [(u, v, w + eps) for (u, v, w) in edges]
-
-    dist: dict[str, Fraction] = {n: Fraction(0) for n in g.node_names()}
-    n = g.num_nodes
-    for _ in range(n - 1):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return False
-    for u, v, w in edges:
-        if dist[u] + w > dist[v]:
-            return True
-    return False
-
-
-def iteration_bound_fraction(g: DFG) -> Fraction:
-    """The original ``Fraction``-relaxation iteration bound.
-
-    Exact, like :func:`iteration_bound`, but performs rational arithmetic
-    inside the relaxation loops.  Retained as a differential-testing
-    reference and as the benchmark baseline for the integer oracle.
-    """
-    from .validate import validate
-
-    validate(g)
-
-    total_delay = g.total_delay
-    if total_delay == 0:
-        # validate() guarantees no zero-delay cycle, so with no delays at
-        # all the graph is acyclic.
-        return Fraction(0)
-
-    prepared = _prepare_edges(g)
-
-    # Quick acyclicity check: if no cycle at lam=0 exists (i.e. no cycle at
-    # all, since weights are then all positive node times), bound is 0.
-    if not _relax_positive_cycle(g, prepared, Fraction(0), strict=True):
-        return Fraction(0)
-
-    lo = Fraction(0)  # B > 0 here: some cycle exists
-    hi = Fraction(g.total_time)  # T(C) <= total_time, D(C) >= 1
-    # Distinct candidate ratios have denominators <= total_delay, so once
-    # the bracket is narrower than 1/total_delay^2 only one candidate fits.
-    resolution = Fraction(1, 2 * total_delay * total_delay)
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if _relax_positive_cycle(g, prepared, mid, strict=True):
-            lo = mid
-        else:
-            hi = mid
-
-    candidate = ((lo + hi) / 2).limit_denominator(total_delay)
-    if _relax_positive_cycle(g, prepared, candidate, strict=False) and not (
-        _relax_positive_cycle(g, prepared, candidate, strict=True)
-    ):
-        return candidate
-
-    # Extremely defensive fallback; unreachable for well-formed inputs but
-    # keeps the function total.
-    return iteration_bound_exhaustive(g)
-
-
-# ----------------------------------------------------------------------
-# Integer parametric hot path
-# ----------------------------------------------------------------------
-
-def has_cycle_with_nonneg_weight(g: DFG, lam: Fraction) -> bool:
-    """Whether some cycle satisfies ``T(C) - lam * D(C) >= 0``.
-
-    This is exactly the condition ``B(G) >= lam``.  Decided by the exact
-    integer oracle (no epsilon perturbation).
-    """
-    lam = Fraction(lam)
-    return shared_kernel(g).has_positive_cycle(
-        lam.numerator, lam.denominator, strict=False
-    )
 
 
 def iteration_bound(g: DFG) -> Fraction:

@@ -1,20 +1,21 @@
 """Flat index-array adjacency kernel shared by the parametric hot paths.
 
-The iteration-bound oracle and the retiming feasibility solvers all run
-Bellman–Ford-style relaxations over the same graph many times, varying only
-the edge weights between probes.  Touching :class:`~repro.graph.dfg.DFG`
-objects inside those inner loops — ``g.node(e.src).time``, attribute
+The iteration-bound oracle and FEAS run relaxation passes over the same
+graph many times, varying only the edge weights or the period between
+probes.  Touching :class:`~repro.graph.dfg.DFG` objects inside those
+inner loops — ``g.node(e.src).time``, attribute
 lookups on :class:`~repro.graph.dfg.Edge` — costs far more than the integer
 arithmetic itself.  An :class:`EdgeKernel` extracts the graph once into
 parallel flat lists indexed by small integers so that a probe is a pure
 ``zip``-driven integer loop; :meth:`EdgeKernel.np_arrays` exposes the same
-layout as numpy arrays for the vectorized relaxation backends.
+layout as numpy arrays for the vectorized relaxation and the packed
+(W, D) build.
 
 One kernel per graph is enough for every consumer — the (W, D) builder,
-the incremental feasibility solver and the iteration-bound search all
-share the snapshot through :func:`shared_kernel` (id-keyed with a weakref
-guard, like the dispatch compile cache), so the flat arrays are extracted
-exactly once per graph object.
+FEAS and the iteration-bound search all share the snapshot through
+:func:`shared_kernel` (id-keyed with a weakref guard, like the dispatch
+compile cache), so the flat arrays are extracted exactly once per graph
+object.
 
 The kernel is a snapshot: it does not track later mutations of the source
 graph.  Build it after the graph is final (which is how every algorithm in
@@ -45,8 +46,6 @@ class EdgeKernel:
     ----------
     names:
         Node names in insertion order; position is the node's index.
-    index:
-        ``name -> index`` inverse of :attr:`names`.
     times:
         ``times[i]`` is the computation time of node ``i``.
     src, dst, delay, src_time:
@@ -56,7 +55,6 @@ class EdgeKernel:
 
     __slots__ = (
         "names",
-        "index",
         "num_nodes",
         "num_edges",
         "times",
@@ -85,7 +83,6 @@ class EdgeKernel:
             delay.append(e.delay)
             src_time.append(times[s])
         self.names = names
-        self.index = index
         self.num_nodes = len(names)
         self.num_edges = len(src)
         self.times = times

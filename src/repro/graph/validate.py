@@ -16,6 +16,8 @@ by all code generators in :mod:`repro.codegen`.
 
 from __future__ import annotations
 
+import heapq
+
 from .dfg import DFG, DFGError
 
 __all__ = ["validate", "topological_order", "is_valid"]
@@ -28,29 +30,27 @@ def topological_order(g: DFG) -> list[str]:
     for a given graph.  Raises :class:`DFGError` if the zero-delay subgraph
     contains a cycle (the graph is then not schedulable).
     """
-    indeg: dict[str, int] = {n: 0 for n in g.node_names()}
-    succs: dict[str, list[str]] = {n: [] for n in g.node_names()}
+    names = g.node_names()
+    position = {n: i for i, n in enumerate(names)}
+    indeg = [0] * len(names)
+    succs: list[list[int]] = [[] for _ in names]
     for e in g.zero_delay_edges():
-        indeg[e.dst] += 1
-        succs[e.src].append(e.dst)
+        v = position[e.dst]
+        indeg[v] += 1
+        succs[position[e.src]].append(v)
 
-    # Kahn's algorithm with a deterministic ready list (insertion order).
+    # Kahn's algorithm, always taking the ready node inserted first.
+    ready = [i for i, d in enumerate(indeg) if not d]
     order: list[str] = []
-    ready = [n for n in g.node_names() if indeg[n] == 0]
     while ready:
-        n = ready.pop(0)
-        order.append(n)
-        newly_ready = []
-        for s in succs[n]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                newly_ready.append(s)
-        # Preserve global insertion order among newly ready nodes.
-        position = {name: i for i, name in enumerate(g.node_names())}
-        ready.extend(newly_ready)
-        ready.sort(key=lambda name: position[name])
+        i = heapq.heappop(ready)
+        order.append(names[i])
+        for v in succs[i]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(ready, v)
     if len(order) != g.num_nodes:
-        cyclic = sorted(set(g.node_names()) - set(order))
+        cyclic = sorted(set(names) - set(order))
         raise DFGError(f"zero-delay cycle through nodes {cyclic}")
     return order
 

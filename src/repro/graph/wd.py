@@ -17,16 +17,11 @@ The computation is an all-pairs shortest path over the lexicographic edge
 weight ``(d(e), -t(src(e)))`` (Floyd–Warshall), exactly as in the original
 retiming paper [Leiserson & Saxe, Algorithmica 1991].
 
-Two representations are available:
-
-* :func:`wd_matrices` returns the classic pair-keyed dictionaries — the
-  API every existing caller uses;
-* :func:`wd_kernel` returns a :class:`WDKernel`: the same data kept as
-  flat numpy matrices over the graph's shared
-  :class:`~repro.graph.kernel.EdgeKernel`, with the dictionaries
-  materialized lazily on first access.  The probe loops of the
-  incremental feasibility solver consume the matrices directly, so the
-  hot path never pays the O(V²) python dict construction.
+Above :data:`_NUMPY_THRESHOLD` nodes :func:`wd_kernel` runs a packed
+numpy Floyd–Warshall over the graph's shared
+:class:`~repro.graph.kernel.EdgeKernel`; below it, the tuple-weight python
+pass :func:`wd_matrices_python`, which the test-suite pins the packed
+sweep against.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 from .dfg import DFG
 from .kernel import EdgeKernel, shared_kernel
 
-__all__ = ["WDKernel", "wd_kernel", "wd_matrices", "wd_matrices_python", "distinct_d_values"]
+__all__ = ["wd_kernel", "wd_matrices_python", "distinct_d_values"]
 
 _INF = float("inf")
 
@@ -47,123 +42,26 @@ _INF = float("inf")
 _NUMPY_THRESHOLD = 64
 
 
-class WDKernel:
-    """Shared ``(W, D)`` state of one graph, matrices first.
-
-    Holds the graph's :class:`EdgeKernel` plus the ``W``/``D`` data as
-    dense int64 matrices (``reach`` masking connected pairs).  Either side
-    — matrices or pair-keyed dicts — is derived lazily from whichever one
-    the constructor received, and cached, so long-lived holders (the
-    request server's warm pool) pay each materialization at most once.
-
-    Iterating a :class:`WDKernel` yields ``W`` then ``D``, so
-    ``W, D = wd_kernel(g)`` unpacks exactly like the classic
-    :func:`wd_matrices` tuple.
-    """
-
-    __slots__ = ("kernel", "_matrices", "_dicts", "_d_values")
-
-    def __init__(self, kernel: EdgeKernel, *, matrices=None, dicts=None) -> None:
-        if matrices is None and dicts is None:
-            raise ValueError("WDKernel needs matrices or dicts")
-        self.kernel = kernel
-        self._matrices = matrices  # (Wm, Dm, reach) int64/bool numpy arrays
-        self._dicts = dicts  # (W, D) pair-keyed dictionaries
-        self._d_values: list[int] | None = None
-
-    @property
-    def W(self) -> dict[tuple[str, str], int]:
-        return self._materialize_dicts()[0]
-
-    @property
-    def D(self) -> dict[tuple[str, str], int]:
-        return self._materialize_dicts()[1]
-
-    def __iter__(self):
-        W, D = self._materialize_dicts()
-        yield W
-        yield D
-
-    def matrices(self):
-        """``(Wm, Dm, reach)`` — int64 matrices plus the reachability mask."""
-        if self._matrices is None:
-            import numpy as np
-
-            index = self.kernel.index
-            nn = self.kernel.num_nodes
-            Wm = np.zeros((nn, nn), dtype=np.int64)
-            Dm = np.zeros((nn, nn), dtype=np.int64)
-            reach = np.zeros((nn, nn), dtype=bool)
-            W, D = self._dicts
-            for (u, v), w in W.items():
-                i, j = index[u], index[v]
-                Wm[i, j] = w
-                Dm[i, j] = D[(u, v)]
-                reach[i, j] = True
-            self._matrices = (Wm, Dm, reach)
-        return self._matrices
-
-    def d_values(self) -> list[int]:
-        """Sorted distinct values of ``D`` (the binary-search domain)."""
-        if self._d_values is None:
-            if self._dicts is not None:
-                self._d_values = sorted(set(self._dicts[1].values()))
-            else:
-                import numpy as np
-
-                _Wm, Dm, reach = self._matrices
-                self._d_values = [int(v) for v in np.unique(Dm[reach])]
-        return self._d_values
-
-    def _materialize_dicts(self):
-        if self._dicts is None:
-            Wm, Dm, reach = self._matrices
-            names = self.kernel.names
-            ii, jj = reach.nonzero()
-            pairs = [
-                (names[i], names[j])
-                for i, j in zip(ii.tolist(), jj.tolist())
-            ]
-            self._dicts = (
-                dict(zip(pairs, Wm[reach].tolist())),
-                dict(zip(pairs, Dm[reach].tolist())),
-            )
-        return self._dicts
-
-
-def wd_kernel(g: DFG) -> WDKernel:
-    """The :class:`WDKernel` of ``g``, built over its shared edge kernel.
-
-    Dispatches exactly like :func:`wd_matrices`: the packed Floyd–Warshall
-    above :data:`_NUMPY_THRESHOLD` nodes (matrices native, dicts lazy),
-    the tuple-weight python pass below it (dicts native, matrices lazy).
-    The python pass is the reference the test-suite pins the packed
-    sweep against.
-    """
-    kernel = shared_kernel(g)
-    if g.num_nodes > _NUMPY_THRESHOLD:
-        matrices = _packed_floyd_warshall(kernel)
-        if matrices is not None:
-            return WDKernel(kernel, matrices=matrices)
-    return WDKernel(kernel, dicts=wd_matrices_python(g))
-
-
-def wd_matrices(g: DFG) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
+def wd_kernel(
+    g: DFG,
+) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
     """Compute the ``(W, D)`` matrices of ``g``.
 
     Returns two dictionaries keyed by ``(u, v)`` node-name pairs; pairs with
     no connecting path are absent.  The diagonal is included with
-    ``W(u, u) = 0`` and ``D(u, u) = t(u)`` (the trivial path).  Dispatches
-    to a vectorized implementation for larger graphs; both paths are exact
-    and cross-checked in the test-suite.
+    ``W(u, u) = 0`` and ``D(u, u) = t(u)`` (the trivial path).  Both
+    implementations are exact and cross-checked in the test-suite.
     """
-    wdk = wd_kernel(g)
-    return (wdk.W, wdk.D)
+    if g.num_nodes > _NUMPY_THRESHOLD:
+        wd = _packed_floyd_warshall(shared_kernel(g))
+        if wd is not None:
+            return wd
+    return wd_matrices_python(g)
 
 
 def _packed_floyd_warshall(kernel: EdgeKernel):
-    """``(Wm, Dm, reach)`` via Floyd–Warshall over the packed weight
-    ``delay * K - time``, or ``None`` when no safe dtype exists.
+    """``(W, D)`` via Floyd–Warshall over the packed weight ``delay * K -
+    time``, or ``None`` when no safe dtype exists.
 
     ``K = 2 * total_time + 1`` is tight: any cycle carries at least one
     delay (legal DFGs have no zero-delay cycles), contributing ``K`` to the
@@ -178,8 +76,7 @@ def _packed_floyd_warshall(kernel: EdgeKernel):
 
     nn = kernel.num_nodes
     if nn == 0:
-        z = np.zeros((0, 0), dtype=np.int64)
-        return (z, z.copy(), z.astype(bool))
+        return ({}, {})
     K = 2 * kernel.total_time + 1
     # Real packed values live in [-total_time, total_delay * K]; INF
     # entries degrade by at most total_time per FW sweep.  Keep both
@@ -190,7 +87,7 @@ def _packed_floyd_warshall(kernel: EdgeKernel):
         if bound < inf // 4 and degrade < inf // 4:
             break
     else:
-        return None  # pathological magnitudes: fall back to python dicts
+        return None  # pathological magnitudes: fall back to the python pass
 
     src, dst, delay, src_time, times = kernel.np_arrays()
     dist = np.full((nn, nn), inf, dtype=dtype)
@@ -206,9 +103,13 @@ def _packed_floyd_warshall(kernel: EdgeKernel):
     q, rem = np.divmod(packed, K)
     Wm = q + (rem != 0)
     Dm = (K - rem) % K + times[None, :]
-    Wm[~reach] = 0
-    Dm[~reach] = 0
-    return (Wm, Dm, reach)
+    ii, jj = reach.nonzero()
+    names = kernel.names
+    pairs = [(names[i], names[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    return (
+        dict(zip(pairs, Wm[reach].tolist())),
+        dict(zip(pairs, Dm[reach].tolist())),
+    )
 
 
 def wd_matrices_python(
@@ -259,7 +160,7 @@ def distinct_d_values(g: DFG) -> list[int]:
     """Sorted distinct values of the ``D`` matrix.
 
     The minimum achievable cycle period under retiming is always one of
-    these values, so they are the binary-search domain of the optimal
-    retiming algorithm.
+    these values, so they are the binary-search domain of the reference
+    optimal retiming search.
     """
-    return wd_kernel(g).d_values()
+    return sorted(set(wd_kernel(g)[1].values()))

@@ -19,20 +19,20 @@ Both return the greatest non-positive solution of that system, so their
 normalized witnesses are equal (``docs/THEORY.md`` §2 has the argument;
 ``tests/retiming/test_optimal.py`` pins it).
 
-``minimize_cycle_period(G)`` binary-searches the sorted distinct values of
-the ``D`` matrix — the optimum is always one of them — and returns the
-minimum period with a witnessing *normalized* retiming.  Both search
-strategies return the same period and witness (pinned by the tests):
+``minimize_cycle_period(G)`` returns the minimum period with a witnessing
+*normalized* retiming.  Both search strategies return the same period and
+witness (pinned by ``tests/retiming/test_period_search.py``):
 
-``method="incremental"`` (default)
-    Compute ``(W, D)`` once, then drive the binary search through the
-    warm-started :class:`~repro.retiming.incremental.IncrementalFeasibility`
-    solver, which exploits that the per-probe constraint systems are nested
-    in ``c``.  The asymptotically and practically fastest path.
+``method="feas"`` (default)
+    Binary-search the integer ``c`` in ``[max t(v), Phi(G)]`` with FEAS.
+    Feasibility is monotone in ``c`` and the optimum is a ``D`` value, so
+    the least feasible integer is the optimum, and FEAS's witness there is
+    the reference's (``docs/THEORY.md`` §2).  No ``W``/``D`` build.
 ``method="reference"``
-    Every probe is a fresh ``_retime_for_period_reference``: ``(W, D)``
-    rebuilt, the system solved, the witness self-verified.  Kept as the
-    differential-testing reference and benchmark baseline.
+    Binary-search the sorted distinct ``D`` values; every probe is a fresh
+    ``_retime_for_period_reference``: ``(W, D)`` rebuilt, the system
+    solved, the witness self-verified.  Kept as the differential-testing
+    reference and benchmark baseline.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from __future__ import annotations
 from ..graph.dfg import DFG, DFGError
 from ..graph.kernel import EdgeKernel, shared_kernel
 from ..graph.period import cycle_period
-from ..graph.wd import WDKernel, wd_kernel
+from ..graph.wd import distinct_d_values, wd_kernel
 from ..observability import count, span
 from .constraints import DifferenceConstraints
 from .function import Retiming
-from .incremental import IncrementalFeasibility
 
 __all__ = [
     "retime_for_period",
@@ -155,59 +154,39 @@ def solve_retiming(g: DFG, bounds) -> Retiming | None:
     return Retiming(g, {n: int(val) for n, val in solution.items()}).normalized()
 
 
-def minimize_cycle_period(
-    g: DFG,
-    *,
-    method: str = "incremental",
-    verify: bool = False,
-    wd: WDKernel | None = None,
-) -> tuple[int, Retiming]:
+def minimize_cycle_period(g: DFG, *, method: str = "feas") -> tuple[int, Retiming]:
     """The minimum cycle period achievable by retiming, with a witness.
 
-    Binary search over the sorted distinct ``D``-matrix values (the optimum
-    is one of them, by Leiserson–Saxe Theorem 8 adapted to this sign
-    convention).  The returned retiming is normalized.
-
-    ``method`` selects the probe strategy (see the module docstring); both
-    strategies return identical results.  ``verify=True`` additionally
-    re-applies every feasible probe's witness and checks its period (always
-    on for ``method="reference"``, matching the original behavior).
-    ``wd`` supplies a precomputed :class:`~repro.graph.wd.WDKernel`
-    (ignored by ``method="reference"``), so long-lived callers such as the
-    request server keep the matrices warm across calls.
+    A binary search for the least feasible period; ``method`` selects its
+    candidates and probe (see the module docstring), and both return
+    identical results.  The returned retiming is normalized.
     """
-    if method not in ("incremental", "reference"):
+    if method not in ("feas", "reference"):
         raise ValueError(f"unknown minimize_cycle_period method {method!r}")
+    if not g.num_nodes:
+        raise DFGError("graph has no nodes")
 
     with span("retiming.minimize", graph=g.name, nodes=g.num_nodes) as sp:
         if method == "reference":
-            from ..graph.wd import distinct_d_values
-
             candidates = distinct_d_values(g)
 
             def probe(c: int) -> Retiming | None:
                 return _retime_for_period_reference(g, c)
 
         else:
-            if wd is None:
-                wd = wd_kernel(g)
-            candidates = wd.d_values()
-            solver = IncrementalFeasibility(wd)
+            kernel = shared_kernel(g)
+            # No period below the slowest node exists; the zero retiming
+            # meets the cycle period.
+            candidates = range(max(kernel.times), cycle_period(g) + 1)
 
             def probe(c: int) -> Retiming | None:
-                solution = solver.try_period(c)
-                if solution is None:
+                values = _feas(kernel, c)
+                if values is None:
                     return None
-                r = Retiming(g, solution).normalized()
-                if verify:
-                    assert cycle_period(r.apply()) <= c, (
-                        "internal error: incremental solver violated "
-                        "the LS reduction"
-                    )
-                return r
+                return Retiming(g, dict(zip(kernel.names, values))).normalized()
 
         lo, hi = 0, len(candidates) - 1
-        best: tuple[int, Retiming] | None = None
+        best: tuple[int, Retiming] | None = None  # the last candidate is feasible
         iterations = 0
         while lo <= hi:
             iterations += 1
@@ -219,8 +198,6 @@ def minimize_cycle_period(
                 hi = mid - 1
             else:
                 lo = mid + 1
-        if best is None:  # no candidate periods: only an empty graph has none
-            raise DFGError("graph has no nodes")
         # The optimum is the *achieved* period of the witness, which can be
         # strictly below the candidate bound that the search proved feasible.
         c, r = best

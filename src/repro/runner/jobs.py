@@ -324,7 +324,7 @@ def _oracle_payload(g: DFG, timeout: float | None) -> dict:
     opt = optimal_cycle_period(g, timeout=timeout)
     periods = {
         m: minimize_cycle_period(g, method=m)[0]
-        for m in ("reference", "incremental")
+        for m in ("reference", "feas")
     }
     violations: list[str] = []
     if len(set(periods.values())) != 1:
@@ -371,7 +371,7 @@ def _oracle_payload(g: DFG, timeout: float | None) -> dict:
             f"heuristic pipelined size {size_heur} beats the proven "
             f"optimal size {size_opt} at period {opt.period}"
         )
-    gap = periods["incremental"] - opt.optimum_lower
+    gap = periods["feas"] - opt.optimum_lower
     count("oracle.graphs")
     if OBS.enabled:
         OBS.metrics.histogram(

@@ -11,7 +11,13 @@ from .legality import check_schedule, is_legal_schedule
 from .list_scheduling import critical_path_priorities, list_schedule
 from .modulo import ModuloSchedule, minimum_initiation_interval, modulo_schedule
 from .resources import UNLIMITED, ResourceModel, default_kind
-from .rotation import RotationResult, rotation_schedule
+from .rotation import (
+    RotationResult,
+    can_push,
+    push_nodes,
+    pushable_nodes,
+    rotation_schedule,
+)
 from .static_schedule import StaticSchedule, asap_schedule
 from .vliw import VliwSchedule, VliwWord, estimate_cycles, pack_body, pack_straightline
 
@@ -28,6 +34,9 @@ __all__ = [
     "default_kind",
     "RotationResult",
     "rotation_schedule",
+    "can_push",
+    "push_nodes",
+    "pushable_nodes",
     "StaticSchedule",
     "asap_schedule",
     "VliwSchedule",

@@ -8,7 +8,8 @@ incoming edge from outside the rotated set carries a delay) — and
 reschedules, keeping the shortest schedule seen.  Each rotation is exactly
 one software-pipelining step, so the retiming accumulated by rotation
 scheduling is precisely the retiming function whose code-size expansion the
-CSR framework of :mod:`repro.core` removes.
+CSR framework of :mod:`repro.core` removes.  :func:`can_push` and
+:func:`push_nodes` are its single-step delay pushes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.dfg import DFG
-from ..retiming.function import Retiming
-from ..retiming.incremental import can_push, push_nodes
+from ..retiming.function import Retiming, RetimingError
 from .resources import ResourceModel
 from .static_schedule import StaticSchedule
 from .list_scheduling import list_schedule
 
-__all__ = ["RotationResult", "rotation_schedule"]
+__all__ = [
+    "RotationResult",
+    "rotation_schedule",
+    "can_push",
+    "push_nodes",
+    "pushable_nodes",
+]
+
+
+def can_push(retimed: DFG, nodes: set[str] | frozenset[str]) -> bool:
+    """Whether simultaneously pushing one delay through every node of
+    ``nodes`` is legal on the (already retimed) graph ``retimed``.
+
+    In the paper's sign convention, pushing one delay through ``v``
+    (drawing it from every incoming edge, emitting it on every outgoing
+    edge) is ``r(v) += 1``.  A delay is drawn from each edge entering the
+    set from outside and emitted on each edge leaving it; edges wholly
+    inside the set are unaffected.  Legal iff every entering edge carries
+    at least one delay.
+    """
+    for name in nodes:
+        for e in retimed.in_edges(name):
+            if e.src not in nodes and e.delay < 1:
+                return False
+    return True
+
+
+def pushable_nodes(retimed: DFG) -> list[str]:
+    """Nodes through which a single delay can be pushed individually."""
+    return [n for n in retimed.node_names() if can_push(retimed, {n})]
+
+
+def push_nodes(
+    r: Retiming, nodes: set[str] | frozenset[str], amount: int = 1
+) -> Retiming:
+    """Return ``r`` with ``amount`` added to every node in ``nodes``.
+
+    Raises :class:`RetimingError` if the result is illegal.  ``amount`` may
+    be negative (pulling delays back), which rotation scheduling uses to
+    undo unprofitable rotations.
+    """
+    values = r.as_dict()
+    for n in nodes:
+        if n not in values:
+            raise RetimingError(f"unknown node {n!r}")
+        values[n] += amount
+    new_r = Retiming(r.graph, values)
+    new_r.check_legal()
+    return new_r
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,13 @@ The analysis/transformation pipeline as a long-running service
 socket, requests keyed by the same content addresses the experiment
 engine caches under, single-flight deduplication of identical in-flight
 work, batched dispatch into the engine, bounded-queue load shedding, and
-warm pools for the hot per-graph state.  See ``docs/SERVER.md``.
+a warm pool of compiled programs.  See ``docs/SERVER.md``.
 
 Layers:
 
 * :mod:`repro.server.protocol` — request validation/normalization,
   content-address computation, response envelopes;
-* :mod:`repro.server.work` — the ``analyze`` engine unit and the warm
-  (W, D) pool;
+* :mod:`repro.server.work` — the ``analyze`` engine unit;
 * :mod:`repro.server.service` — :class:`RetimingService`: single-flight,
   batching, shedding, accounting, drain;
 * :mod:`repro.server.http` — the raw asyncio HTTP/1.1 transport;

@@ -48,7 +48,6 @@ from ..runner import resilience
 from ..runner.difftest import differential_sweep
 from ..runner.engine import ExperimentEngine, WorkUnit
 from .protocol import Request, error_envelope, response_envelope
-from .work import WD_POOL
 
 __all__ = [
     "OverloadedError",
@@ -432,7 +431,7 @@ class RetimingService:
                 "computed": self.engine.stats.computed,
                 "cache": self.engine.cache.stats.as_dict(),
             },
-            "warm": {"wd": WD_POOL.stats(), "jobs": self.engine.reuse.as_dict()},
+            "warm": {"jobs": self.engine.reuse.as_dict()},
         }
 
     def publish_metrics(self) -> None:
@@ -456,10 +455,4 @@ class RetimingService:
         m.gauge("server.completed", "requests answered ok").set(s.completed)
         m.gauge("server.failed", "requests answered with an error").set(s.failed)
         m.gauge("server.batches", "engine batch dispatches").set(s.batches)
-        m.gauge("server.warm.wd.hits", "warm (W,D) pool hits").set(
-            WD_POOL.hits
-        )
-        m.gauge("server.warm.wd.misses", "warm (W,D) pool misses").set(
-            WD_POOL.misses
-        )
         self.engine.publish_metrics()

@@ -2,21 +2,11 @@
 
 :func:`analyze_graph` is an engine unit of work (importable, JSON in /
 JSON out — the process-pool pickling contract, same as
-:func:`repro.runner.jobs.execute_job`).  Two warm pools make the
-server's repeat-heavy traffic cheap even on cache misses:
-
-* :data:`WD_POOL` keeps the shared (W, D) kernels
-  (:class:`~repro.graph.wd.WDKernel` — dense matrices plus lazily
-  materialized dicts) of recently analyzed graphs, fed into
-  :func:`~repro.retiming.optimal.minimize_cycle_period` via its ``wd=``
-  parameter, so warm-pool hits skip the flat edge-array rebuild too;
-* the compiled-program pool of :mod:`repro.machine.dispatch`
-  (:func:`~repro.machine.dispatch.warm_program`) keeps built CSR
-  programs alive so the id-keyed dispatch compilation cache hits across
-  requests.
-
-Both pools are bounded LRUs and pure content caches — evicting or
-clearing them can change only speed, never payload bytes.
+:func:`repro.runner.jobs.execute_job`).  The compiled-program pool of
+:mod:`repro.machine.dispatch` (:func:`~repro.machine.dispatch.warm_program`)
+keeps built CSR programs alive so the id-keyed dispatch compilation cache
+hits across requests.  It is a bounded LRU and a pure content cache —
+evicting or clearing it can change only speed, never payload bytes.
 """
 
 from __future__ import annotations
@@ -31,16 +21,14 @@ from ..graph.dfg import DFGError
 from ..graph.iteration_bound import iteration_bound
 from ..graph.period import cycle_period
 from ..graph.serialize import from_json
-from ..graph.wd import wd_kernel
-from ..machine.dispatch import WarmPool, warm_program
+# Unused here: benchmarks/e2e/replay.py patches this module-level binding.
+from ..graph.wd import wd_kernel  # noqa: F401
+from ..machine.dispatch import warm_program
 from ..machine.vm import run_program
 from ..observability import span
 from ..retiming.optimal import minimize_cycle_period
 
-__all__ = ["WD_POOL", "analyze_graph", "graph_digest"]
-
-#: Warm shared-(W, D) matrices, keyed by graph digest.
-WD_POOL = WarmPool(capacity=256)
+__all__ = ["analyze_graph", "graph_digest"]
 
 
 def graph_digest(graph_json: str) -> str:
@@ -62,8 +50,7 @@ def analyze_graph(params: dict) -> dict:
             graph_json = params["graph"]
             g = from_json(graph_json)
             digest = graph_digest(graph_json)
-            wd = WD_POOL.get_or_build(digest, lambda: wd_kernel(g))
-            period, r = minimize_cycle_period(g, wd=wd)
+            period, r = minimize_cycle_period(g)
             program = warm_program(
                 ("csr-pipelined", digest), lambda: csr_pipelined_loop(g, r)
             )

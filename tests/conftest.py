@@ -124,7 +124,8 @@ def random_legal_retiming(g, rng: random.Random, max_pushes: int = 8):
     Used by property tests to exercise code generation away from the
     optimizer's witnesses (which have special structure).
     """
-    from repro.retiming import Retiming, can_push, push_nodes
+    from repro.retiming import Retiming
+    from repro.schedule import can_push, push_nodes
 
     r = Retiming.zero(g)
     for _ in range(rng.randrange(max_pushes + 1)):

@@ -29,6 +29,18 @@ class TestTopologicalOrder:
             g.add_node(n)
         assert topological_order(g) == ["Z", "M", "A"]
 
+    def test_newly_ready_nodes_take_their_insertion_place(self):
+        """A node freed by a pop is ordered among the already-ready nodes
+        by insertion index, not appended after them."""
+        g = DFG()
+        for n in ["S", "Z", "M", "A"]:
+            g.add_node(n)
+        g.add_edge("S", "A", 0)
+        g.add_edge("S", "Z", 0)
+        # Ready at first: S and M.  Popping S frees A and Z; Z was inserted
+        # before M, A after it.
+        assert topological_order(g) == ["S", "Z", "M", "A"]
+
     def test_zero_delay_cycle_rejected(self):
         g = DFG()
         g.add_node("A")

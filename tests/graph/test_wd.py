@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.graph import DFG, distinct_d_values, wd_matrices
+from repro.graph import DFG, distinct_d_values, wd_kernel
 
 from ..conftest import dfgs
 
@@ -36,7 +36,7 @@ def _brute_force_wd(g: DFG, max_len: int = 12):
 
 class TestWDMatrices:
     def test_figure1(self, fig1):
-        W, D = wd_matrices(fig1)
+        W, D = wd_kernel(fig1)
         assert W[("A", "B")] == 0
         assert D[("A", "B")] == 2
         assert W[("B", "A")] == 2
@@ -45,7 +45,7 @@ class TestWDMatrices:
         assert D[("A", "A")] == 1
 
     def test_diagonal(self, fig2):
-        W, D = wd_matrices(fig2)
+        W, D = wd_kernel(fig2)
         for v in fig2.nodes():
             assert W[(v.name, v.name)] == 0
             assert D[(v.name, v.name)] == v.time
@@ -55,7 +55,7 @@ class TestWDMatrices:
         g.add_node("A")
         g.add_node("B")
         g.add_edge("A", "B", 0)
-        W, _ = wd_matrices(g)
+        W, _ = wd_kernel(g)
         assert ("B", "A") not in W
 
     def test_w_picks_min_delay_path(self):
@@ -65,7 +65,7 @@ class TestWDMatrices:
         g.add_edge("A", "B", 0)
         g.add_edge("B", "C", 3)
         g.add_edge("A", "C", 1)
-        W, D = wd_matrices(g)
+        W, D = wd_kernel(g)
         assert W[("A", "C")] == 1
         assert D[("A", "C")] == 2  # direct edge path: t(A) + t(C)
 
@@ -78,14 +78,14 @@ class TestWDMatrices:
         g.add_edge("B", "C", 0)
         g.add_edge("C", "D", 0)
         g.add_edge("A", "D", 0)
-        W, D = wd_matrices(g)
+        W, D = wd_kernel(g)
         assert W[("A", "D")] == 0
         assert D[("A", "D")] == 4
 
     @given(dfgs(max_nodes=5, max_extra_edges=4, max_delay=2))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, g):
-        W, D = wd_matrices(g)
+        W, D = wd_kernel(g)
         bW, bD = _brute_force_wd(g)
         for pair, w in bW.items():
             assert W[pair] == w
@@ -104,11 +104,9 @@ def _packed_wd(g: DFG):
     """``(W, D)`` from the packed numpy Floyd–Warshall, whatever the
     graph's size (the dispatch threshold is bypassed)."""
     from repro.graph.kernel import shared_kernel
-    from repro.graph.wd import WDKernel, _packed_floyd_warshall
+    from repro.graph.wd import _packed_floyd_warshall
 
-    kernel = shared_kernel(g)
-    wdk = WDKernel(kernel, matrices=_packed_floyd_warshall(kernel))
-    return (wdk.W, wdk.D)
+    return _packed_floyd_warshall(shared_kernel(g))
 
 
 class TestNumpyPath:
@@ -181,9 +179,9 @@ class TestNumpyThresholdDispatch:
         for num_nodes in (4, 7, 9, 12):
             g = self._awkward_graph(rng, num_nodes)
             monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 10**9)
-            via_python = wd.wd_matrices(g)
+            via_python = wd.wd_kernel(g)
             monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 0)
-            via_numpy = wd.wd_matrices(g)
+            via_numpy = wd.wd_kernel(g)
             assert via_python == via_numpy
 
     def test_dispatch_straddles_threshold(self, monkeypatch):
@@ -196,10 +194,17 @@ class TestNumpyThresholdDispatch:
         from repro.graph.wd import wd_matrices_python
 
         monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 8)
+        packed = wd._packed_floyd_warshall
+        sizes = []
+
+        def recording(kernel):
+            sizes.append(kernel.num_nodes)
+            return packed(kernel)
+
+        monkeypatch.setattr(wd, "_packed_floyd_warshall", recording)
         rng = random.Random(99)
         small = self._awkward_graph(rng, 6)   # 6 <= 8: python path
         large = self._awkward_graph(rng, 11)  # 11 > 8: numpy path
-        assert wd.wd_kernel(small)._matrices is None
-        assert wd.wd_kernel(large)._dicts is None
-        assert wd.wd_matrices(small) == wd_matrices_python(small)
-        assert wd.wd_matrices(large) == wd_matrices_python(large)
+        assert wd.wd_kernel(small) == wd_matrices_python(small)
+        assert wd.wd_kernel(large) == wd_matrices_python(large)
+        assert sizes == [11]

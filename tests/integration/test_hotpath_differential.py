@@ -1,9 +1,9 @@
 """Differential pinning of the overhauled hot paths against the originals.
 
-The acceptance bar for the hot-path overhaul: the new engines — integer
-parametric iteration bound, warm-started incremental retiming, threaded
-dispatch VM — must be *bit-identical* to the implementations they replace
-on the full workload registry plus hundreds of random graphs.  These
+The acceptance bar for the hot-path overhaul: the fast engines — integer
+parametric iteration bound, the FEAS period search, compiled dispatch VM
+— must be *bit-identical* to their references on the full workload
+registry plus hundreds of random graphs.  These
 sweeps are deterministic (seeded) so a divergence is a reproducible bug,
 not a flake.
 """
@@ -19,7 +19,6 @@ from repro.graph import (
     EdgeKernel,
     iteration_bound,
     iteration_bound_exhaustive,
-    iteration_bound_fraction,
 )
 from repro.graph.generators import random_dfg
 from repro.machine import run_program
@@ -54,24 +53,21 @@ def _registry_graphs():
 
 
 class TestIterationBoundOracle:
-    """Integer parametric search vs Fraction relaxation vs exhaustive."""
+    """Integer parametric search vs exhaustive cycle enumeration."""
 
     def test_registry(self):
         for g in _registry_graphs():
-            assert iteration_bound(g) == iteration_bound_fraction(g)
+            assert iteration_bound(g) == iteration_bound_exhaustive(g)
 
     def test_random_graphs(self):
         for g in _random_graphs():
-            got = iteration_bound(g)
-            assert got == iteration_bound_fraction(g), g.name
-            if g.num_nodes <= 8:
-                assert got == iteration_bound_exhaustive(g), g.name
+            assert iteration_bound(g) == iteration_bound_exhaustive(g), g.name
 
     def test_kernel_cycle_oracle_matches_fraction_test(self):
-        """The non-strict integer cycle test agrees with the Fraction
-        comparison on probe values around the true bound."""
+        """The non-strict integer cycle test agrees with the exact
+        ``Fraction`` bound on probe values around it."""
         for g in _registry_graphs():
-            bound = iteration_bound_fraction(g)
+            bound = iteration_bound_exhaustive(g)
             if bound == 0:
                 continue
             kernel = EdgeKernel(g)
@@ -90,7 +86,7 @@ class TestIterationBoundOracle:
         from repro.graph import kernel as kernel_mod
 
         for g in _registry_graphs() + _random_graphs()[:60]:
-            bound = iteration_bound_fraction(g)
+            bound = iteration_bound_exhaustive(g)
             kernel = EdgeKernel(g)
             probes = [
                 (bound.numerator * a, bound.denominator * b, strict)
@@ -106,23 +102,21 @@ class TestIterationBoundOracle:
 
 
 class TestMinimizePeriodEngines:
-    """reference / incremental strategies, pinned exactly equal."""
+    """feas / reference strategies, pinned exactly equal."""
 
     def test_registry(self):
         for g in _registry_graphs():
             p_ref, r_ref = minimize_cycle_period(g, method="reference")
-            p_inc, r_inc = minimize_cycle_period(g, method="incremental")
-            assert p_ref == p_inc, g.name
-            assert r_ref.as_dict() == r_inc.as_dict(), g.name
+            p_feas, r_feas = minimize_cycle_period(g, method="feas")
+            assert p_ref == p_feas, g.name
+            assert r_ref.as_dict() == r_feas.as_dict(), g.name
 
     def test_random_graphs(self):
         for g in _random_graphs():
             p_ref, r_ref = minimize_cycle_period(g, method="reference")
-            p_inc, r_inc = minimize_cycle_period(
-                g, method="incremental", verify=True
-            )
-            assert p_ref == p_inc, g.name
-            assert r_ref.as_dict() == r_inc.as_dict(), g.name
+            p_feas, r_feas = minimize_cycle_period(g, method="feas")
+            assert p_ref == p_feas, g.name
+            assert r_ref.as_dict() == r_feas.as_dict(), g.name
 
 
 class TestVmDispatchSweep:

@@ -93,7 +93,7 @@ def test_all_methods_bit_equal_to_oracle(chunk):
         g = _sweep_graph(seed)
         opt = optimal_cycle_period(g)
         assert opt.proven, f"seed {seed}: oracle gap {opt.gap}"
-        for method in ("incremental", "reference"):
+        for method in ("feas", "reference"):
             period, r = minimize_cycle_period(g, method=method)
             assert period == opt.period, (
                 f"seed {seed}: method {method} returned {period}, "

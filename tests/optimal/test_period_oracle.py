@@ -83,7 +83,7 @@ def test_benchmarks_proven_and_match_heuristic(bench_graph):
     opt = optimal_cycle_period(bench_graph)
     assert opt.proven
     assert opt.optimum_lower >= math.ceil(iteration_bound(bench_graph))
-    for method in ("incremental", "reference"):
+    for method in ("feas", "reference"):
         period, _ = minimize_cycle_period(bench_graph, method=method)
         assert period == opt.period
     assert cycle_period(opt.retiming.apply()) == opt.period

@@ -83,7 +83,7 @@ class TestMinimizeCyclePeriod:
     def test_minimum_cycle_period_shortcut(self, fig1):
         assert minimum_cycle_period(fig1) == 1
 
-    @pytest.mark.parametrize("method", ["incremental", "reference"])
+    @pytest.mark.parametrize("method", ["feas", "reference"])
     def test_empty_graph_is_a_dfg_error(self, method):
         with pytest.raises(DFGError, match="graph has no nodes"):
             minimize_cycle_period(DFG("empty"), method=method)

@@ -1,11 +1,21 @@
-"""Tests for rotation scheduling."""
+"""Tests for rotation scheduling and its delay-push primitives."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graph import cycle_period
-from repro.schedule import ResourceModel, check_schedule, list_schedule, rotation_schedule
+from repro.retiming import Retiming, RetimingError
+from repro.schedule import (
+    ResourceModel,
+    can_push,
+    check_schedule,
+    list_schedule,
+    push_nodes,
+    pushable_nodes,
+    rotation_schedule,
+)
 
 from ..conftest import dfgs
 
@@ -129,3 +139,50 @@ class TestEdgeCases:
     def test_max_rotations_none_default_bound(self, fig8):
         res = rotation_schedule(fig8, max_rotations=None)
         assert res.rotations <= 2 * fig8.num_nodes
+
+
+class TestCanPush:
+    def test_needs_delay_on_every_incoming(self, fig1):
+        # A's only in-edge (B->A) has 2 delays: pushable.
+        assert can_push(fig1, {"A"})
+        # B's in-edge (A->B) has 0 delays: not pushable.
+        assert not can_push(fig1, {"B"})
+
+    def test_set_push_ignores_internal_edges(self, fig1):
+        # Pushing {A, B} together: entering edges are B->A (d=2, external?
+        # no - both nodes inside). All edges internal => pushable.
+        assert can_push(fig1, {"A", "B"})
+
+    def test_pushable_nodes(self, fig2):
+        # Only A has all in-edges carrying delays (E->A with d=4).
+        assert pushable_nodes(fig2) == ["A"]
+
+
+class TestPushNodes:
+    def test_push_single(self, fig1):
+        r = push_nodes(Retiming.zero(fig1), {"A"})
+        assert r.as_dict() == {"A": 1, "B": 0}
+        assert cycle_period(r.apply()) == 1
+
+    def test_push_illegal_raises(self, fig1):
+        with pytest.raises(RetimingError, match="illegal"):
+            push_nodes(Retiming.zero(fig1), {"B"})
+
+    def test_push_unknown_node(self, fig1):
+        with pytest.raises(RetimingError, match="unknown node"):
+            push_nodes(Retiming.zero(fig1), {"Z"})
+
+    def test_push_negative_amount_undoes(self, fig1):
+        r = push_nodes(Retiming.zero(fig1), {"A"})
+        back = push_nodes(r, {"A"}, amount=-1)
+        assert back.as_dict() == {"A": 0, "B": 0}
+
+    def test_repeated_pushes_mirror_paper_pipeline(self, fig2):
+        """Pushing the ready frontier repeatedly rebuilds the paper's
+        retiming {A:3, B:2, C:2, D:1, E:0}."""
+        r = Retiming.zero(fig2)
+        for nodes in ({"A"}, {"A", "B", "C"}, {"A", "B", "C", "D"}):
+            assert can_push(r.apply(), nodes)
+            r = push_nodes(r, nodes)
+        assert r.as_dict() == {"A": 3, "B": 2, "C": 2, "D": 1, "E": 0}
+        assert cycle_period(r.apply()) == 1

@@ -42,8 +42,8 @@ class TestRoutes:
         assert body["engine"]["calls"] == 1
 
     def test_healthz_lists_the_jobs_reuse_scope(self):
-        """``warm`` shows the engine's stage reuse next to the (W, D)
-        pool: the cells of a batch share their graph's stages."""
+        """``warm`` shows the engine's stage reuse: the cells of a batch
+        share their graph's stages."""
         from repro.runner.jobs import Job
 
         async def scenario():
@@ -59,7 +59,7 @@ class TestRoutes:
 
         status, body = run(scenario())
         assert status == 200
-        assert set(body["warm"]) == {"wd", "jobs"}
+        assert set(body["warm"]) == {"jobs"}
         jobs = body["warm"]["jobs"]
         assert set(jobs) == {"hits", "builds", "evictions"}
         assert jobs["builds"] > 0 and jobs["hits"] > 0

@@ -1,6 +1,6 @@
-"""Warm-pool tests: the bounded LRU, the shared (W, D) matrices, and the
-compiled-program pool — including the bit-identity guarantee that makes
-warming safe (pooled state may change speed, never results)."""
+"""Warm-pool tests: the bounded LRU and the compiled-program pool —
+including the bit-identity guarantee that makes warming safe (pooled
+state may change speed, never results)."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ import threading
 
 import pytest
 
-from repro.graph.wd import wd_kernel
 from repro.machine.dispatch import WarmPool, program_pool, warm_program
 from repro.retiming.optimal import minimize_cycle_period
 from repro.server import parse_request
-from repro.server.work import WD_POOL, analyze_graph, graph_digest
+from repro.server.work import analyze_graph, graph_digest
 from repro.workloads import get_workload
 
 from .conftest import analyze_doc, make_service
@@ -94,55 +93,6 @@ class TestWarmPool:
         assert len(pool) == 4
 
 
-class TestWarmWD:
-    def test_wd_parameter_is_bit_identical(self, bench_graph):
-        """Feeding a precomputed WDKernel into minimize_cycle_period must not
-        change the result — the safety property warming relies on."""
-        cold_period, cold_r = minimize_cycle_period(bench_graph)
-        wd = wd_kernel(bench_graph)
-        warm_period, warm_r = minimize_cycle_period(bench_graph, wd=wd)
-        assert warm_period == cold_period
-        assert warm_r.as_dict() == cold_r.as_dict()
-
-    def test_analyze_reuses_pooled_wd_across_calls(self):
-        from repro.graph.serialize import to_json
-
-        WD_POOL.clear()
-        g = get_workload("elliptic")
-        params = {
-            "graph": to_json(g, indent=None),
-            "trip_count": 2,
-            "verify": False,
-        }
-        before = WD_POOL.stats()
-        first = analyze_graph(dict(params))
-        second = analyze_graph(dict(params))
-        after = WD_POOL.stats()
-        assert first["ok"] and second["ok"]
-        assert after["misses"] == before["misses"] + 1  # built once
-        assert after["hits"] >= before["hits"] + 1  # reused after
-        for key in ("period", "registers", "code_size_csr"):
-            assert first[key] == second[key]
-
-    def test_pool_eviction_does_not_change_payloads(self):
-        """Force eviction between two identical analyses: byte-equal."""
-        from repro.graph.serialize import to_json
-
-        g = get_workload("iir")
-        params = {
-            "graph": to_json(g, indent=None),
-            "trip_count": 3,
-            "verify": True,
-        }
-        first = analyze_graph(dict(params))
-        WD_POOL.clear()
-        program_pool().clear()
-        second = analyze_graph(dict(params))
-        first.pop("compute_time")
-        second.pop("compute_time")
-        assert first == second
-
-
 class TestWarmPrograms:
     def test_warm_program_pools_and_precompiles(self):
         from repro.core.csr import csr_pipelined_loop
@@ -163,10 +113,10 @@ class TestWarmPrograms:
         assert built == [1]
 
     def test_server_analyze_warms_across_requests(self):
-        """Two analyze requests for one graph: the second does no compute
-        at the engine level (cache off, so it's a fresh engine unit) yet
-        reuses the pooled (W, D) matrices."""
-        WD_POOL.clear()
+        """Two analyze requests for one graph: both run as engine units
+        (cache off, distinct keys), and the second reuses the pooled
+        compiled program."""
+        program_pool().clear()
 
         async def scenario():
             svc = make_service()  # no result cache: both requests execute
@@ -183,6 +133,23 @@ class TestWarmPrograms:
         svc, a, b = asyncio.run(scenario())
         assert a["ok"] and b["ok"]
         assert svc.engine.stats.computed == 2  # distinct keys, both ran
-        stats = WD_POOL.stats()
+        stats = program_pool().stats()
         assert stats["misses"] >= 1 and stats["hits"] >= 1
         assert a["payload"]["period"] == b["payload"]["period"]
+
+    def test_pool_eviction_does_not_change_payloads(self):
+        """Force eviction between two identical analyses: byte-equal."""
+        from repro.graph.serialize import to_json
+
+        g = get_workload("iir")
+        params = {
+            "graph": to_json(g, indent=None),
+            "trip_count": 3,
+            "verify": True,
+        }
+        first = analyze_graph(dict(params))
+        program_pool().clear()
+        second = analyze_graph(dict(params))
+        first.pop("compute_time")
+        second.pop("compute_time")
+        assert first == second

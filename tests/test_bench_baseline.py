@@ -45,9 +45,14 @@ def test_top_level_shape(baseline):
 def test_rows_have_measurements(baseline):
     for path, rows in baseline["results"].items():
         assert rows, f"{path}: empty section"
+        # The iteration bound's reference is exponential at these sizes,
+        # so its rows time the fast path alone.
+        timed = ("new_s",)
+        if path != "iteration_bound":
+            timed += ("ref_s", "speedup")
         for row in rows:
             assert ("size" in row) != ("workload" in row)
-            for key in ("ref_s", "new_s", "speedup"):
+            for key in timed:
                 assert isinstance(row[key], (int, float)), (path, key)
             assert isinstance(row["counters"], dict)
             for name, value in row["counters"].items():

@@ -79,7 +79,7 @@ class TestImportBudget:
         loaded = _imported(
             ["-c", "import repro.machine.vm, repro.graph.wd, repro.retiming"]
         )
-        assert "repro.retiming.incremental" in loaded
+        assert "repro.retiming.optimal" in loaded
         assert "numpy" not in loaded
 
     def test_tables_loads_no_ctypes_or_pulp(self):
