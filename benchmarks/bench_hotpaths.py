@@ -28,7 +28,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py [--quick] [--out F]
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick \
-        --check BENCH_hotpaths.json
+        --check BENCH_hotpaths.json [--out F]
+
+With ``--check`` the report is written only to an explicit ``--out``, so
+checking never overwrites the committed full-mode baseline.
 """
 
 from __future__ import annotations
@@ -285,8 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="CI mode: sizes up to 120, shorter trip counts")
-    ap.add_argument("--out", default="BENCH_hotpaths.json",
-                    help="output JSON path (default: %(default)s)")
+    ap.add_argument("--out", default=None,
+                    help="output JSON path (default: BENCH_hotpaths.json; "
+                         "with --check, no file unless given)")
     ap.add_argument("--check", metavar="BASELINE",
                     help="compare operation counters against a baseline "
                          "JSON; exit 1 on any regression")
@@ -295,8 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     report = run_benchmarks(quick=args.quick)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.check else "BENCH_hotpaths.json")
+    if out:
+        Path(out).write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
 
     if args.check:
         baseline = json.loads(Path(args.check).read_text())

@@ -13,19 +13,56 @@ Examples::
     python -m repro tables --jobs 4 --stats      # parallel cached tables
     python -m repro sweep --graphs 200 --jobs 0  # differential test sweep
     python -m repro sweep --oracle --graphs 15   # + exact-optimality oracle
+    python -m repro sweep --workers remote --jobs 2
+                                                 # on the lease fabric
     python -m repro profile --workload figure8 --trace out.json
                                                  # per-stage breakdown + trace
+
+This is the only command-line module: ``python -m repro.analysis`` is an
+alias of ``python -m repro tables`` (and of ``report``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 # Each command imports what it runs, so building the parser (and every
 # `--help`) loads neither the server, the remote fabric nor numpy.  The
 # start-up budget is pinned by tests/test_startup.py.
+
+TABLES = ("1", "2", "3", "4")
+
+
+def _bounded(kind, low: int, strict: bool = False, high: int | None = None):
+    """An argparse ``type=`` that parses ``kind`` and requires a finite
+    value ``>= low`` (``> low`` if ``strict``) and ``<= high``, so an
+    out-of-range flag ends in argparse's one ``error:`` line, not a
+    traceback or a run that silently misbehaves."""
+
+    def parse(text: str):
+        value = kind(text)
+        if (
+            not math.isfinite(value)
+            or value < low
+            or (strict and value == low)
+            or (high is not None and value > high)
+        ):
+            bound = f"{'>' if strict else '>='} {low}"
+            if high is not None:
+                bound += f" and <= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+_count = _bounded(int, 0)
+_positive_int = _bounded(int, 1)
+_positive_float = _bounded(float, 0, strict=True)
 
 
 def _cmd_list(_args) -> int:
@@ -173,10 +210,255 @@ def _cmd_json(args) -> int:
     return 0
 
 
-def _cmd_tables(args) -> int:
-    from .analysis.__main__ import tables_main
+# -- the engine commands (tables, sweep) ------------------------------
 
-    return tables_main(args)
+
+def validate_engine_args(args: argparse.Namespace) -> None:
+    """Reject a lease-fabric flag on the local fabric before any engine
+    spins up: one ``error:`` line instead of a mid-run surprise."""
+    if args.lease_timeout is not None and args.workers != "remote":
+        raise SystemExit("error: --lease-timeout requires --workers remote")
+
+
+def topology_from_args(args: argparse.Namespace) -> dict:
+    """The execution-topology fingerprint a journal records: resuming
+    under a different fabric would replay the journal against different
+    failure semantics."""
+    return {"workers": args.workers}
+
+
+def check_topology(config: dict, args: argparse.Namespace) -> None:
+    """Refuse ``--resume`` under a different topology than was journaled.
+
+    Journals from before topology recording carry no fingerprint and
+    stay resumable.  Older journals record ``{"workers": ...,
+    "supervised": ...}``: a supervised run was the lease fabric, so it
+    resumes under ``--workers remote``.  Raises :class:`JournalError`,
+    which :func:`main` turns into one ``error:`` line and exit 2.
+    """
+    recorded = config.get("topology")
+    if recorded is None:
+        return
+    from .runner.journal import JournalError
+
+    workers = "remote" if recorded.get("supervised") else recorded["workers"]
+    if workers != args.workers:
+        raise JournalError(
+            "--resume topology mismatch: the journal recorded "
+            f"workers={workers} but this command says workers={args.workers} "
+            "(rerun with the recorded topology)"
+        )
+
+
+def engine_from_args(args: argparse.Namespace):
+    """Build the :class:`~repro.runner.engine.ExperimentEngine` the
+    engine flags describe.
+
+    ``--trace`` or ``--metrics-out`` turns observability on for the whole
+    run (workers included) before any work is submitted.  ``--fault-plan``
+    (or ``$REPRO_FAULT_PLAN``) activates the fault-injection plan
+    process-wide, so the engine forwards it to its workers.  ``--workers
+    remote`` swaps the local pool for the lease fabric
+    (:class:`~repro.runner.remote.RemoteFabric`) with the engine's
+    resolved ``--jobs`` spawned workers (0 = one per CPU).
+    """
+    from . import observability
+    from .runner import resilience
+    from .runner.engine import default_engine
+
+    validate_engine_args(args)
+    if args.trace or args.metrics_out:
+        observability.enable()
+    spec = args.fault_plan or os.environ.get(resilience.FAULT_PLAN_ENV)
+    if spec:
+        try:
+            resilience.activate(resilience.FaultPlan.from_spec(spec))
+        except ValueError as exc:
+            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+    retry = resilience.RetryPolicy(
+        max_attempts=args.retries or resilience.RetryPolicy.max_attempts,
+        timeout=args.job_timeout,
+    )
+    engine = default_engine(
+        jobs=args.jobs,
+        cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        retry=retry,
+    )
+    if args.workers == "remote":
+        from .runner.remote import RemoteFabric
+
+        engine.remote = RemoteFabric(
+            workers=engine.jobs,
+            policy=retry,
+            lease_timeout=args.lease_timeout or 30.0,
+        )
+    return engine
+
+
+def checkpoint_from_args(args: argparse.Namespace):
+    """The ``--journal`` / ``--resume`` checkpoint, if either was given.
+
+    ``--resume DIR`` implies journaling into the same directory (the
+    resumed run appends to the journal it replays), so the two flags are
+    mutually exclusive.
+    """
+    from .runner.journal import RunCheckpoint
+
+    if args.journal and args.resume:
+        raise SystemExit(
+            "error: --journal and --resume are mutually exclusive "
+            "(--resume already appends to the journal it replays)"
+        )
+    if args.resume:
+        return RunCheckpoint(args.resume, resume=True)
+    if args.journal:
+        return RunCheckpoint(args.journal)
+    return None
+
+
+def export_observability(args: argparse.Namespace, engine) -> None:
+    """Write the ``--trace`` / ``--metrics-out`` artifacts after a run."""
+    if not args.trace and not args.metrics_out:
+        return
+    from . import observability
+    from .ioutil import atomic_write_text
+
+    engine.publish_metrics()
+    if args.trace:
+        observability.write_chrome_trace(args.trace, observability.OBS.tracer.roots)
+        print(f"wrote Chrome trace: {args.trace}", file=sys.stderr)
+    if args.metrics_out:
+        atomic_write_text(args.metrics_out, observability.OBS.metrics.to_json())
+        print(f"wrote metrics JSON: {args.metrics_out}", file=sys.stderr)
+
+
+def report_resilience(args: argparse.Namespace, engine) -> int:
+    """Write the ``--outcomes-out`` artifact, print the failure summary
+    of a degraded run, and return the number of FAILED or timed-out
+    units."""
+    if args.outcomes_out:
+        import json
+
+        from .ioutil import atomic_write_text
+
+        s = engine.stats
+        doc = {
+            "stats": {
+                "calls": s.calls,
+                "computed": s.computed,
+                "completed": s.completed,
+                "errors": s.errors,
+                "retried": s.retried,
+                "timed_out": s.timed_out,
+                "failed": s.failed,
+                "resumed": s.resumed,
+                "respawned": s.respawned,
+            },
+            "outcomes": [o.as_dict() for o in s.outcomes],
+        }
+        # Atomic (temp file + rename): an interrupt mid-report can never
+        # leave a truncated, unparseable artifact behind.
+        atomic_write_text(args.outcomes_out, json.dumps(doc, indent=2))
+        print(f"wrote job outcomes JSON: {args.outcomes_out}", file=sys.stderr)
+    summary = engine.failure_summary()
+    if summary:
+        print("=== Failure summary ===", file=sys.stderr)
+        print(summary, file=sys.stderr)
+    return engine.stats.failed + engine.stats.timed_out
+
+
+def _run_engine_command(args: argparse.Namespace, command: str, config: dict, body) -> int:
+    """The flow ``tables`` and ``sweep`` share around their ``body``.
+
+    Builds the engine.  With ``--journal`` it records ``config`` and the
+    topology fingerprint; with ``--resume`` it restores them instead and
+    checks the topology.  Then it runs ``body(engine, config)`` (true
+    when the command's own checks passed), prints ``--stats``, writes
+    the observability and outcome artifacts and finishes the journal.
+    Exit 0 only when ``body`` passed and no unit failed.
+    """
+    engine = engine_from_args(args)
+    try:
+        checkpoint = checkpoint_from_args(args)
+        config = {**config, "topology": topology_from_args(args)}
+        if checkpoint is not None:
+            if checkpoint.resume:
+                config = checkpoint.restore_config(command)
+                check_topology(config, args)
+            checkpoint.attach(engine, command, config)
+        ok = body(engine, config)
+        if args.stats:
+            print("=== Engine stats ===")
+            print(engine.stats_summary())
+        export_observability(args, engine)
+        ok = not report_resilience(args, engine) and ok
+        if checkpoint is not None:
+            checkpoint.finish(engine, "ok" if ok else "degraded")
+        return 0 if ok else 1
+    finally:
+        engine.close()
+
+
+def _print_tables(engine, config: dict) -> bool:
+    """The body of ``tables``: print the selected tables.
+
+    Titles come from ``TABLE_TITLES`` so this live output and the report
+    pipeline's ``--paper-tables`` rendering stay byte-identical.
+    """
+    from .analysis.experiments import (
+        PAPER_TABLE3,
+        PAPER_TABLE4,
+        TABLE_TITLES,
+        format_order_comparison,
+        format_table1,
+        format_table2,
+        table1_rows,
+        table2_rows,
+        table3_comparison,
+        table4_comparison,
+    )
+
+    wanted = set(config["tables"])
+    if "1" in wanted:
+        print(f"=== {TABLE_TITLES['1']} ===")
+        print(format_table1(table1_rows(engine=engine)))
+        print()
+    if "2" in wanted:
+        print(f"=== {TABLE_TITLES['2']} ===")
+        print(format_table2(table2_rows(engine=engine)))
+        print()
+    if "3" in wanted:
+        print(f"=== {TABLE_TITLES['3']} ===")
+        print(format_order_comparison(table3_comparison(engine=engine), PAPER_TABLE3))
+        print()
+    if "4" in wanted:
+        print(f"=== {TABLE_TITLES['4']} ===")
+        print(format_order_comparison(table4_comparison(engine=engine), PAPER_TABLE4))
+        print()
+    return True
+
+
+def _cmd_tables(args) -> int:
+    """Regenerate the paper's tables through the experiment engine.
+
+    Rows are cached on disk (``.repro-cache`` or ``$REPRO_CACHE_DIR``),
+    keyed on graph content, parameters and a digest of the library
+    sources, so a second run is served from the cache.  Checkpoint-aware:
+    ``--resume DIR`` restores the recorded table selection and recomputes
+    only the rows the journal lacks.
+    """
+    bad = [t for t in args.tables if t not in TABLES]
+    if bad:
+        print(
+            f"error: unknown table(s): {' '.join(bad)} "
+            f"(choose from {' '.join(TABLES)})",
+            file=sys.stderr,
+        )
+        return 2
+    config = {"tables": sorted(set(args.tables) or set(TABLES))}
+    return _run_engine_command(args, "tables", config, _print_tables)
 
 
 def _cmd_report(args) -> int:
@@ -194,15 +476,6 @@ def _cmd_sweep(args) -> int:
     re-executes only the pending ones — producing output bit-identical
     to an uninterrupted run.
     """
-    from .analysis.__main__ import (
-        check_topology,
-        checkpoint_from_args,
-        engine_from_args,
-        export_observability,
-        report_resilience,
-        topology_from_args,
-    )
-    from .ioutil import atomic_write_text
     from .runner.difftest import check_sweep_params, differential_sweep
 
     try:
@@ -210,25 +483,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    engine = engine_from_args(args)
-    try:
-        checkpoint = checkpoint_from_args(args)
-        config = {
-            "graphs": args.graphs,
-            "seed": args.seed,
-            "factors": list(args.factors),
-            "max_nodes": args.max_nodes,
-            "oracle": args.oracle,
-            "oracle_timeout": args.oracle_timeout,
-            "topology": topology_from_args(args),
-        }
-        if checkpoint is not None:
-            if checkpoint.resume:
-                # `.get()` defaults keep journals from pre-oracle runs
-                # resumable.
-                config = checkpoint.restore_config("sweep")
-                check_topology(config, args)
-            checkpoint.attach(engine, "sweep", config)
+
+    def body(engine, config: dict) -> bool:
+        # `.get()` defaults keep journals from pre-oracle runs resumable.
         report = differential_sweep(
             num_graphs=config["graphs"],
             seed=config["seed"],
@@ -244,19 +501,21 @@ def _cmd_sweep(args) -> int:
             print("=== Oracle optimality gaps ===")
             print(report.gap_table())
         if args.gap_table_out:
+            from .ioutil import atomic_write_text
+
             atomic_write_text(args.gap_table_out, report.gap_table() + "\n")
             print(f"wrote gap table: {args.gap_table_out}", file=sys.stderr)
-        if args.stats:
-            print("=== Engine stats ===")
-            print(engine.stats_summary())
-        export_observability(args, engine)
-        degraded = report_resilience(args, engine)
-        ok = report.ok and not degraded
-        if checkpoint is not None:
-            checkpoint.finish(engine, "ok" if ok else "degraded")
-        return 0 if ok else 1
-    finally:
-        engine.close()
+        return report.ok
+
+    config = {
+        "graphs": args.graphs,
+        "seed": args.seed,
+        "factors": list(args.factors),
+        "max_nodes": args.max_nodes,
+        "oracle": args.oracle,
+        "oracle_timeout": args.oracle_timeout,
+    }
+    return _run_engine_command(args, "sweep", config, body)
 
 
 def _cmd_serve(args) -> int:
@@ -351,6 +610,106 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine flags ``tables`` and ``sweep`` share."""
+    group = parser.add_argument_group("experiment engine")
+    group.add_argument(
+        "--jobs",
+        type=_count,
+        default=1,
+        metavar="N",
+        help="worker processes (1 = inline, 0 = one per CPU)",
+    )
+    group.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache",
+    )
+    group.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    group.add_argument(
+        "--stats",
+        action="store_true",
+        help="print engine metrics (cache hits, wall time, VM counts)",
+    )
+    group.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="enable tracing; write a Chrome trace-event JSON to FILE",
+    )
+    group.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="enable metrics; write the JSON metrics export to FILE",
+    )
+    rgroup = parser.add_argument_group("resilience")
+    rgroup.add_argument(
+        "--fault-plan",
+        default=None,
+        metavar="PLAN",
+        help="fault-injection plan: a JSON file path or inline JSON "
+        "(default: $REPRO_FAULT_PLAN; see docs/RESILIENCE.md)",
+    )
+    rgroup.add_argument(
+        "--retries",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="max attempts per job before it degrades to FAILED (default 3)",
+    )
+    rgroup.add_argument(
+        "--job-timeout",
+        type=_positive_float,
+        default=None,
+        metavar="SEC",
+        help="per-attempt deadline; late attempts are retried, then FAILED",
+    )
+    rgroup.add_argument(
+        "--outcomes-out",
+        default=None,
+        metavar="FILE",
+        help="write per-job outcome records (status, attempts, faults) as JSON",
+    )
+    cgroup = parser.add_argument_group("checkpointing")
+    cgroup.add_argument(
+        "--journal",
+        default=None,
+        metavar="DIR",
+        help="record a durable run journal into DIR (fsync'd write-ahead "
+        "JSONL; see docs/CHECKPOINTING.md)",
+    )
+    cgroup.add_argument(
+        "--resume",
+        default=None,
+        metavar="DIR",
+        help="resume an interrupted run from DIR's journal: completed jobs "
+        "are rehydrated, only pending ones re-execute",
+    )
+    dgroup = parser.add_argument_group("execution fabric")
+    dgroup.add_argument(
+        "--workers",
+        choices=("local", "remote"),
+        default="local",
+        help="'local' runs --jobs pool processes; 'remote' leases units to "
+        "--jobs spawned workers over a work plane, respawning dead or hung "
+        "ones (see docs/SERVER.md)",
+    )
+    dgroup.add_argument(
+        "--lease-timeout",
+        type=_positive_float,
+        default=None,
+        metavar="SEC",
+        help="with --workers remote: lease expiry before a silent "
+        "worker's unit requeues (default 30)",
+    )
+
+
 def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     """CLI flags for the ``worker`` subcommand (see
     :func:`repro.server.worker.worker_main`)."""
@@ -367,14 +726,14 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-units",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="exit after N units (0 = run until the coordinator closes)",
     )
     parser.add_argument(
         "--poll-max",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="SEC",
         help="max sleep between idle lease polls",
@@ -386,21 +745,21 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retry-max",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="client retry attempts per request",
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=_bounded(float, 0),
         default=0.05,
         metavar="SEC",
         help="client retry backoff base",
     )
     parser.add_argument(
         "--request-timeout",
-        type=float,
+        type=_positive_float,
         default=30.0,
         metavar="SEC",
         help="per-request transport timeout",
@@ -408,12 +767,6 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .analysis.cli import (
-        add_engine_arguments,
-        add_report_arguments,
-        add_tables_argument,
-    )
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Code-size reduction for software-pipelined DSP loops "
@@ -467,8 +820,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_json)
 
     p = sub.add_parser("tables", help="regenerate the paper's tables")
-    add_tables_argument(p)
-    add_engine_arguments(p)
+    # No `choices`: argparse on 3.11 rejects an empty `nargs="*"` list
+    # against them, and no tables named means all of them.
+    p.add_argument(
+        "tables", nargs="*", metavar="N",
+        help="tables to print: 1 2 3 4 (default: all)",
+    )
+    _add_engine_arguments(p)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser(
@@ -477,7 +835,29 @@ def build_parser() -> argparse.ArgumentParser:
         "+ LaTeX + report.json; --diff gates regressions; see "
         "docs/REPORT.md)",
     )
-    add_report_arguments(p)
+    p.add_argument(
+        "runs", nargs="*", metavar="RUNS-DIR",
+        help="run directories (journals, --outcomes-out files, BENCH_*.json)",
+    )
+    p.add_argument(
+        "-o", "--out", default=None, metavar="DIR",
+        help="write report.md, report.tex, report.json and paper_tables.txt "
+        "into DIR (default: print markdown to stdout)",
+    )
+    p.add_argument(
+        "--paper-tables", action="store_true",
+        help="print only the paper-table sections, byte-identical to "
+        "`python -m repro tables` output for the journaled run",
+    )
+    p.add_argument(
+        "--diff", nargs=2, metavar=("A", "B"), default=None,
+        help="regression mode: compare two run directories (or report.json "
+        "files); exits 1 on material regressions",
+    )
+    p.add_argument(
+        "--counter-ratio", type=_positive_float, default=None, metavar="X",
+        help="op-counter growth budget for --diff (default 2.0)",
+    )
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser(
@@ -511,25 +891,28 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep over HTTP; see docs/SERVER.md)",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8750, help="TCP port (0 = any)")
+    p.add_argument(
+        "--port", type=_bounded(int, 0, high=65535), default=8750,
+        help="TCP port (0 = any)",
+    )
     p.add_argument(
         "--socket", default=None, metavar="PATH",
         help="serve on a unix domain socket instead of TCP",
     )
     p.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_count, default=1,
         help="engine worker processes (1 = inline, 0 = one per CPU)",
     )
     p.add_argument(
-        "--max-inflight", type=int, default=128,
+        "--max-inflight", type=_positive_int, default=128,
         help="bounded request queue; beyond it requests shed with 503",
     )
     p.add_argument(
-        "--batch-max", type=int, default=16,
+        "--batch-max", type=_positive_int, default=16,
         help="max queued requests coalesced into one engine dispatch",
     )
     p.add_argument(
-        "--shards", type=int, default=0,
+        "--shards", type=_count, default=0,
         help="result-cache shard directories (0 = unsharded layout)",
     )
     p.add_argument("--cache-dir", default=None, help="result cache location")
@@ -545,12 +928,12 @@ def build_parser() -> argparse.ArgumentParser:
         "local pool (see docs/SERVER.md)",
     )
     p.add_argument(
-        "--remote-workers", type=int, default=0, metavar="N",
+        "--remote-workers", type=_count, default=0, metavar="N",
         help="spawn N worker processes on the work plane "
         "(0 = external `repro worker` processes only)",
     )
     p.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SEC",
+        "--lease-timeout", type=_positive_float, default=30.0, metavar="SEC",
         help="work-plane lease expiry; a silent worker's unit requeues "
         "after this long",
     )
@@ -594,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the oracle gap table to FILE (CI artifact)",
     )
-    add_engine_arguments(p)
+    _add_engine_arguments(p)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

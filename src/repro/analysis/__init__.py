@@ -2,8 +2,8 @@
 
 from .. import _lazy_exports
 
-# Exports resolve on first access, so the CLIs can load `.cli` (argument
-# definitions only) without importing the experiment drivers.
+# Exports resolve on first access, so `python -m repro.analysis` (an alias
+# of the CLI) imports none of the table code until a command runs.
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {

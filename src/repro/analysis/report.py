@@ -10,7 +10,7 @@ The report has a fixed table numbering (publication style):
 
 1–4.  The paper's Tables 1–4, rebuilt from ``tables``-run journal
       payloads and rendered *byte-identically* to the live
-      ``python -m repro.analysis`` output (the ``--paper-tables`` mode
+      ``python -m repro tables`` output (the ``--paper-tables`` mode
       prints exactly that text).
 5.    Randomized code-size reduction at sweep scale — the scaled-up
       Table 1/2 analogue over every journaled random graph, with
@@ -60,7 +60,6 @@ from .experiments import (
     table2_cells,
     table2_row_from_payload,
 )
-from .cli import DEFAULT_COUNTER_RATIO, add_report_arguments
 from .frames import Frame, summarize
 from .tables import (
     FailedCell,
@@ -79,16 +78,21 @@ __all__ = [
     "build_report",
     "diff_reports",
     "load_report_doc",
-    "main",
     "paper_tables_text",
     "render_latex",
     "render_markdown",
     "report_json",
+    "report_main",
 ]
 
 #: Bump on any report.json layout change; ``--diff`` refuses to compare
 #: across versions (apples to apples only).
 REPORT_VERSION = 1
+
+#: Threshold for ``report --diff``'s op-counter gate: a baseline counter
+#: that grew by more than this factor is a regression (matches the CI
+#: perf-smoke budget).
+DEFAULT_COUNTER_RATIO = 2.0
 
 # ----------------------------------------------------------------------
 # Data model
@@ -842,7 +846,7 @@ def paper_tables_text(report: Report) -> str:
     """The paper-table sections, byte-identical to the live CLI.
 
     Concatenates ``=== <title> ===`` blocks exactly as
-    ``python -m repro.analysis`` prints them for the tables the scanned
+    ``python -m repro tables`` prints them for the tables the scanned
     journals provide, so the report can stand in for the CLI in
     regression pins.
     """
@@ -1059,17 +1063,8 @@ def load_report_doc(path: Path | str) -> dict:
     return json.loads(report_json(build_report([path])))
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Aggregate journaled runs into publication tables "
-        "(markdown + LaTeX + report.json); see docs/REPORT.md.",
-    )
-    add_report_arguments(parser)
-    return parser
-
-
 def report_main(args: argparse.Namespace) -> int:
+    """``python -m repro report``; the parser lives in :mod:`repro.__main__`."""
     if args.diff is not None:
         if args.runs:
             print("error: --diff takes exactly two paths and no RUNS-DIR",
@@ -1077,7 +1072,8 @@ def report_main(args: argparse.Namespace) -> int:
             return 2
         a = load_report_doc(args.diff[0])
         b = load_report_doc(args.diff[1])
-        result = diff_reports(a, b, counter_ratio=args.counter_ratio)
+        ratio = args.counter_ratio or DEFAULT_COUNTER_RATIO
+        result = diff_reports(a, b, counter_ratio=ratio)
         print(result.summary())
         return 0 if result.clean else 1
     if not args.runs:
@@ -1117,12 +1113,3 @@ def report_main(args: argparse.Namespace) -> int:
     for s in failed:
         print(f"section FAILED: {s.title}: {s.error}", file=sys.stderr)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    return report_main(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main(sys.argv[1:]))

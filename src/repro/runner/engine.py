@@ -58,8 +58,8 @@ group commit, durable before any unit is dispatched, and so is each
 landed envelope's completions, from either executor: a crash loses at
 most the in-flight chunks.
 Fault tolerance against dying or hanging workers is the lease fabric's
-(:mod:`repro.runner.remote`, the ``remote=`` executor that ``--supervised``
-and ``--workers remote`` both build): a lost worker's unit is requeued
+(:mod:`repro.runner.remote`, the ``remote=`` executor that
+``--workers remote`` builds): a lost worker's unit is requeued
 under the same :class:`~repro.runner.resilience.RetryPolicy`.  Both
 layers are off-by-default ``is None`` guards — an unjournaled local run
 executes the exact code it always did.
@@ -271,7 +271,7 @@ class ExperimentEngine:
         forwards to its pool workers.
     remote:
         A :class:`~repro.runner.remote.RemoteFabric`: lease chunks to
-        worker processes over the work plane (``--supervised`` is one
+        worker processes over the work plane (``--workers remote`` is one
         with ``--jobs`` spawned local workers).  Call :meth:`close` when
         done: the fabric persists across batches.
 

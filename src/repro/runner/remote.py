@@ -2,8 +2,8 @@
 
 The engine's one fault-tolerant executor: the :class:`RemoteFabric`
 publishes the engine's work units on a tiny HTTP *work plane* and any
-number of worker processes — spawned locally (``--supervised`` spawns
-``--jobs`` of them, ``--workers remote`` spawns ``--remote-workers``) or
+number of worker processes — spawned locally (``--jobs`` of them under
+``--workers remote``, ``--remote-workers`` under ``serve``) or
 started by hand on other hosts (``python -m repro worker --connect
 HOST:PORT``) — pull them under **time-bounded leases**:
 
@@ -632,8 +632,8 @@ class RemoteFabric:
     Parameters
     ----------
     workers:
-        Local worker processes to spawn (``--jobs`` under
-        ``--supervised``, else ``--remote-workers``); ``0`` means external
+        Local worker processes to spawn (``--jobs`` under ``--workers
+        remote``, ``--remote-workers`` under ``serve``); ``0`` means external
         workers will connect (``python -m repro worker``).
     policy:
         :class:`RetryPolicy` budgeting lease dispatches per unit.

@@ -19,16 +19,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.analysis.report import (
     build_report,
     diff_reports,
     load_report_doc,
-    main,
     paper_tables_text,
     render_latex,
     render_markdown,
     report_json,
 )
+
+def main(argv: list[str]) -> int:
+    """``python -m repro report`` with ``argv``."""
+    return cli_main(["report", *argv])
+
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 RUNS = DATA / "runs"
@@ -86,7 +91,7 @@ class TestCleanGoldens:
 
     def test_paper_tables_match_live_renderers(self, clean_report):
         """The report's paper-table text is built from the same cells
-        and titles the live ``python -m repro.analysis`` CLI prints —
+        and titles the live ``python -m repro tables`` CLI prints —
         the ``=== Table N ... ===`` framing must round-trip exactly."""
         text = paper_tables_text(clean_report)
         for num in ("1", "2", "3", "4"):
@@ -163,12 +168,11 @@ class TestLiveByteIdentity:
     def test_report_reproduces_live_tables_output(self, tmp_path, capsys):
         """The acceptance pin: a journaled ``tables`` run replayed
         through ``report --paper-tables`` is byte-identical to what the
-        live ``python -m repro.analysis`` CLI printed."""
-        from repro.analysis.__main__ import main as analysis_main
-
+        live ``python -m repro tables`` CLI printed."""
         run_dir = tmp_path / "tables-run"
-        rc = analysis_main(
-            ["--journal", str(run_dir), "--cache-dir", str(tmp_path / "cache")]
+        rc = cli_main(
+            ["tables", "--journal", str(run_dir),
+             "--cache-dir", str(tmp_path / "cache")]
         )
         assert rc == 0
         live = capsys.readouterr().out

@@ -3,8 +3,8 @@
 The :class:`LeaseCoordinator` exactly-once machinery is exercised first
 in isolation — fake clock, no sockets, hypothesis-driven hostile
 schedules — and then end to end through real spawned worker processes
-under injected kills and partitions, including the ``--supervised``
-spelling (the fabric with ``--jobs`` spawned local workers).  The
+under injected kills and partitions, including the CLI's
+``--workers remote`` (the fabric with ``--jobs`` spawned local workers).  The
 invariant every test circles: however chaotic the fleet, each unit
 completes *exactly once* and the batch's results are bit-identical to a
 serial run's.
@@ -568,14 +568,6 @@ class TestFabricLocalFallback:
         with pytest.raises(RuntimeError, match="closed"):
             fabric.run([(execute_job, None, False, None, None, [({}, "k", "l")])])
 
-    def test_supervised_and_remote_are_mutually_exclusive(self):
-        # Both spell the lease fabric: the engine builder refuses two.
-        from repro.analysis.__main__ import build_parser, engine_from_args
-
-        args = build_parser().parse_args(["--supervised", "--workers", "remote"])
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            engine_from_args(args)
-
 
 def _post(address: str, path: str, doc: dict) -> tuple[int, dict]:
     host, port = address.rsplit(":", 1)
@@ -742,7 +734,7 @@ class TestFabricEndToEnd:
 
 def _run_fabric(params, labels, plan=None, retry=None, lease_timeout=30.0,
                 journal=None):
-    """Run a batch the way ``--supervised --jobs 2`` does: the lease
+    """Run a batch the way ``--workers remote --jobs 2`` does: the lease
     fabric with two spawned local workers and the engine's retry policy."""
     if plan is not None:
         resilience.activate(plan)
@@ -767,7 +759,7 @@ def _accounted(engine) -> int:
 
 
 class TestSupervisedFabric:
-    """Budget exhaustion on the fabric ``--supervised`` builds: units that
+    """Budget exhaustion on the fabric ``--workers remote`` builds: units that
     kill (or silence) every worker end ``timed_out``.  Recovery from
     single deaths and hangs is in ``test_supervisor.py``."""
 
@@ -836,9 +828,8 @@ class TestTopologiesAgree:
     def test_tables_identical_across_topologies(self):
         serial = _cli("tables", "--no-cache")
         assert "Table 1" in serial
+        assert _cli("tables", "--no-cache", "--workers", "remote") == serial
         assert _cli("tables", "--no-cache", "--workers", "remote",
-                    "--remote-workers", "1") == serial
-        assert _cli("tables", "--no-cache", "--supervised",
                     "--jobs", "2") == serial
 
     def test_supervised_sweep_survives_a_kill_without_waiting_out_the_lease(
@@ -850,8 +841,8 @@ class TestTopologiesAgree:
             {"site": "worker.kill", "match": "rand6/pipelined/f=1/n=7",
              "times": 1},
         ]})
-        out = _cli(*argv, "--supervised", "--jobs", "2", "--lease-timeout",
-                   "600", "--stats", plan=plan)
+        out = _cli(*argv, "--workers", "remote", "--jobs", "2",
+                   "--lease-timeout", "600", "--stats", plan=plan)
         table, _, stats = out.partition("=== Engine stats ===\n")
         assert table == serial
         assert "0 jobs resumed, 1 workers respawned" in stats

@@ -1,13 +1,13 @@
-"""Tests for ``--supervised``: workers that die and hang.
+"""Tests for the supervised lease fabric: workers that die and hang.
 
-``--supervised`` runs the engine's units on the lease fabric with
+``--workers remote`` runs the engine's units on the lease fabric with
 ``--jobs`` spawned local workers.  SIGKILL'd workers (the ``worker.kill``
 fault site) and SIGSTOP'd workers (``worker.stop`` — the hang signature,
 heartbeat thread frozen too) must both be noticed by the fabric, the
 worker killed if need be and respawned, and its unit requeued at once —
 never after waiting out the lease — with output identical to a serial
 run's.  Engines here are built from the CLI flags, the way
-``python -m repro.analysis --supervised`` builds them.
+``python -m repro tables --workers remote`` builds them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.analysis.__main__ import build_parser, engine_from_args
+from repro.__main__ import build_parser, engine_from_args
 from repro.runner import (
     ExperimentEngine,
     RemoteFabric,
@@ -64,9 +64,9 @@ def _plan(site: str, *labels: str) -> str:
 
 
 def _run_supervised(*flags: str, journal: RunJournal | None = None):
-    """Run the batch under ``--supervised --jobs 2 --no-cache`` + flags."""
+    """Run the batch under ``--workers remote --jobs 2 --no-cache`` + flags."""
     args = build_parser().parse_args(
-        ["--supervised", "--jobs", "2", "--no-cache", *flags]
+        ["tables", "--workers", "remote", "--jobs", "2", "--no-cache", *flags]
     )
     engine = engine_from_args(args)
     engine.journal = journal
@@ -95,10 +95,10 @@ class TestPoolBasics:
         with pytest.raises(ValueError, match="workers"):
             RemoteFabric(workers=-1)
         parse = build_parser().parse_args
-        with pytest.raises(ValueError, match="lease_timeout"):
-            engine_from_args(parse(["--supervised", "--lease-timeout", "0"]))
+        with pytest.raises(SystemExit):  # argparse: must be > 0
+            parse(["tables", "--workers", "remote", "--lease-timeout", "0"])
         with pytest.raises(SystemExit, match="--lease-timeout requires"):
-            engine_from_args(parse(["--jobs", "2", "--lease-timeout", "5"]))
+            engine_from_args(parse(["tables", "--jobs", "2", "--lease-timeout", "5"]))
 
 
 class TestDeadWorkerRecovery:

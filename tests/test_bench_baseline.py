@@ -86,3 +86,22 @@ def test_recorded_speedups_meet_floors(baseline):
     for section in ("vm", "vliw"):
         for row in baseline["results"][section]:
             assert row["speedup"] >= 1.5, (section, row["workload"])
+
+
+def test_check_writes_only_an_explicit_out(tmp_path, monkeypatch):
+    """``--check BENCH_hotpaths.json`` must not overwrite the committed
+    full-mode baseline with the run it is checking."""
+    import bench_hotpaths
+
+    monkeypatch.setattr(bench_hotpaths, "run_benchmarks",
+                        lambda quick: {"mode": "quick", "results": {}})
+    monkeypatch.chdir(tmp_path)
+    baseline = tmp_path / "BENCH_hotpaths.json"
+    baseline.write_text('{"mode": "full", "results": {}}\n')
+    assert bench_hotpaths.main(["--quick", "--check", baseline.name]) == 0
+    assert baseline.read_text() == '{"mode": "full", "results": {}}\n'
+    assert [p.name for p in tmp_path.iterdir()] == [baseline.name]
+    assert bench_hotpaths.main(
+        ["--quick", "--check", baseline.name, "--out", "ci.json"]
+    ) == 0
+    assert json.loads((tmp_path / "ci.json").read_text())["mode"] == "quick"
