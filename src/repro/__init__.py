@@ -48,9 +48,13 @@ def _lazy_exports(package, exports):
     submodule loads the first time one of its names is read (attribute
     access, ``from package import name`` or ``import *``), and the value
     is then cached on the package.  Names outside the table raise
-    :class:`AttributeError`.  Shared by ``repro``, ``repro.analysis``,
-    ``repro.runner`` and ``repro.server``; it lives here because
-    ``import repro`` must load no submodule.
+    :class:`AttributeError`.  Every package uses it; it lives here
+    because ``import repro`` must load no submodule.
+
+    A name that equals its own submodule's name (``repro.graph.validate``)
+    cannot be lazy: importing the submodule binds the module on the
+    package, over the function, and ``__getattr__`` is never consulted.
+    Such packages import those names directly.
     """
     origin = {name: module for module, names in exports.items() for name in names}
 

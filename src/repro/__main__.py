@@ -213,11 +213,27 @@ def _cmd_json(args) -> int:
 # -- the engine commands (tables, sweep) ------------------------------
 
 
+class UsageError(SystemExit):
+    """A bad flag combination: :func:`main` prints ``error: <message>``
+    and the process exits 2, like an argparse error."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.code = 2
+
+
 def validate_engine_args(args: argparse.Namespace) -> None:
-    """Reject a lease-fabric flag on the local fabric before any engine
-    spins up: one ``error:`` line instead of a mid-run surprise."""
+    """Reject conflicting engine flags before any engine spins up: one
+    ``error:`` line instead of a mid-run surprise.  ``--resume DIR``
+    already appends to the journal it replays, so it excludes
+    ``--journal``."""
     if args.lease_timeout is not None and args.workers != "remote":
-        raise SystemExit("error: --lease-timeout requires --workers remote")
+        raise UsageError("--lease-timeout requires --workers remote")
+    if args.journal and args.resume:
+        raise UsageError(
+            "--journal and --resume are mutually exclusive "
+            "(--resume already appends to the journal it replays)"
+        )
 
 
 def topology_from_args(args: argparse.Namespace) -> dict:
@@ -274,8 +290,7 @@ def engine_from_args(args: argparse.Namespace):
         try:
             resilience.activate(resilience.FaultPlan.from_spec(spec))
         except ValueError as exc:
-            print(f"error: invalid fault plan: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            raise UsageError(f"invalid fault plan: {exc}") from None
     retry = resilience.RetryPolicy(
         max_attempts=args.retries or resilience.RetryPolicy.max_attempts,
         timeout=args.job_timeout,
@@ -301,21 +316,16 @@ def checkpoint_from_args(args: argparse.Namespace):
     """The ``--journal`` / ``--resume`` checkpoint, if either was given.
 
     ``--resume DIR`` implies journaling into the same directory (the
-    resumed run appends to the journal it replays), so the two flags are
-    mutually exclusive.
+    resumed run appends to the journal it replays).  The journal module
+    loads only when one of the flags asks for it.
     """
+    if not (args.journal or args.resume):
+        return None
     from .runner.journal import RunCheckpoint
 
-    if args.journal and args.resume:
-        raise SystemExit(
-            "error: --journal and --resume are mutually exclusive "
-            "(--resume already appends to the journal it replays)"
-        )
     if args.resume:
         return RunCheckpoint(args.resume, resume=True)
-    if args.journal:
-        return RunCheckpoint(args.journal)
-    return None
+    return RunCheckpoint(args.journal)
 
 
 def export_observability(args: argparse.Namespace, engine) -> None:
@@ -995,9 +1005,12 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         os._exit(0)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise
     except Exception as exc:
-        # Only the journaled commands raise JournalError, and they have
-        # imported it already, so this import is free.
+        # Only the journaled commands raise JournalError; this import
+        # runs only on a failing command.
         from .runner.journal import JournalError
 
         if not isinstance(exc, JournalError):

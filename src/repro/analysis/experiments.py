@@ -23,6 +23,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ..core.codesize import (
+    PER_COPY,
+    PER_ITERATION,
     size_csr_pipelined,
     size_csr_retime_unfold,
     size_original,
@@ -30,7 +32,6 @@ from ..core.codesize import (
     size_retime_unfold,
     size_unfold_retime,
 )
-from ..core.predicated import PER_COPY, PER_ITERATION
 from ..graph.dfg import DFG
 from ..graph.iteration_bound import iteration_bound
 from ..graph.serialize import from_json, to_json

@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.predicated import PER_COPY, PER_ITERATION
+from ..core.codesize import PER_COPY, PER_ITERATION
 from ..ioutil import atomic_write_text
 from ..runner.journal import MultiRunScan, scan_run_dirs
 from ..workloads.registry import BENCHMARKS

@@ -6,24 +6,31 @@ retiming+unfolding orders.  The conditional-register (CSR) forms live in
 :mod:`repro.core`, the executing VM in :mod:`repro.machine`.
 """
 
-from .c_emitter import emit_c
-from .combined import retimed_unfolded_loop, unfold_retimed_loop
-from .ir import (
-    ComputeInstr,
-    DecInstr,
-    Guard,
-    IndexBase,
-    IndexExpr,
-    Instr,
-    Loop,
-    LoopProgram,
-    Operand,
-    SetupInstr,
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".c_emitter": ("emit_c",),
+        ".combined": ("retimed_unfolded_loop", "unfold_retimed_loop"),
+        ".ir": (
+            "ComputeInstr",
+            "DecInstr",
+            "Guard",
+            "IndexBase",
+            "IndexExpr",
+            "Instr",
+            "Loop",
+            "LoopProgram",
+            "Operand",
+            "SetupInstr",
+        ),
+        ".original": ("compute_for_node", "original_loop"),
+        ".pipelined": ("pipelined_loop",),
+        ".printer": ("format_program",),
+        ".unfolded": ("unfolded_loop",),
+    },
 )
-from .original import compute_for_node, original_loop
-from .pipelined import pipelined_loop
-from .printer import format_program
-from .unfolded import unfolded_loop
 
 __all__ = [
     "emit_c",

@@ -7,34 +7,45 @@ semantic verification by execution; register-constrained retiming; and the
 code-size/performance trade-off explorer.
 """
 
-from .codesize import (
-    CodeSizeReport,
-    remainder_iterations,
-    report_retimed,
-    report_retimed_unfolded,
-    size_csr_pipelined,
-    size_csr_retime_unfold,
-    size_csr_unfold_retime,
-    size_csr_unfolded,
-    size_original,
-    size_pipelined,
-    size_retime_unfold,
-    size_unfold_retime,
-    size_unfolded,
+from .. import _lazy_exports
+
+# Exports resolve on first access, so the size models (all the paper
+# tables need) load without the code generators, the VM or the verifier.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".codesize": (
+            "PER_COPY",
+            "PER_ITERATION",
+            "CodeSizeReport",
+            "remainder_iterations",
+            "report_retimed",
+            "report_retimed_unfolded",
+            "size_csr_pipelined",
+            "size_csr_retime_unfold",
+            "size_csr_unfold_retime",
+            "size_csr_unfolded",
+            "size_original",
+            "size_pipelined",
+            "size_retime_unfold",
+            "size_unfold_retime",
+            "size_unfolded",
+        ),
+        ".combined_csr": ("csr_retimed_unfolded_loop", "csr_unfold_retimed_loop"),
+        ".csr": ("csr_pipelined_loop",),
+        ".partial": ("RegisterConstrainedResult", "limit_registers"),
+        ".predicated": ("predicated_program",),
+        ".tradeoff": (
+            "TradeoffPoint",
+            "best_under_budget",
+            "design_space",
+            "max_retiming_depth",
+            "max_unfolding_factor",
+        ),
+        ".unfolded_csr": ("csr_unfolded_loop",),
+        ".verify": ("EquivalenceError", "assert_equivalent", "equivalent", "reference_result"),
+    },
 )
-from .combined_csr import csr_retimed_unfolded_loop, csr_unfold_retimed_loop
-from .csr import csr_pipelined_loop
-from .partial import RegisterConstrainedResult, limit_registers
-from .predicated import PER_COPY, PER_ITERATION, predicated_program
-from .tradeoff import (
-    TradeoffPoint,
-    best_under_budget,
-    design_space,
-    max_retiming_depth,
-    max_unfolding_factor,
-)
-from .unfolded_csr import csr_unfolded_loop
-from .verify import EquivalenceError, assert_equivalent, equivalent, reference_result
 
 __all__ = [
     "CodeSizeReport",

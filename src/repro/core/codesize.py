@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from ..graph.dfg import DFG
 from ..retiming.function import Retiming
-from .predicated import PER_COPY, PER_ITERATION
 
 __all__ = [
+    "PER_COPY",
+    "PER_ITERATION",
     "size_original",
     "size_pipelined",
     "size_unfolded",
@@ -33,6 +34,11 @@ __all__ = [
     "report_retimed",
     "report_retimed_unfolded",
 ]
+
+#: The two decrement conventions of :func:`~repro.core.predicated.predicated_program`
+#: (see its module docstring), which the CSR size models take as ``mode``.
+PER_COPY = "per-copy"
+PER_ITERATION = "per-iteration"
 
 
 def size_original(g: DFG) -> int:

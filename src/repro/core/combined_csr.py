@@ -25,7 +25,8 @@ from ..graph.validate import topological_order
 from ..codegen.ir import LoopProgram
 from ..retiming.function import Retiming
 from ..unfolding.unfold import copy_name, parse_copy_name, unfold
-from .predicated import PER_COPY, PER_ITERATION, predicated_program
+from .codesize import PER_COPY, PER_ITERATION
+from .predicated import predicated_program
 
 __all__ = ["csr_retimed_unfolded_loop", "csr_unfold_retimed_loop"]
 

@@ -20,7 +20,8 @@ from ..graph.validate import topological_order
 from ..codegen.ir import LoopProgram
 from ..observability import count, span
 from ..retiming.function import Retiming
-from .predicated import PER_ITERATION, predicated_program
+from .codesize import PER_ITERATION
+from .predicated import predicated_program
 
 __all__ = ["csr_pipelined_loop"]
 

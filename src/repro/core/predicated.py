@@ -51,11 +51,9 @@ from typing import Mapping, Sequence
 from ..graph.dfg import DFG, DFGError
 from ..codegen.ir import DecInstr, Guard, IndexExpr, Instr, Loop, LoopProgram, SetupInstr
 from ..codegen.original import compute_for_node
+from .codesize import PER_COPY, PER_ITERATION
 
-__all__ = ["predicated_program", "PER_COPY", "PER_ITERATION"]
-
-PER_COPY = "per-copy"
-PER_ITERATION = "per-iteration"
+__all__ = ["predicated_program"]
 
 
 def predicated_program(

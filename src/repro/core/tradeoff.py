@@ -23,7 +23,7 @@ from .codesize import (
     size_csr_retime_unfold,
     size_retime_unfold,
 )
-from .predicated import PER_COPY
+from .codesize import PER_COPY
 
 __all__ = [
     "max_unfolding_factor",

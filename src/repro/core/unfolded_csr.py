@@ -17,7 +17,8 @@ from __future__ import annotations
 from ..graph.dfg import DFG, DFGError
 from ..graph.validate import topological_order
 from ..codegen.ir import LoopProgram
-from .predicated import PER_ITERATION, predicated_program
+from .codesize import PER_ITERATION
+from .predicated import predicated_program
 
 __all__ = ["csr_unfolded_loop"]
 

@@ -7,18 +7,29 @@ iteration bound, and the Leiserson–Saxe ``W``/``D`` matrices that drive
 optimal retiming.
 """
 
+from .. import _lazy_exports
+
+# These three functions share their submodule's name, so they are bound
+# now: importing the submodule later would otherwise set the package
+# attribute to the module.  Every other export resolves on first access.
 from .critical_cycle import critical_cycle, cycle_stats
-from .dfg import DFG, DFGError, Edge, MODULUS, Node, OpKind, evaluate_op
 from .iteration_bound import (
     iteration_bound,
     iteration_bound_exhaustive,
     minimum_unfolding_for_rate_optimality,
 )
-from .kernel import EdgeKernel
-from .period import alap_times, asap_times, critical_path, cycle_period
 from .validate import is_valid, topological_order, validate
-from .serialize import GraphFormatError, from_json, load_graph, to_dot, to_json
-from .wd import distinct_d_values, wd_kernel
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".dfg": ("DFG", "DFGError", "Edge", "MODULUS", "Node", "OpKind", "evaluate_op"),
+        ".kernel": ("EdgeKernel",),
+        ".period": ("alap_times", "asap_times", "critical_path", "cycle_period"),
+        ".serialize": ("GraphFormatError", "from_json", "load_graph", "to_dot", "to_json"),
+        ".wd": ("distinct_d_values", "wd_kernel"),
+    },
+)
 
 __all__ = [
     "critical_cycle",

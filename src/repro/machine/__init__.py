@@ -7,9 +7,16 @@ so that "the transformed program computes the same arrays" is checked by
 actually running both.
 """
 
-from .registers import ConditionalRegisterFile, MachineError
-from .vliw_vm import PackedResult, run_packed
-from .vm import ExecutionTrace, TraceEvent, VMResult, default_initial, run_program
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".registers": ("ConditionalRegisterFile", "MachineError"),
+        ".vliw_vm": ("PackedResult", "run_packed"),
+        ".vm": ("ExecutionTrace", "TraceEvent", "VMResult", "default_initial", "run_program"),
+    },
+)
 
 __all__ = [
     "ConditionalRegisterFile",

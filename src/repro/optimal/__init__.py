@@ -18,20 +18,27 @@ Two independent decision procedures cross-check each other:
 See ``docs/OPTIMAL.md`` for the formulation and gap semantics.
 """
 
-from .brute import (
-    BruteForceBudgetExceeded,
-    brute_force_cycle_period,
-    brute_force_initiation_interval,
-    brute_force_min_max_retiming,
-    enumerate_normalized_retimings,
-)
-from .modulo import OptimalII, optimal_initiation_interval
-from .period import (
-    OptimalPeriod,
-    minimal_code_size,
-    minimize_max_retiming,
-    optimal_cycle_period,
-    period_lower_bound,
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".brute": (
+            "BruteForceBudgetExceeded",
+            "brute_force_cycle_period",
+            "brute_force_initiation_interval",
+            "brute_force_min_max_retiming",
+            "enumerate_normalized_retimings",
+        ),
+        ".modulo": ("OptimalII", "optimal_initiation_interval"),
+        ".period": (
+            "OptimalPeriod",
+            "minimal_code_size",
+            "minimize_max_retiming",
+            "optimal_cycle_period",
+            "period_lower_bound",
+        ),
+    },
 )
 
 __all__ = [

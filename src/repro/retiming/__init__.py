@@ -7,10 +7,17 @@ difference-constraint solver, Leiserson–Saxe optimal retiming (FEAS with
 its W/D constraint-solve reference), and rate-optimality analysis.
 """
 
-from .constraints import DifferenceConstraints
-from .function import Retiming, RetimingError
-from .optimal import minimize_cycle_period, minimum_cycle_period, retime_for_period
-from .rate_optimal import RateOptimalResult, rate_optimal_retiming
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".constraints": ("DifferenceConstraints",),
+        ".function": ("Retiming", "RetimingError"),
+        ".optimal": ("minimize_cycle_period", "minimum_cycle_period", "retime_for_period"),
+        ".rate_optimal": ("RateOptimalResult", "rate_optimal_retiming"),
+    },
+)
 
 __all__ = [
     "DifferenceConstraints",

@@ -73,14 +73,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .. import observability
 from ..observability import count, span
 from . import resilience
 from .cache import NullCache, ResultCache, cache_key
-from .jobs import Job, JobResult, execute_job
 from .resilience import FaultPlan, JobOutcome, RetryPolicy, run_attempts
 from .reuse import ReuseStats, reuse, worker_scope
+
+if TYPE_CHECKING:
+    from .jobs import Job, JobResult
 
 __all__ = ["EngineStats", "ExperimentEngine", "WorkUnit", "default_engine"]
 
@@ -564,6 +567,10 @@ class ExperimentEngine:
 
     def run_jobs(self, jobs: list[Job]) -> list[JobResult]:
         """Execute a job matrix; results in submission order."""
+        # Imported here: the job bodies pull in codegen and the VM, which
+        # engine users that only map their own units (``tables``) never run.
+        from .jobs import JobResult, execute_job
+
         params = [j.to_params() for j in jobs]
         labels = [j.label for j in jobs]
         detailed = self._map_detailed("job", execute_job, params, labels)

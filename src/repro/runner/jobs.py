@@ -30,20 +30,22 @@ from ..codegen.combined import retimed_unfolded_loop, unfold_retimed_loop
 from ..codegen.original import original_loop
 from ..codegen.pipelined import pipelined_loop
 from ..codegen.unfolded import unfolded_loop
-from ..core.codesize import size_pipelined, size_retime_unfold, size_unfold_retime
+from ..core.codesize import (
+    PER_COPY,
+    PER_ITERATION,
+    size_pipelined,
+    size_retime_unfold,
+    size_unfold_retime,
+)
 from ..core.combined_csr import csr_retimed_unfolded_loop, csr_unfold_retimed_loop
 from ..core.csr import csr_pipelined_loop
-from ..core.predicated import PER_COPY, PER_ITERATION
 from ..core.unfolded_csr import csr_unfolded_loop
 from ..core.verify import assert_equivalent
 from ..graph.dfg import DFG, DFGError
 from ..graph.serialize import from_json, to_json
 from ..machine.vm import run_program
 from ..observability import OBS, count, span
-from ..optimal import minimal_code_size, optimal_cycle_period, optimal_initiation_interval
 from ..retiming.optimal import minimize_cycle_period, retime_for_period
-from ..schedule.modulo import modulo_schedule
-from ..schedule.rotation import rotation_schedule
 from ..unfolding.orders import retime_unfold, unfold_retime
 from ..workloads.registry import get_workload
 from .resilience import JobOutcome
@@ -321,6 +323,12 @@ def _oracle_payload(g: DFG, timeout: float | None) -> dict:
     recorded as gaps, not violations — a timed-out oracle degrades the
     check, never fakes a pass.
     """
+    # Imported here: only ``--oracle`` sweeps run the schedulers and the
+    # exact solvers.
+    from ..optimal import minimal_code_size, optimal_cycle_period, optimal_initiation_interval
+    from ..schedule.modulo import modulo_schedule
+    from ..schedule.rotation import rotation_schedule
+
     opt = optimal_cycle_period(g, timeout=timeout)
     periods = {
         m: minimize_cycle_period(g, method=m)[0]

@@ -7,19 +7,26 @@ scheduling — the retiming-driven software-pipelining loop whose code-size
 expansion the CSR framework removes.
 """
 
-from .legality import check_schedule, is_legal_schedule
-from .list_scheduling import critical_path_priorities, list_schedule
-from .modulo import ModuloSchedule, minimum_initiation_interval, modulo_schedule
-from .resources import UNLIMITED, ResourceModel, default_kind
-from .rotation import (
-    RotationResult,
-    can_push,
-    push_nodes,
-    pushable_nodes,
-    rotation_schedule,
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".legality": ("check_schedule", "is_legal_schedule"),
+        ".list_scheduling": ("critical_path_priorities", "list_schedule"),
+        ".modulo": ("ModuloSchedule", "minimum_initiation_interval", "modulo_schedule"),
+        ".resources": ("UNLIMITED", "ResourceModel", "default_kind"),
+        ".rotation": (
+            "RotationResult",
+            "can_push",
+            "push_nodes",
+            "pushable_nodes",
+            "rotation_schedule",
+        ),
+        ".static_schedule": ("StaticSchedule", "asap_schedule"),
+        ".vliw": ("VliwSchedule", "VliwWord", "estimate_cycles", "pack_body", "pack_straightline"),
+    },
 )
-from .static_schedule import StaticSchedule, asap_schedule
-from .vliw import VliwSchedule, VliwWord, estimate_cycles, pack_body, pack_straightline
 
 __all__ = [
     "check_schedule",

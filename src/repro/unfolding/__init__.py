@@ -6,14 +6,24 @@ unfold-then-retime — including an exact optimizer for the retime-first
 order.
 """
 
-from .orders import (
-    OrderedResult,
-    min_delay_exceeding_time,
-    retime_unfold,
-    retime_unfold_for_period,
-    unfold_retime,
-)
+from .. import _lazy_exports
+
+# `unfold` shares its submodule's name, so it is bound now: importing the
+# submodule later would otherwise set the package attribute to the module.
 from .unfold import copy_name, parse_copy_name, unfold, unfolded_edge_delay
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".orders": (
+            "OrderedResult",
+            "min_delay_exceeding_time",
+            "retime_unfold",
+            "retime_unfold_for_period",
+            "unfold_retime",
+        ),
+    },
+)
 
 __all__ = [
     "OrderedResult",

@@ -99,8 +99,9 @@ class TestValidateEngineArgs:
 
 
 class TestOutOfRangeFlags:
-    """Every out-of-range engine, serve or worker flag ends in argparse's
-    ``error:`` line and exit 2, with no traceback and nothing on stdout."""
+    """Every out-of-range or conflicting engine, serve or worker flag ends
+    in one ``error:`` line and exit 2, with no traceback and nothing on
+    stdout."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -136,6 +137,25 @@ class TestOutOfRangeFlags:
         errors = [l for l in err.splitlines() if "error:" in l]
         assert len(errors) == 1 and f"argument {argv[-2]}" in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--lease-timeout", "5"],
+            ["sweep", "--journal", "a", "--resume", "b"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_conflicting_flags_exit_2_with_one_error_line(self, argv, capsys):
+        """Flags valid alone but not together are refused after parsing,
+        with the same one line and exit code as an argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {exc.value}"]
+        assert argv[-2] in err
 
 
 class TestSupervisedFabric:

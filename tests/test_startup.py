@@ -17,10 +17,34 @@ import pytest
 
 import repro
 import repro.analysis
+import repro.codegen
+import repro.core
+import repro.graph
+import repro.machine
+import repro.optimal
+import repro.retiming
 import repro.runner
+import repro.schedule
 import repro.server
+import repro.unfolding
+import repro.workloads
 
-LAZY_PACKAGES = [repro, repro.analysis, repro.runner, repro.server]
+#: Every package whose ``__init__`` exports through ``_lazy_exports``.
+LAZY_PACKAGES = [
+    repro,
+    repro.analysis,
+    repro.codegen,
+    repro.core,
+    repro.graph,
+    repro.machine,
+    repro.optimal,
+    repro.retiming,
+    repro.runner,
+    repro.schedule,
+    repro.server,
+    repro.unfolding,
+    repro.workloads,
+]
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -31,6 +55,28 @@ HEAVY = (
     "asyncio",
     "http.server",
     "repro.runner.remote",
+)
+
+#: What the paper tables never run: they need only the closed-form size
+#: models, so no code generator, VM, verifier, scheduler, oracle, job
+#: body or journal.
+NOT_ON_TABLES = (
+    "repro.codegen",
+    "repro.machine",
+    "repro.core.verify",
+    "repro.optimal",
+    "repro.schedule",
+    "repro.runner.jobs",
+    "repro.runner.journal",
+)
+
+#: What a sweep never runs: C emission, program printing, the packed VLIW
+#: VM and list scheduling.
+NOT_ON_SWEEP = (
+    "repro.codegen.c_emitter",
+    "repro.codegen.printer",
+    "repro.machine.vliw_vm",
+    "repro.schedule.list_scheduling",
 )
 
 
@@ -77,15 +123,25 @@ class TestImportBudget:
 
     def test_vector_modules_import_without_numpy(self):
         loaded = _imported(
-            ["-c", "import repro.machine.vm, repro.graph.wd, repro.retiming"]
+            ["-c", "import repro.machine.vm, repro.graph.wd, repro.retiming.optimal"]
         )
         assert "repro.retiming.optimal" in loaded
         assert "numpy" not in loaded
 
     def test_tables_loads_no_ctypes_or_pulp(self):
         loaded = _imported(["-m", "repro", "tables", "1"])
-        assert "repro.optimal" in loaded  # imported, but without a pulp probe
+        assert "repro.optimal" not in loaded
         assert sorted(m for m in ("ctypes", "pulp") if m in loaded) == []
+
+    def test_tables_load_only_the_size_models(self):
+        loaded = _imported(["-m", "repro", "tables", "1", "2", "3", "4", "--no-cache"])
+        assert "repro.core.codesize" in loaded
+        assert sorted(m for m in loaded if m.startswith(NOT_ON_TABLES)) == []
+
+    def test_sweep_skips_what_it_never_runs(self):
+        loaded = _imported(["-m", "repro", "sweep", "--graphs", "2", "--no-cache"])
+        assert "repro.machine.vm" in loaded
+        assert sorted(m for m in NOT_ON_SWEEP if m in loaded) == []
 
     @pytest.mark.parametrize("command", ["tables", "sweep", "report", "worker"])
     def test_help_skips_heavy_modules(self, command):
@@ -108,7 +164,8 @@ class TestImportBudget:
         Table 4 retimes 104-node unfolded graphs to a fixed period by
         FEAS, which builds no ``W``/``D`` matrices."""
         loaded = _imported(["-m", "repro", *argv])
-        assert "repro.machine.dispatch" in loaded
+        if argv[0] != "tables":  # the tables run no program at all
+            assert "repro.machine.dispatch" in loaded
         assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
 
     def test_serve_help_skips_numpy(self):
@@ -137,12 +194,34 @@ class TestLazyExports:
         assert namespace["DFG"] is repro.graph.DFG
 
     def test_exports_resolve_in_a_fresh_interpreter(self):
+        names = ", ".join(p.__name__ for p in LAZY_PACKAGES)
         out = _python(
-            "import repro, repro.analysis, repro.runner, repro.server\n"
-            "for package in (repro, repro.analysis, repro.runner, repro.server):\n"
+            f"import {names}\n"
+            f"for package in ({names}):\n"
             "    for name in package.__all__:\n"
             "        getattr(package, name)\n"
             "print('ok')"
         )
         assert out.strip() == "ok"
+
+    def test_no_export_resolves_to_a_submodule(self):
+        """Importing a submodule binds it on its package.  A lazy export
+        with the submodule's own name would then resolve to the module,
+        so such names are bound eagerly; loading every submodule first
+        must leave every export a non-module."""
+        names = ", ".join(p.__name__ for p in LAZY_PACKAGES)
+        out = _python(
+            "import importlib, pkgutil, types\n"
+            f"import {names}\n"
+            f"packages = ({names})\n"
+            "for package in packages:\n"
+            "    for info in pkgutil.iter_modules(package.__path__):\n"
+            "        if info.name != '__main__':\n"
+            "            importlib.import_module(f'{package.__name__}.{info.name}')\n"
+            "for package in packages:\n"
+            "    for name in package.__all__:\n"
+            "        if isinstance(getattr(package, name), types.ModuleType):\n"
+            "            print(f'{package.__name__}.{name}')\n"
+        )
+        assert out.split() == []
 
