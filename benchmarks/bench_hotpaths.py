@@ -79,7 +79,7 @@ def _timed(fn, *args, **kwargs):
 
 def _counted(fn, *args, **kwargs):
     """``(result, seconds, counters)`` with a clean metrics registry."""
-    was_enabled = OBS.enabled
+    was = OBS.enabled, OBS.tracing
     OBS.reset()
     OBS.enable()
     try:
@@ -87,7 +87,7 @@ def _counted(fn, *args, **kwargs):
         counters = dict(OBS.metrics.as_dict()["counters"])
     finally:
         OBS.reset()
-        OBS.enabled = was_enabled
+        OBS.enabled, OBS.tracing = was
     return result, secs, counters
 
 

@@ -270,8 +270,9 @@ def engine_from_args(args: argparse.Namespace):
     """Build the :class:`~repro.runner.engine.ExperimentEngine` the
     engine flags describe.
 
-    ``--trace`` or ``--metrics-out`` turns observability on for the whole
-    run (workers included) before any work is submitted.  ``--fault-plan``
+    ``--metrics-out`` turns metrics on for the whole run (workers
+    included) before any work is submitted; ``--trace`` turns on spans
+    as well.  ``--fault-plan``
     (or ``$REPRO_FAULT_PLAN``) activates the fault-injection plan
     process-wide, so the engine forwards it to its workers.  ``--workers
     remote`` swaps the local pool for the lease fabric
@@ -284,7 +285,7 @@ def engine_from_args(args: argparse.Namespace):
 
     validate_engine_args(args)
     if args.trace or args.metrics_out:
-        observability.enable()
+        observability.enable(trace=bool(args.trace))
     spec = args.fault_plan or os.environ.get(resilience.FAULT_PLAN_ENV)
     if spec:
         try:

@@ -166,14 +166,13 @@ def _partitions_into_at_most(items: list[str], k: int):
 
 
 def _solve_unfold_grouped(
-    g: DFG, f: int, c: int, groups: dict[str, int]
+    g: DFG, f: int, c: int, bounds: list[tuple[str, str, int]], groups: dict[str, int]
 ) -> Retiming | None:
     """Retiming with ``Phi(unfold(G_r, f)) <= c`` and all nodes of a group
-    forced to equal retiming values; ``None`` if infeasible."""
-    from ..unfolding.orders import min_delay_exceeding_time
+    forced to equal retiming values; ``None`` if infeasible.  ``bounds``
+    are the period constraints, from ``W_c``."""
     from ..unfolding.unfold import unfold
 
-    bounds = [(v, u, w - f) for (u, v), w in min_delay_exceeding_time(g, c).items()]
     r = solve_retiming(g, bounds + _equal_within(groups))
     if r is None:
         return None
@@ -195,19 +194,23 @@ def minimize_registers_for_unfold(
     the unconstrained optimum (a heuristic upper bound).  Returns ``None``
     when the period itself is infeasible.
     """
-    from ..unfolding.orders import retime_unfold_for_period
+    from ..unfolding.orders import min_delay_exceeding_time, retime_unfold_for_period
 
     baseline = retime_unfold_for_period(g, f, c)
     if baseline is None:
         return None
     best = baseline
+    if best.registers_needed() <= 1:
+        return best
+    # W_c, and so the period constraints, are the same for every grouping.
+    bounds = [(v, u, w - f) for (u, v), w in min_delay_exceeding_time(g, c).items()]
     names = g.node_names()
     if len(names) <= exhaustive_limit:
         for k in range(1, baseline.registers_needed()):
             found = None
             for blocks in _partitions_into_at_most(names, k):
                 groups = {n: i for i, block in enumerate(blocks) for n in block}
-                r = _solve_unfold_grouped(g, f, c, groups)
+                r = _solve_unfold_grouped(g, f, c, bounds, groups)
                 if r is not None and r.registers_needed() <= k:
                     found = r
                     break
@@ -222,7 +225,7 @@ def minimize_registers_for_unfold(
             node: min(range(len(levels)), key=lambda i: abs(levels[i] - val))
             for node, val in baseline.items()
         }
-        r = _solve_unfold_grouped(g, f, c, groups)
+        r = _solve_unfold_grouped(g, f, c, bounds, groups)
         if r is not None and r.registers_needed() < best.registers_needed():
             return r
     return best

@@ -50,14 +50,7 @@ from ..codegen.ir import (
 from ..graph.dfg import DFGError, MODULUS, OpKind, evaluate_op
 from .registers import MachineError
 
-__all__ = [
-    "CompiledProgram",
-    "WarmPool",
-    "compile_program",
-    "execute_compiled",
-    "program_pool",
-    "warm_program",
-]
+__all__ = ["CompiledProgram", "compile_program", "execute_compiled"]
 
 # Instruction kind codes.
 _SETUP = 0
@@ -195,109 +188,6 @@ def compile_program(program: LoopProgram) -> CompiledProgram:
         compiled = CompiledProgram(program, lambda _ref, k=key: _CACHE.pop(k, None))
         _CACHE[key] = compiled
     return compiled
-
-
-#: ``WarmPool.get`` default that no pooled value can equal (``None`` can).
-_MISSING = object()
-
-
-class WarmPool:
-    """Bounded LRU of content-keyed values kept warm across requests.
-
-    The id-keyed cache above only helps while the caller holds the same
-    ``LoopProgram`` object; a long-lived request server rebuilds programs
-    from graph JSON per request, so every rebuild would recompile.  A
-    :class:`WarmPool` keyed on *content* (a graph digest plus transform
-    parameters) keeps the built objects — programs, (W, D) matrices —
-    alive across requests, bounded so an adversarial request stream
-    cannot grow it without limit.  Thread-safe: the server's batch
-    executor and the asyncio loop may touch it concurrently.
-    """
-
-    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"warm pool capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: dict = {}  # insertion-ordered; re-insert on touch
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key, default=None):
-        """The pooled value for ``key``, or ``default`` (counted as a miss)."""
-        with self._lock:
-            if key in self._entries:
-                value = self._entries.pop(key)
-                self._entries[key] = value  # most-recently-used position
-                self.hits += 1
-                return value
-            self.misses += 1
-            return default
-
-    def put(self, key, value) -> None:
-        """Insert (or refresh) ``key``, evicting the LRU entry beyond capacity."""
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self.evictions += 1
-
-    def get_or_build(self, key, build):
-        """Pooled value for ``key``, building and pooling it on a miss.
-
-        ``build`` runs outside the lock — two concurrent misses may both
-        build, but the pool stays consistent and the values are pure
-        functions of the key, so either result is correct.
-        """
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = build()
-            self.put(key, value)
-        return value
-
-    def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Process-wide warm pool of built ``LoopProgram`` objects, keyed by
-#: content.  Holding the program object alive is what makes the id-keyed
-#: ``compile_program`` cache hit across requests.
-_PROGRAM_POOL = WarmPool(capacity=128)
-
-
-def program_pool() -> WarmPool:
-    """The process-wide compiled-program warm pool (server hot path)."""
-    return _PROGRAM_POOL
-
-
-def warm_program(key, build) -> LoopProgram:
-    """A content-keyed, warm-pooled ``LoopProgram``, pre-compiled.
-
-    ``build`` constructs the program on a pool miss; either way the
-    returned program is already through :func:`compile_program`, so the
-    first execution pays no dispatch-compilation cost.
-    """
-    program = _PROGRAM_POOL.get_or_build(key, build)
-    compile_program(program)
-    return program
 
 
 def execute_compiled(

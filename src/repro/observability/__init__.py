@@ -1,25 +1,31 @@
 """Zero-dependency structured tracing and metrics for the pipeline.
 
-One module-level switch governs the whole subsystem.  Every hook in the
-library is written as::
+Two module-level switches govern the subsystem: ``OBS.enabled`` for
+metrics and ``OBS.tracing`` for spans (tracing implies metrics).  Every
+hook in the library is written as::
 
     from ..observability import OBS, span
 
-    with span("retiming.minimize", graph=g.name) as sp:   # no-op when off
+    with span("retiming.minimize", graph=g.name) as sp:   # no-op unless tracing
         ...
     if OBS.enabled:                                       # bulk, not per-op
         OBS.metrics.counter("vm.instructions.executed").inc(executed)
 
-When tracing is **off** (the default) a hook costs one attribute check —
-``span`` returns a shared null context manager and the metrics branch is
-never taken — so the hot paths stay hot.  When **on**, spans collect into
-:attr:`OBS.tracer <Observability.tracer>` and counters into
-:attr:`OBS.metrics <Observability.metrics>`.
+When a switch is **off** (the default) its hooks cost one attribute
+check — ``span`` returns a shared null context manager and the metrics
+branch is never taken — so the hot paths stay hot.  Metrics collect into
+:attr:`OBS.metrics <Observability.metrics>`; spans collect into
+:attr:`OBS.tracer <Observability.tracer>` only while a trace is being
+taken (``--trace``, ``profile``), because nothing else reads them and a
+long-lived process would keep every one.  :func:`enable` turns both on;
+``enable(trace=False)`` turns on metrics alone (the request server,
+``--metrics-out`` without ``--trace``).
 
 Cross-process aggregation: a worker process calls :func:`export_state` and
 ships the plain-JSON result home in its payload envelope; the parent calls
 :func:`absorb_state` to merge the worker's spans (on their own ``pid``
-lane) and metric deltas into the run's collectors.  This is how
+lane, when the parent traces) and metric deltas into the run's
+collectors.  This is how
 :class:`~repro.runner.engine.ExperimentEngine` makes a parallel sweep's
 trace and counters equal a serial run's.
 
@@ -81,7 +87,8 @@ class Observability:
     """The process-wide tracing/metrics switchboard (singleton ``OBS``)."""
 
     def __init__(self) -> None:
-        self.enabled = False
+        self.enabled = False  # metrics
+        self.tracing = False  # spans; only ever on with metrics
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
 
@@ -96,14 +103,16 @@ class Observability:
     def metrics(self, registry: MetricsRegistry) -> None:
         self._metrics = registry
 
-    def enable(self) -> None:
+    def enable(self, trace: bool = True) -> None:
         self.enabled = True
+        self.tracing = trace
 
     def disable(self) -> None:
         self.enabled = False
+        self.tracing = False
 
     def reset(self) -> None:
-        """Fresh tracer and registry; the enabled flag is unchanged."""
+        """Fresh tracer and registry; the switches are unchanged."""
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
 
@@ -112,9 +121,10 @@ class Observability:
 OBS = Observability()
 
 
-def enable() -> None:
-    """Turn tracing and metrics collection on for this process."""
-    OBS.enable()
+def enable(trace: bool = True) -> None:
+    """Turn metrics collection, and unless ``trace`` is false tracing,
+    on for this process."""
+    OBS.enable(trace)
 
 
 def disable() -> None:
@@ -122,8 +132,8 @@ def disable() -> None:
 
 
 def span(name: str, **attributes):
-    """A tracer span when observability is on, a shared no-op otherwise."""
-    if not OBS.enabled:
+    """A tracer span while tracing, a shared no-op otherwise."""
+    if not OBS.tracing:
         return NULL_SPAN
     return open_span(OBS.tracer, name, attributes)
 
@@ -179,8 +189,10 @@ def export_state(reset: bool = True) -> dict:
 
 
 def absorb_state(state: dict | None) -> None:
-    """Merge an :func:`export_state` envelope from another process."""
+    """Merge an :func:`export_state` envelope from another process; its
+    spans only while this process traces."""
     if not state:
         return
-    OBS.tracer.absorb(state.get("spans", []))
+    if OBS.tracing:
+        OBS.tracer.absorb(state.get("spans", []))
     OBS.metrics.merge(state.get("metrics", {}))

@@ -24,9 +24,10 @@ there are fewer chunks than workers.  A worker runs a chunk in one go
 the submit/pickle (or lease/complete) round trip is paid per chunk.
 Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
 die with the worker, so every result travels in an envelope carrying the
-worker's hit/miss deltas — and, when observability is on, its serialized
-spans and metric deltas — which the parent merges; ``--stats`` therefore
-reports fleet-wide numbers identical to a serial run's.
+worker's hit/miss deltas — and, when observability is on, its metric
+deltas and (only while the parent traces) its serialized spans — which
+the parent merges; ``--stats`` therefore reports fleet-wide numbers
+identical to a serial run's.
 
 Stage reuse (:mod:`repro.runner.reuse`): a serial batch runs inside one
 reuse scope, and a pool worker process keeps one for its
@@ -70,7 +71,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -88,15 +88,28 @@ if TYPE_CHECKING:
 __all__ = ["EngineStats", "ExperimentEngine", "WorkUnit", "default_engine"]
 
 
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` loads on first use: importing it pulls in
+    # multiprocessing, pickle, socket and subprocess, which a run that
+    # never starts a pool does not need.  It stays a module attribute
+    # (and may be rebound); ``_map_parallel`` uses whatever is bound.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _pool_chunk(task: tuple) -> dict:
     """Process-pool entry point: cached execution of one chunk of units.
 
-    ``task`` is ``(fn, cache_spec, obs_on, policy, plan, units)`` where
-    ``units`` lists ``(params, key, label)`` and ``cache_spec`` is
-    ``(root, shards)`` or ``None``.  The worker sets up its collectors,
-    fault plan, retry policy and cache handle once, then owns the cache
-    lookup/store and the retry loop of each unit, all inside this
-    process's lifetime reuse scope.  It returns one envelope::
+    ``task`` is ``(fn, cache_spec, obs, policy, plan, units)`` where
+    ``units`` lists ``(params, key, label)``, ``cache_spec`` is
+    ``(root, shards)`` or ``None``, and ``obs`` is the parent's
+    observability: 0 off, 1 metrics, 2 metrics and spans.  The worker
+    sets up its collectors, fault plan, retry policy and cache handle
+    once, then owns the cache lookup/store and the retry loop of each
+    unit, all inside this process's lifetime reuse scope.  It returns one envelope::
 
         {"results": [{"payload", "cached", "wall", "outcome"?}, ...],
          "cache_stats", "reuse_stats", "obs"?}
@@ -106,17 +119,17 @@ def _pool_chunk(task: tuple) -> dict:
     hit/miss/put deltas (a fresh :class:`ResultCache` starts at zero, so
     its stats *are* the delta); ``reuse_stats`` the chunk's delta of the
     lifetime reuse scope (:func:`~repro.runner.reuse.worker_scope`);
-    ``obs`` carries serialized spans and metric deltas when the parent
-    had observability enabled.
+    ``obs`` carries metric deltas when the parent had observability
+    enabled, and serialized spans when it traced.
     """
-    fn, cache_spec, obs_on, policy_doc, plan_doc, units = task
-    if obs_on:
+    fn, cache_spec, obs, policy_doc, plan_doc, units = task
+    if obs:
         # A forked worker inherits the parent's collectors wholesale —
         # including the parent's still-open batch span and every metric
         # recorded before the fork.  Start from fresh collectors so the
         # exported state is exactly this chunk's delta.
         observability.OBS.reset()
-        observability.enable()
+        observability.enable(trace=obs > 1)
     # Same inheritance hazard for the fault plan: a forked worker carries
     # the parent plan's occurrence counters.  Install a fresh instance
     # per chunk (counters are per-(site, label), and labels are unique,
@@ -136,7 +149,7 @@ def _pool_chunk(task: tuple) -> dict:
     results = []
     with span("pool.chunk", units=len(units)) as sp, reuse(scope):
         graph = units[0][0].get("graph")
-        if obs_on and isinstance(graph, str):
+        if obs > 1 and isinstance(graph, str):
             sp.set(graph=_node_count(graph))
         for params, key, label in units:
             payload = cache.get(key)
@@ -159,7 +172,7 @@ def _pool_chunk(task: tuple) -> dict:
         "cache_stats": cache.stats.as_dict(),
         "reuse_stats": scope.stats.minus(reuse_before),
     }
-    if obs_on:
+    if obs:
         envelope["obs"] = observability.export_state(reset=True)
     return envelope
 
@@ -214,7 +227,7 @@ class EngineStats:
     wall_time: float = 0.0  # sum of per-call compute time
     vm_executed: int = 0  # VM compute instructions executed
     vm_disabled: int = 0  # guarded computes whose predicate was off
-    job_times: list[tuple[str, float]] = field(default_factory=list)
+    slowest: tuple[str, float] | None = None  # (label, wall), slowest computed
     outcomes: list[JobOutcome] = field(default_factory=list)
 
     def record(self, label: str, payload: dict, wall: float, cached: bool) -> None:
@@ -222,7 +235,8 @@ class EngineStats:
         if not cached:
             self.computed += 1
             self.wall_time += wall
-            self.job_times.append((label, wall))
+            if self.slowest is None or wall > self.slowest[1]:
+                self.slowest = (label, wall)
         if payload.get("ok") is False:
             self.errors += 1
         self.vm_executed += payload.get("executed", 0) or 0
@@ -471,7 +485,7 @@ class ExperimentEngine:
             if root is not None
             else None
         )
-        obs_on = observability.OBS.enabled
+        obs = 2 if observability.OBS.tracing else int(observability.OBS.enabled)
         plan = resilience.active_plan()
         plan_doc = plan.as_dict() if plan is not None else None
         policy_doc = self.retry.as_dict()
@@ -480,7 +494,7 @@ class ExperimentEngine:
         chunks = _chunks(params_list, workers)
         sp.set(chunks=len(chunks))
         tasks = [
-            (fn, cache_spec, obs_on, policy_doc, plan_doc,
+            (fn, cache_spec, obs, policy_doc, plan_doc,
              [(params_list[i], keys[i], labels[i]) for i in chunk])
             for chunk in chunks
         ]
@@ -512,8 +526,13 @@ class ExperimentEngine:
                 self.stats.respawned += respawned
                 count("workers.respawned", respawned)
         else:
+            from concurrent.futures import as_completed
+
+            pool_class = globals().get("ProcessPoolExecutor") or __getattr__(
+                "ProcessPoolExecutor"
+            )
             landed: list = [None] * len(tasks)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with pool_class(max_workers=workers) as pool:
                 futures = {
                     pool.submit(_pool_chunk, task): c for c, task in enumerate(tasks)
                 }
@@ -628,9 +647,9 @@ class ExperimentEngine:
         ]
         if self.remote is not None:
             lines.append(f"remote      : {self.remote.stats_line()}")
-        if s.job_times:
-            slowest = max(s.job_times, key=lambda kv: kv[1])
-            lines.append(f"slowest     : {slowest[0]} ({slowest[1]:.3f}s)")
+        if s.slowest is not None:
+            label, wall = s.slowest
+            lines.append(f"slowest     : {label} ({wall:.3f}s)")
         return "\n".join(lines)
 
     def failure_summary(self) -> str | None:

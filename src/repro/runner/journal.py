@@ -102,14 +102,16 @@ def _checksum(seq: int, rtype: str, data: dict) -> str:
 
 
 def _encode_record(seq: int, rtype: str, data: dict) -> str:
-    record = {
-        "v": JOURNAL_VERSION,
-        "seq": seq,
-        "type": rtype,
-        "data": data,
-        "sha": _checksum(seq, rtype, data),
-    }
-    return _canonical(record)
+    """The canonical record line, with ``data`` serialized once.
+
+    Byte-identical to ``_canonical`` of the whole record with its
+    ``_checksum``: sorted keys put ``"data"`` first in both the checksum
+    body and the record, and the rest are scalars.
+    """
+    d, s, t = _canonical(data), json.dumps(seq), json.dumps(rtype)
+    body = f'{{"data":{d},"seq":{s},"type":{t}}}'
+    sha = hashlib.sha256(body.encode()).hexdigest()[:16]
+    return f'{{"data":{d},"seq":{s},"sha":"{sha}","type":{t},"v":{JOURNAL_VERSION}}}'
 
 
 def _decode_record(line: str) -> dict:

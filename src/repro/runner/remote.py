@@ -121,13 +121,13 @@ def wire_chunk(task: tuple) -> dict:
     A graph-affine chunk's units share one ``graph`` param; it travels
     once, as the chunk's ``graph`` field, instead of once per unit.
     """
-    fn, cache_spec, obs_on, policy_doc, plan_doc, units = task
+    fn, cache_spec, obs, policy_doc, plan_doc, units = task
     graphs = {params.get("graph") for params, _key, _label in units}
     graph = graphs.pop() if len(graphs) == 1 else None
     return {
         "fn": fn_name(fn),
         "cache": list(cache_spec) if cache_spec is not None else None,
-        "obs": bool(obs_on),
+        "obs": int(obs),
         "policy": policy_doc,
         "plan": plan_doc,
         "graph": graph,
@@ -150,7 +150,7 @@ def chunk_from_wire(doc: dict) -> tuple:
     return (
         resolve_fn(doc["fn"]),
         (cache[0], cache[1]) if cache is not None else None,
-        bool(doc.get("obs")),
+        int(doc.get("obs") or 0),
         doc.get("policy"),
         doc.get("plan"),
         [
@@ -169,7 +169,7 @@ def run_task_local(task: tuple) -> dict:
 
     The fabric's local fallback (no reachable workers): the same
     cached/retried :func:`~repro.runner.engine._pool_chunk` body runs,
-    but with ``obs_on`` forced off — the caller's live collectors already
+    but with ``obs`` forced off — the caller's live collectors already
     record everything — and the caller's active fault plan saved and
     restored around the chunk body's fresh-plan-per-chunk install.
     """

@@ -4,8 +4,9 @@ The analysis/transformation pipeline as a long-running service
 (``python -m repro serve``) — stdlib-only HTTP over TCP or a unix
 socket, requests keyed by the same content addresses the experiment
 engine caches under, single-flight deduplication of identical in-flight
-work, batched dispatch into the engine, bounded-queue load shedding, and
-a warm pool of compiled programs.  See ``docs/SERVER.md``.
+work, batched dispatch into the engine and bounded-queue load shedding,
+in memory that does not grow with the requests served.  See
+``docs/SERVER.md``.
 
 Layers:
 

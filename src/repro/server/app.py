@@ -114,8 +114,12 @@ async def _serve(config: ServerConfig) -> int:
 
 
 def serve_main(config: ServerConfig) -> int:
-    """Blocking entry point for the ``serve`` subcommand."""
-    observability.enable()
+    """Blocking entry point for the ``serve`` subcommand.
+
+    Metrics only, for ``/metrics``: nothing reads a long-lived server's
+    spans, and keeping them would grow it with every request.
+    """
+    observability.enable(trace=False)
     if config.fault_plan is not None:
         try:
             resilience.activate(FaultPlan.from_spec(config.fault_plan))

@@ -9,7 +9,8 @@ per connection (``Connection: close``).  Three routes:
   registry, after :meth:`~RetimingService.publish_metrics`;
 * ``POST /v1/request`` — one protocol request
   (:func:`repro.server.protocol.parse_request`), answered with a JSON
-  envelope.
+  envelope; its seconds from request head to envelope go to the
+  ``server.request.seconds`` histogram.
 
 Status mapping keeps every failure structured — a client always gets a
 JSON body with ``ok``/``error``/``error_type``, never a hung socket:
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
-from ..observability import count
+from ..observability import OBS, count
 from ..runner import resilience
 from .protocol import ProtocolError, canonical_bytes, error_envelope, parse_request
 from .service import OverloadedError, RetimingService, ServiceClosedError
@@ -44,6 +46,11 @@ __all__ = ["HttpFrontend", "MAX_BODY"]
 #: Largest accepted request body, in bytes (covers any workload graph by
 #: orders of magnitude; a guard against unbounded buffering, not a quota).
 MAX_BODY = 4 * 1024 * 1024
+
+#: ``server.request.seconds`` bucket upper bounds, 1 ms to 10 s.
+REQUEST_SECONDS_BOUNDS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
 
 _REASONS = {
     200: "OK",
@@ -112,6 +119,7 @@ class HttpFrontend:
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
         """Parse one request off the wire and produce (status, body)."""
         method, path, headers = await self._read_head(reader)
+        start = time.perf_counter()
         if path == "/healthz":
             if method != "GET":
                 return 405, error_envelope("use GET", "MethodNotAllowed")
@@ -153,6 +161,12 @@ class HttpFrontend:
         try:
             resilience.fault_point("server.accept", f"{method} {path}")
             env = await self.service.submit(req)
+            if OBS.enabled:
+                OBS.metrics.histogram(
+                    "server.request.seconds",
+                    "seconds from request head to answer",
+                    REQUEST_SECONDS_BOUNDS,
+                ).observe(time.perf_counter() - start)
             return (200 if env.get("ok") else 500), env
         except OverloadedError as exc:
             return 503, error_envelope(

@@ -355,6 +355,9 @@ class RetimingService:
         for i, req in enumerate(batch):
             if req.kind == "sweep":
                 out[i] = self._run_sweep(req)
+        # The envelopes carry every failure; the engine's per-unit
+        # outcomes would only grow the server with each unit it runs.
+        self.engine.stats.outcomes.clear()
         return [
             r
             if r is not None

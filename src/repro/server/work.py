@@ -1,17 +1,14 @@
-"""Module-level work functions and warm state for the request server.
+"""Module-level work functions for the request server.
 
 :func:`analyze_graph` is an engine unit of work (importable, JSON in /
 JSON out — the process-pool pickling contract, same as
-:func:`repro.runner.jobs.execute_job`).  The compiled-program pool of
-:mod:`repro.machine.dispatch` (:func:`~repro.machine.dispatch.warm_program`)
-keeps built CSR programs alive so the id-keyed dispatch compilation cache
-hits across requests.  It is a bounded LRU and a pure content cache —
-evicting or clearing it can change only speed, never payload bytes.
+:func:`repro.runner.jobs.execute_job`).  It keeps nothing between
+requests: a repeated request is answered by the engine's result cache
+before it runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 
 from ..core.codesize import size_csr_pipelined, size_pipelined
@@ -23,17 +20,11 @@ from ..graph.period import cycle_period
 from ..graph.serialize import from_json
 # Unused here: benchmarks/e2e/replay.py patches this module-level binding.
 from ..graph.wd import wd_kernel  # noqa: F401
-from ..machine.dispatch import warm_program
 from ..machine.vm import run_program
 from ..observability import span
 from ..retiming.optimal import minimize_cycle_period
 
-__all__ = ["analyze_graph", "graph_digest"]
-
-
-def graph_digest(graph_json: str) -> str:
-    """Short content digest of a serialized graph (warm-pool key)."""
-    return hashlib.sha256(graph_json.encode()).hexdigest()[:16]
+__all__ = ["analyze_graph"]
 
 
 def analyze_graph(params: dict) -> dict:
@@ -47,13 +38,9 @@ def analyze_graph(params: dict) -> dict:
     n = params["trip_count"]
     with span("server.analyze", n=n):
         try:
-            graph_json = params["graph"]
-            g = from_json(graph_json)
-            digest = graph_digest(graph_json)
+            g = from_json(params["graph"])
             period, r = minimize_cycle_period(g)
-            program = warm_program(
-                ("csr-pipelined", digest), lambda: csr_pipelined_loop(g, r)
-            )
+            program = csr_pipelined_loop(g, r)
             payload = {
                 "graph": g.name,
                 "nodes": g.num_nodes,

@@ -65,15 +65,17 @@ class TestEngine:
     def test_stats_accumulate(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path))
         jobs = _matrix()
-        engine.run_jobs(jobs)
+        results = engine.run_jobs(jobs)
         s = engine.stats
         assert s.calls == len(jobs)
         assert s.computed == len(jobs)
         assert s.vm_executed > 0
         assert s.wall_time > 0
-        assert len(s.job_times) == len(jobs)
+        walls = [(r.job.label, r.wall_time) for r in results]
+        assert s.slowest == max(walls, key=lambda kv: kv[1])
         summary = engine.stats_summary()
         assert "hit rate" in summary and "computes executed" in summary
+        assert f"slowest     : {s.slowest[0]} " in summary
 
     def test_map_cached_generic_fn(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path))
@@ -282,6 +284,38 @@ class TestChunkedDispatch:
         # Each chunk ran in one worker process.
         for c in _chunks(units, 2):
             assert len({out[i]["pid"] for i in c}) == 1
+
+    def test_pool_class_is_looked_up_when_a_pool_starts(self, monkeypatch):
+        """The engine module binds ``ProcessPoolExecutor`` lazily, and a
+        pool uses whatever the name is bound to at the time."""
+        from concurrent.futures import Future, ProcessPoolExecutor
+
+        import repro.runner.engine as engine_module
+
+        assert engine_module.ProcessPoolExecutor is ProcessPoolExecutor
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", InlinePool)
+        units = _units("aabb")
+        out = ExperimentEngine(jobs=2, cache=None).map_cached("where", _where, units)
+        assert started == [2]
+        assert [p["i"] for p in out] == list(range(len(units)))
+        assert {p["pid"] for p in out} == {os.getpid()}
 
     def test_pool_chunk_spans_show_the_chunk_layout(self):
         from repro import observability

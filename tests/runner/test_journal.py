@@ -28,7 +28,15 @@ from repro.runner import (
     RunJournal,
     scan_journal,
 )
-from repro.runner.journal import JOURNAL_NAME, JOURNAL_VERSION
+from repro.runner.journal import (
+    JOURNAL_NAME,
+    JOURNAL_VERSION,
+    RECORD_TYPES,
+    _canonical,
+    _checksum,
+    _decode_record,
+    _encode_record,
+)
 from repro.runner.resilience import (
     FaultInjected,
     FaultPlan,
@@ -125,6 +133,36 @@ class TestRecordFormat:
         j.run_start("sweep", {})
         assert (tmp_path / "sub" / JOURNAL_NAME).exists()
         j.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seq=st.integers(min_value=0, max_value=2**63),
+    rtype=st.sampled_from(RECORD_TYPES),
+    data=st.dictionaries(st.text(max_size=8), _JSON, max_size=5),
+)
+def test_encoded_record_equals_the_two_dump_form(seq, rtype, data):
+    """One dump of ``data`` spliced into the record gives the bytes of
+    the canonical record with its checksum dumped separately."""
+    record = {
+        "v": JOURNAL_VERSION,
+        "seq": seq,
+        "type": rtype,
+        "data": data,
+        "sha": _checksum(seq, rtype, data),
+    }
+    line = _encode_record(seq, rtype, data)
+    assert line == _canonical(record)
+    assert _decode_record(line) == record
 
 
 class TestScannerDamageModel:

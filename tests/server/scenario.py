@@ -101,7 +101,7 @@ async def settle(predicate, what: str, timeout: float = 60.0) -> None:
 
 
 async def run(fault_plan: str | None, metrics_out: str | None) -> None:
-    observability.enable()
+    observability.enable(trace=False)  # as `python -m repro serve` runs
     if fault_plan:
         resilience.activate(FaultPlan.from_file(fault_plan))
 
@@ -193,6 +193,8 @@ async def run(fault_plan: str | None, metrics_out: str | None) -> None:
             f"server_jobs_submitted {stats.jobs_submitted}",
             f"server_completed {stats.completed}",
             f"server_failed {stats.failed}",
+            # Every answered request (the shed ones are not) is timed.
+            f"server_request_seconds_count {stats.completed + stats.failed}",
         ):
             assert needle in metrics, f"{needle!r} missing from /metrics"
         if metrics_out:

@@ -83,6 +83,39 @@ class TestRoutes:
         assert "server_completed 1" in text
         assert "# TYPE server_submitted gauge" in text
 
+    def test_request_latency_histogram_counts_answered_requests(self):
+        """With the server's metrics-only observability, each answered
+        ``/v1/request`` is one ``server.request.seconds`` observation, a
+        400 is none, and no span is kept."""
+        from repro import observability
+
+        async def scenario():
+            svc = make_service()
+            frontend, host, port = await serve_frontend(svc)
+            await http_json(host, port, analyze_doc(n=1))
+            await http_json(host, port, analyze_doc(n=2))
+            await http_json(host, port, {"kind": "nope"})
+            _, _, payload = await http_request(host, port, "GET", "/metrics")
+            await frontend.aclose()
+            await svc.drain()
+            return payload.decode()
+
+        observability.OBS.reset()
+        observability.enable(trace=False)
+        try:
+            text = run(scenario())
+            hist = observability.OBS.metrics.as_dict()["histograms"]
+            roots = observability.OBS.tracer.roots
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        seconds = hist["server.request.seconds"]
+        assert seconds["count"] == 2
+        assert 0 < seconds["sum"] < 60
+        assert "# TYPE server_request_seconds histogram" in text
+        assert "server_request_seconds_count 2" in text
+        assert roots == []
+
     def test_request_roundtrip_returns_canonical_json(self):
         async def scenario():
             svc = make_service()

@@ -143,6 +143,19 @@ class TestImportBudget:
         assert "repro.machine.vm" in loaded
         assert sorted(m for m in NOT_ON_SWEEP if m in loaded) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tables", "1", "2", "3", "4", "--no-cache"], ["sweep", "--graphs", "2", "--no-cache"]],
+        ids=["tables", "sweep"],
+    )
+    def test_serial_runs_load_no_process_pool(self, argv):
+        """``ProcessPoolExecutor`` loads when a pool starts, not with the
+        engine module."""
+        loaded = _imported(["-m", "repro", *argv])
+        assert "repro.runner.engine" in loaded
+        pool = ("concurrent.futures.process", "multiprocessing")
+        assert sorted(m for m in loaded if m.startswith(pool)) == []
+
     @pytest.mark.parametrize("command", ["tables", "sweep", "report", "worker"])
     def test_help_skips_heavy_modules(self, command):
         loaded = _imported(["-m", "repro", command, "--help"])
