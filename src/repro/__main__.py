@@ -541,7 +541,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_inflight=args.max_inflight,
             batch_max=args.batch_max,
-            shards=args.shards,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
             fault_plan=args.fault_plan,
@@ -921,10 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch-max", type=_positive_int, default=16,
         help="max queued requests coalesced into one engine dispatch",
-    )
-    p.add_argument(
-        "--shards", type=_count, default=0,
-        help="result-cache shard directories (0 = unsharded layout)",
     )
     p.add_argument("--cache-dir", default=None, help="result cache location")
     p.add_argument("--no-cache", action="store_true", help="disable the cache")

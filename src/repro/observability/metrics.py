@@ -26,11 +26,24 @@ import json
 import math
 from bisect import bisect_left
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
+__all__ = [
+    "Counter",
+    "DEFAULT_BUCKETS",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "SECONDS_BUCKETS",
+]
 
 #: Default histogram bucket upper bounds (generic magnitude ladder).
 DEFAULT_BUCKETS: tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
+)
+
+#: Bucket upper bounds for latencies in seconds, 1 ms to 10 s (request
+#: seconds, lease ages).
+SECONDS_BUCKETS: tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
 

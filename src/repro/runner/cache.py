@@ -19,12 +19,8 @@ miss.  The :mod:`~repro.runner.resilience` fault sites ``cache.read``
 between the temp write and the rename) are threaded through here; both
 hooks are single ``is None`` checks when no fault plan is active.
 
-Sharding (``shards > 1``): entries are spread by key prefix across
-``shard-XX/`` subdirectories so a server sustaining many concurrent
-cache writers never funnels every store through one directory.  Reads
-*fall back to the unsharded layout*: a cache directory populated before
-``--shards`` was enabled keeps hitting — entries migrate to the sharded
-layout only as they are rewritten, never by a bulk move.
+Entries fan out over 256 ``<key[:2]>/`` subdirectories, so no single
+directory grows with a big sweep or a busy server.
 """
 
 from __future__ import annotations
@@ -168,44 +164,18 @@ class ResultCache:
         self,
         root: Path | str | None = None,
         quarantine_cap: int = QUARANTINE_CAP,
-        shards: int = 0,
     ) -> None:
         if quarantine_cap < 0:
             raise ValueError(f"quarantine_cap must be >= 0, got {quarantine_cap}")
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.root = Path(root) if root is not None else default_cache_dir()
         self.quarantine_cap = quarantine_cap
-        self.shards = shards
         self.stats = CacheStats()
 
     # -- paths ---------------------------------------------------------
 
-    def _shard(self, key: str) -> int:
-        """Shard index for ``key`` (a pure function of its hex prefix)."""
-        return int(key[:8], 16) % self.shards
-
-    def _legacy_path(self, key: str) -> Path:
+    def _path(self, key: str) -> Path:
         # Two-level fan-out keeps directories small on big sweeps.
         return self.root / key[:2] / f"{key}.json"
-
-    def _path(self, key: str) -> Path:
-        """Where new entries land (the sharded layout when enabled)."""
-        if self.shards > 1:
-            return self.root / f"shard-{self._shard(key):02x}" / key[:2] / f"{key}.json"
-        return self._legacy_path(key)
-
-    def _candidate_paths(self, key: str) -> list[Path]:
-        """Read locations for ``key``, preferred first.
-
-        With sharding on, the unsharded (legacy) path is the fallback:
-        pre-existing cache directories keep hitting after ``--shards``
-        is enabled, and entries migrate only as they are rewritten.
-        """
-        path = self._path(key)
-        if self.shards > 1:
-            return [path, self._legacy_path(key)]
-        return [path]
 
     # -- core API ------------------------------------------------------
 
@@ -214,47 +184,43 @@ class ResultCache:
 
         A corrupted entry — including one holding undecodable bytes — is
         quarantined and counted in ``stats.discarded``; it is never
-        returned and never crashes the read.  With sharding enabled the
-        unsharded layout is tried after the sharded one, so a corrupt
-        sharded entry can still be served from its legacy twin.
+        returned and never crashes the read.
         """
-        for path in self._candidate_paths(key):
-            raw: str | None
-            try:
-                raw = path.read_text()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                continue
-            except UnicodeDecodeError:
-                # Binary garbage (torn write, disk rot): the entry exists
-                # but cannot even be decoded — treat it as corrupt, not
-                # fatal.
-                raw = None
-            if raw is not None:
-                raw = resilience.corrupt_point(key, raw)
-            try:
-                if raw is None:
-                    raise ValueError("undecodable entry")
-                doc = json.loads(raw)
-                if not isinstance(doc, dict):
-                    raise ValueError("malformed envelope")
-                if doc["key"] != key:
-                    raise ValueError("key mismatch")
-                payload = doc["payload"]
-                if not isinstance(payload, dict):
-                    raise ValueError("malformed payload")
-                sha = hashlib.sha256(_canonical(payload).encode()).hexdigest()
-                if doc["sha"] != sha:
-                    raise ValueError("payload checksum mismatch")
-            except (ValueError, KeyError, TypeError):
-                self.stats.discarded += 1
-                count("cache.corrupt_discarded")
-                self._quarantine(path, key)
-                continue
-            self.stats.hits += 1
-            count("cache.hits")
-            return payload
+        path = self._path(key)
+        try:
+            raw: str | None = path.read_text()
+        except OSError:  # absent or unreadable: a plain miss
+            return self._miss()
+        except UnicodeDecodeError:
+            # Binary garbage (torn write, disk rot): the entry exists but
+            # cannot even be decoded — treat it as corrupt, not fatal.
+            raw = None
+        if raw is not None:
+            raw = resilience.corrupt_point(key, raw)
+        try:
+            if raw is None:
+                raise ValueError("undecodable entry")
+            doc = json.loads(raw)
+            if not isinstance(doc, dict):
+                raise ValueError("malformed envelope")
+            if doc["key"] != key:
+                raise ValueError("key mismatch")
+            payload = doc["payload"]
+            if not isinstance(payload, dict):
+                raise ValueError("malformed payload")
+            sha = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+            if doc["sha"] != sha:
+                raise ValueError("payload checksum mismatch")
+        except (ValueError, KeyError, TypeError):
+            self.stats.discarded += 1
+            count("cache.corrupt_discarded")
+            self._quarantine(path, key)
+            return self._miss()
+        self.stats.hits += 1
+        count("cache.hits")
+        return payload
+
+    def _miss(self) -> None:
         self.stats.misses += 1
         count("cache.misses")
         return None

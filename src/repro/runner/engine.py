@@ -104,8 +104,8 @@ def _pool_chunk(task: tuple) -> dict:
     """Process-pool entry point: cached execution of one chunk of units.
 
     ``task`` is ``(fn, cache_spec, obs, policy, plan, units)`` where
-    ``units`` lists ``(params, key, label)``, ``cache_spec`` is
-    ``(root, shards)`` or ``None``, and ``obs`` is the parent's
+    ``units`` lists ``(params, key, label)``, ``cache_spec`` is the
+    cache root or ``None``, and ``obs`` is the parent's
     observability: 0 off, 1 metrics, 2 metrics and spans.  The worker
     sets up its collectors, fault plan, retry policy and cache handle
     once, then owns the cache lookup/store and the retry loop of each
@@ -139,11 +139,7 @@ def _pool_chunk(task: tuple) -> dict:
     else:
         resilience.deactivate()
     policy = RetryPolicy.from_dict(policy_doc) if policy_doc else None
-    if cache_spec is not None:
-        cache_root, cache_shards = cache_spec
-        cache: ResultCache | NullCache = ResultCache(cache_root, shards=cache_shards)
-    else:
-        cache = NullCache()
+    cache = ResultCache(cache_spec) if cache_spec is not None else NullCache()
     scope = worker_scope()
     reuse_before = scope.stats.as_dict()
     results = []
@@ -480,11 +476,7 @@ class ExperimentEngine:
         group commit and its deltas are merged once.
         """
         root = getattr(self.cache, "root", None)
-        cache_spec = (
-            (str(root), getattr(self.cache, "shards", 0))
-            if root is not None
-            else None
-        )
+        cache_spec = str(root) if root is not None else None
         obs = 2 if observability.OBS.tracing else int(observability.OBS.enabled)
         plan = resilience.active_plan()
         plan_doc = plan.as_dict() if plan is not None else None

@@ -29,7 +29,7 @@ HOST:PORT``) — pull them under **time-bounded leases**:
   :class:`~repro.runner.journal.RunJournal`, giving requeues durable
   provenance; journal appends and ``on_landed`` callbacks happen only on
   the fabric's run loop thread (the journal is not thread-safe), with
-  HTTP handler threads merely enqueueing events;
+  the work plane's thread merely enqueueing events;
 * when no worker shows up (or the whole fleet goes quiet), the fabric
   **degrades to local execution** of the remaining units instead of
   hanging — a distributed run can always finish on the coordinator
@@ -46,7 +46,6 @@ imports or executes arbitrary callables from the wire.
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -55,11 +54,11 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .. import observability
 from ..observability import count
+from ..observability.metrics import SECONDS_BUCKETS
 from . import resilience
 from .resilience import JobOutcome, RetryPolicy, _is_int, failure_payload
 
@@ -126,7 +125,7 @@ def wire_chunk(task: tuple) -> dict:
     graph = graphs.pop() if len(graphs) == 1 else None
     return {
         "fn": fn_name(fn),
-        "cache": list(cache_spec) if cache_spec is not None else None,
+        "cache": cache_spec,
         "obs": int(obs),
         "policy": policy_doc,
         "plan": plan_doc,
@@ -145,11 +144,10 @@ def wire_chunk(task: tuple) -> dict:
 
 def chunk_from_wire(doc: dict) -> tuple:
     """Rebuild the engine chunk task tuple from its wire form."""
-    cache = doc.get("cache")
     graph = doc.get("graph")
     return (
         resolve_fn(doc["fn"]),
-        (cache[0], cache[1]) if cache is not None else None,
+        doc.get("cache"),
         int(doc.get("obs") or 0),
         doc.get("policy"),
         doc.get("plan"),
@@ -258,7 +256,7 @@ class LeaseCoordinator:
     ``"leased"``, ``"lease_expired"``, ``"completed"``, ``"discarded"``
     — to an internal queue the owner drains from *one* thread
     (:meth:`drain_events`), which is how journal writes and result
-    callbacks stay off the HTTP handler threads.
+    callbacks stay off the work plane's thread.
     """
 
     def __init__(
@@ -335,7 +333,7 @@ class LeaseCoordinator:
         unit = self._units[idx]
         return {"idx": idx, "key": unit["key"], "label": unit["label"], **extra}
 
-    # -- the work-plane verbs (called from HTTP handler threads) -------
+    # -- the work-plane verbs (called from the work plane's thread) -----
 
     def lease(self, worker: str) -> dict:
         """Grant the next pending group, or tell the worker to wait/stop."""
@@ -536,71 +534,6 @@ class LeaseCoordinator:
         return out
 
 
-class _WorkHandler(BaseHTTPRequestHandler):
-    """The coordinator's work plane: lease / renew / complete."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 30.0
-
-    def _json(self, status: int, doc: dict) -> None:
-        body = json.dumps(doc).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        if self.path != "/healthz":
-            self._json(404, {"error": f"no route {self.path}"})
-            return
-        c = self.server.coordinator  # type: ignore[attr-defined]
-        self._json(200, {"ok": True, "leases_active": c.leases_active})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            try:
-                doc = json.loads(raw) if raw else {}
-            except ValueError:
-                self._json(400, {"error": "request body is not valid JSON"})
-                return
-            if not isinstance(doc, dict):
-                self._json(400, {"error": "request body must be an object"})
-                return
-            c = self.server.coordinator  # type: ignore[attr-defined]
-            if self.path == "/v1/work/lease":
-                out = c.lease(str(doc.get("worker", "?")))
-            elif self.path == "/v1/work/renew":
-                out = c.renew(str(doc.get("token", "")))
-            elif self.path == "/v1/work/complete":
-                out = c.complete(
-                    str(doc.get("token", "")),
-                    doc.get("units"),
-                    doc.get("envelope"),
-                    worker=str(doc.get("worker", "?")),
-                    batch=doc.get("batch"),
-                )
-            else:
-                self._json(404, {"error": f"no route {self.path}"})
-                return
-            self._json(200, out)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client vanished mid-response; its retry will re-ask
-        except ValueError as exc:  # a malformed completion: nothing changed
-            self._json(400, {"error": str(exc)})
-        except Exception as exc:  # never a hung socket
-            try:
-                self._json(500, {"error": str(exc),
-                                 "error_type": type(exc).__name__})
-            except OSError:
-                pass
-
-    def log_message(self, *args) -> None:  # silence per-request noise
-        pass
-
-
 def _stopped(proc: subprocess.Popen) -> bool:
     """Whether the child is stopped (SIGSTOP/SIGTSTP), without reaping a
     live one.  An exit this happens to reap is recorded on ``proc``."""
@@ -673,8 +606,10 @@ class RemoteFabric:
         self.fallbacks: dict[str, int] = {}  # reason -> units run locally
         self.respawns = 0
         self.lease_age_max = 0.0
-        self._server: ThreadingHTTPServer | None = None
-        self._server_thread: threading.Thread | None = None
+        self._plane = None  # the WorkPlane endpoint, once started
+        self._loop = None  # its private event loop ...
+        self._plane_thread: threading.Thread | None = None  # ... and thread
+        self._address = ""
         self._procs: dict[str, subprocess.Popen] = {}  # worker id -> process
         self._next_worker = 0
         self._closing = False
@@ -687,26 +622,37 @@ class RemoteFabric:
     def address(self) -> str:
         """``host:port`` of the work plane (starts the server if needed)."""
         self.ensure_started()
-        assert self._server is not None
-        return "%s:%d" % self._server.server_address[:2]
+        return self._address
 
     def ensure_started(self) -> None:
-        if self._server is not None:
+        """Serve the work plane from a private event loop in the daemon
+        ``repro-work-plane`` thread (the same under a CLI run and under
+        ``serve --distributed``)."""
+        if self._plane is not None:
             return
         if self._closing:
             raise RuntimeError("fabric is closed")
-        server = ThreadingHTTPServer((self.host, self.port), _WorkHandler)
-        server.daemon_threads = True
-        server.coordinator = self.coordinator  # type: ignore[attr-defined]
+        import asyncio
+
+        from ..server.transport import WorkPlane
+
+        loop = asyncio.new_event_loop()
         thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-work-plane",
-            daemon=True,
+            target=loop.run_forever, name="repro-work-plane", daemon=True
         )
         thread.start()
-        self._server = server
-        self._server_thread = thread
+        plane = WorkPlane(self.coordinator)
+        try:
+            host, port = asyncio.run_coroutine_threadsafe(
+                plane.start_tcp(self.host, self.port), loop
+            ).result()
+        except BaseException:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+            raise
+        self._plane, self._loop, self._plane_thread = plane, loop, thread
+        self._address = f"{host}:{port}"
 
     def _spawn_worker(self) -> None:
         wid = f"spawn-{self._next_worker}"
@@ -776,13 +722,18 @@ class RemoteFabric:
                     proc.kill()
                     proc.wait()
         self._procs = {}
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            if self._server_thread is not None:
-                self._server_thread.join(timeout=5.0)
-            self._server = None
-            self._server_thread = None
+        if self._plane is not None:
+            import asyncio
+
+            loop = self._loop
+            asyncio.run_coroutine_threadsafe(self._plane.aclose(), loop).result(
+                timeout=5.0
+            )
+            loop.call_soon_threadsafe(loop.stop)
+            self._plane_thread.join(timeout=5.0)
+            if not self._plane_thread.is_alive():
+                loop.close()
+            self._plane = self._loop = self._plane_thread = None
 
     # -- the run loop ---------------------------------------------------
 
@@ -817,7 +768,7 @@ class RemoteFabric:
         """Drain coordinator events: journal, metrics, landing callbacks.
 
         The only place journal appends and ``on_landed`` happen — always
-        the run-loop thread, never an HTTP handler thread.  One drain is
+        the run-loop thread, never the work plane's thread.  One drain is
         one journal group commit.
         """
         journal = self.journal
@@ -862,6 +813,7 @@ class RemoteFabric:
             observability.OBS.metrics.histogram(
                 "remote.lease_age_seconds",
                 "lease age at completion or expiry",
+                SECONDS_BUCKETS,
             ).observe(age)
 
     def _maybe_fallback(self, on_landed) -> bool:

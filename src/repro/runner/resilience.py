@@ -93,8 +93,7 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #:                     structured error — never a hung connection;
 #: ``remote.connect``  — raises before a resilient client opens a
 #:                     connection to the coordinator (host unreachable,
-#:                     refused connection), exercising retry/backoff and
-#:                     the circuit breaker;
+#:                     refused connection), exercising retry/backoff;
 #: ``remote.send``     — raises before a request body is written (the
 #:                     connection died mid-dial), always safe to retry;
 #: ``remote.recv``     — raises after the server processed the request

@@ -15,7 +15,9 @@ Layers:
 * :mod:`repro.server.work` — the ``analyze`` engine unit;
 * :mod:`repro.server.service` — :class:`RetimingService`: single-flight,
   batching, shedding, accounting, drain;
-* :mod:`repro.server.http` — the raw asyncio HTTP/1.1 transport;
+* :mod:`repro.server.transport` — the raw asyncio HTTP/1.1 transport,
+  shared with the lease fabric's work plane;
+* :mod:`repro.server.http` — the service's routes on that transport;
 * :mod:`repro.server.app` — process lifecycle (config, signals, drain).
 """
 
@@ -28,7 +30,6 @@ __getattr__, __dir__ = _lazy_exports(
     {
         ".app": ("ServerConfig", "serve_main"),
         ".client": (
-            "CircuitOpenError",
             "ClientPolicy",
             "RemoteUnavailableError",
             "ResilientClient",
@@ -54,7 +55,6 @@ __getattr__, __dir__ = _lazy_exports(
 )
 
 __all__ = [
-    "CircuitOpenError",
     "ClientPolicy",
     "HttpFrontend",
     "OverloadedError",

@@ -38,7 +38,6 @@ class ServerConfig:
     workers: int = 1  # engine process-pool width
     max_inflight: int = 128
     batch_max: int = 16
-    shards: int = 0  # cache shard count (0/1 = unsharded layout)
     cache_dir: str | None = None  # None = default cache location
     no_cache: bool = False
     fault_plan: str | None = None  # inline JSON or file FaultPlan (testing)
@@ -50,9 +49,9 @@ class ServerConfig:
         if self.no_cache:
             cache = None
         elif self.cache_dir is not None:
-            cache = ResultCache(self.cache_dir, shards=self.shards)
+            cache = ResultCache(self.cache_dir)
         else:
-            cache = ResultCache(shards=self.shards)
+            cache = ResultCache()
         remote = None
         if self.distributed:
             from ..runner.remote import RemoteFabric

@@ -143,7 +143,9 @@ class RetimingService:
         self.stats = ServerStats()
         #: Computed engine units per answered request (0 on every
         #: cached/deduped path) — the op-counter-style latency proxy the
-        #: soak test budgets instead of wall clocks.
+        #: soak test budgets instead of wall clocks.  With metrics on,
+        #: the global registry's histogram of the same name (served by
+        #: ``/metrics``) sees every observation too.
         self.request_cost = Histogram(
             "server.request.computed_units",
             "engine units computed per answered request",
@@ -285,6 +287,11 @@ class RetimingService:
             self.stats.failed += 1
             count("server.failed")
         self.request_cost.observe(cost)
+        if observability.OBS.enabled:
+            observability.OBS.metrics.histogram(
+                "server.request.computed_units",
+                "engine units computed per answered request",
+            ).observe(cost)
         return env
 
     # -- dispatch ------------------------------------------------------

@@ -118,7 +118,6 @@ class TestOutOfRangeFlags:
             ["serve", "--max-inflight", "0"],
             ["serve", "--batch-max", "0"],
             ["serve", "--workers", "-1"],
-            ["serve", "--shards", "-2"],
             ["serve", "--remote-workers", "-1"],
             ["serve", "--distributed", "--lease-timeout", "0"],
             ["serve", "--port", "70000"],

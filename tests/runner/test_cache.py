@@ -286,111 +286,3 @@ class TestQuarantineCap:
         total.merge({"quarantine_pruned": 3})
         assert total.quarantine_pruned == 5
         assert total.as_dict()["quarantine_pruned"] == 5
-
-
-class TestSharding:
-    """Key-prefix sharding and the legacy-layout migration fallback.
-
-    The migration contract: enabling ``shards`` on a cache directory
-    populated by the unsharded layout must keep every entry hitting —
-    reads fall back to the legacy path; entries move to the sharded
-    layout only as they are rewritten.
-    """
-
-    def test_writes_land_in_shard_directories(self, tmp_path):
-        cache = ResultCache(tmp_path, shards=4)
-        keys = [cache_key("job", {"i": i}) for i in range(16)]
-        for key in keys:
-            cache.put(key, {"ok": True, "i": key[:4]})
-        shard_dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
-        assert all(name.startswith("shard-") for name in shard_dirs)
-        assert len(shard_dirs) > 1  # 16 random keys spread over >1 shard
-        for key in keys:
-            path = cache._path(key)
-            assert path.exists()
-            assert path.parts[-3].startswith("shard-")
-            assert cache.get(key) == {"ok": True, "i": key[:4]}
-
-    def test_shard_assignment_is_stable(self, tmp_path):
-        a = ResultCache(tmp_path, shards=8)
-        b = ResultCache(tmp_path, shards=8)
-        for i in range(32):
-            key = cache_key("job", {"i": i})
-            assert a._shard(key) == b._shard(key)
-            assert 0 <= a._shard(key) < 8
-
-    def test_legacy_entries_keep_hitting_after_sharding_enabled(self, tmp_path):
-        """The migration test: unsharded writes, then reads through a
-        sharded instance — every entry must still hit, payloads intact."""
-        legacy = ResultCache(tmp_path)  # unsharded layout
-        keys = [cache_key("job", {"i": i}) for i in range(12)]
-        for i, key in enumerate(keys):
-            legacy.put(key, {"ok": True, "value": i})
-
-        sharded = ResultCache(tmp_path, shards=4)
-        for i, key in enumerate(keys):
-            assert sharded.get(key) == {"ok": True, "value": i}
-        assert sharded.stats.hits == len(keys)
-        assert sharded.stats.misses == 0
-
-    def test_entries_migrate_on_rewrite_not_on_read(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        key = cache_key("job", {"x": 1})
-        legacy.put(key, {"ok": True, "v": 1})
-
-        sharded = ResultCache(tmp_path, shards=4)
-        assert sharded.get(key) == {"ok": True, "v": 1}
-        # Reading did NOT move the entry.
-        assert sharded._legacy_path(key).exists()
-        assert not sharded._path(key).exists()
-        # Rewriting lands it in the sharded layout; it now shadows the
-        # legacy twin.
-        sharded.put(key, {"ok": True, "v": 2})
-        assert sharded._path(key).exists()
-        assert sharded.get(key) == {"ok": True, "v": 2}
-
-    def test_sharded_roundtrip_is_unaffected_by_shard_count(self, tmp_path):
-        """Store/retrieve round-trips identically at every shard count
-        (0 and 1 both meaning the unsharded legacy layout)."""
-        key = cache_key("job", {"x": "roundtrip"})
-        for shards in (0, 1, 2, 4):
-            cache = ResultCache(tmp_path / f"s{shards}", shards=shards)
-            cache.put(key, {"ok": True, "shards": shards})
-            assert cache.get(key) == {"ok": True, "shards": shards}
-
-    def test_corrupt_sharded_entry_falls_back_to_legacy_twin(self, tmp_path):
-        """Defense in depth: if the sharded copy rots, the legacy copy
-        (when present) still serves — corruption is quarantined, the hit
-        proceeds."""
-        legacy = ResultCache(tmp_path)
-        key = cache_key("job", {"x": "twin"})
-        legacy.put(key, {"ok": True, "v": "good"})
-
-        sharded = ResultCache(tmp_path, shards=4)
-        sharded.put(key, {"ok": True, "v": "good"})
-        sharded._path(key).write_text("}{ rotten")
-        fresh = ResultCache(tmp_path, shards=4)
-        assert fresh.get(key) == {"ok": True, "v": "good"}
-        assert fresh.stats.discarded == 1  # the rotten shard copy
-        assert fresh.stats.hits == 1
-
-    def test_negative_shards_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shards"):
-            ResultCache(tmp_path, shards=-1)
-
-    def test_engine_workers_inherit_the_shard_count(self, tmp_path):
-        """Parallel workers rebuild the cache from (root, shards): a
-        sharded parent engine must produce sharded worker writes, and a
-        second run over the same cache must be all hits."""
-        jobs = [_random_job(seed) for seed in range(4)]
-        first = ExperimentEngine(jobs=2, cache=ResultCache(tmp_path, shards=4))
-        results = first.run_jobs(jobs)
-        assert all(r.ok for r in results)
-        assert first.cache.stats.puts == len(jobs)
-        assert any(p.name.startswith("shard-") for p in tmp_path.iterdir())
-
-        second = ExperimentEngine(jobs=2, cache=ResultCache(tmp_path, shards=4))
-        again = second.run_jobs(jobs)
-        assert [r.payload for r in again] == [r.payload for r in results]
-        assert second.stats.computed == 0
-        assert second.cache.stats.hits == len(jobs)

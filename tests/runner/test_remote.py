@@ -15,6 +15,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -459,7 +460,7 @@ class TestWireFormat:
             for t in ("csr-pipelined", "pipelined")
         ]
         units = [(j.to_params(), f"key{i}", j.label) for i, j in enumerate(jobs)]
-        task = (execute_job, ("/tmp/c", 4), True, {"max_attempts": 2}, None,
+        task = (execute_job, "/tmp/c", True, {"max_attempts": 2}, None,
                 units)
         doc = wire_chunk(task)
         assert doc["fn"] == "repro.runner.jobs:execute_job"
@@ -628,6 +629,109 @@ class TestWorkPlaneValidation:
         }
 
 
+def _raw(address: str, request: bytes) -> tuple[int, dict]:
+    """One raw HTTP exchange (for requests ``http.client`` will not send)."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+class TestWorkPlaneTransport:
+    """The work plane runs on the shared asyncio transport: malformed
+    requests get structured errors, an unexpected exception a structured
+    500, and it counts none of the service's ``server.*`` metrics."""
+
+    def test_malformed_requests_get_structured_errors(self):
+        from repro import observability
+        from repro.server.transport import MAX_BODY
+
+        fabric = RemoteFabric(workers=0)
+        observability.OBS.reset()
+        observability.enable(trace=False)
+        try:
+            address = fabric.address
+            answers = {
+                declared: _raw(address, (
+                    "POST /v1/work/lease HTTP/1.1\r\n"
+                    f"Content-Length: {declared}\r\n\r\n"
+                ).encode())
+                for declared in ("abc", "-5", str(MAX_BODY + 1))
+            }
+            not_json = _raw(address, b"POST /v1/work/renew HTTP/1.1\r\n"
+                                     b"Content-Length: 5\r\n\r\n{nope")
+            not_object = _post(address, "/v1/work/renew", [1])
+            unknown = _post(address, "/v1/work/steal", {})
+            health = _raw(address, b"GET /healthz HTTP/1.1\r\n\r\n")
+            counters = observability.OBS.metrics.as_dict()["counters"]
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+            fabric.close()
+        for declared in ("abc", "-5"):
+            status, body = answers[declared]
+            assert status == 400
+            assert "Content-Length" in body["error"]
+        assert answers[str(MAX_BODY + 1)][0] == 413
+        assert not_json[0] == 400 and "invalid JSON" in not_json[1]["error"]
+        assert not_object == (400, {"error": "request body must be an object",
+                                    "error_type": "ProtocolError"})
+        assert unknown[0] == 404
+        assert health == (200, {"ok": True, "leases_active": 0})
+        assert fabric.coordinator.leases_granted == 0
+        assert sorted(n for n in counters if n.startswith("server.")) == []
+
+    def test_unexpected_error_is_a_structured_500(self):
+        fabric = RemoteFabric(workers=0)
+
+        def broken(worker):
+            raise RuntimeError("ledger exploded")
+
+        fabric.coordinator.lease = broken
+        try:
+            status, body = _post(fabric.address, "/v1/work/lease", {"worker": "w"})
+        finally:
+            fabric.close()
+        assert status == 500
+        assert body == {"error": "ledger exploded", "error_type": "RuntimeError"}
+
+    def test_close_stops_the_listener_and_joins_its_thread(self):
+        fabric = RemoteFabric(workers=0)
+        host, port = fabric.address.rsplit(":", 1)
+        assert any(t.name == "repro-work-plane" for t in threading.enumerate())
+        fabric.close()
+        assert not any(t.name == "repro-work-plane" for t in threading.enumerate())
+        with pytest.raises(OSError):
+            socket.create_connection((host, int(port)), timeout=5).close()
+
+    def test_lease_ages_resolve_below_a_second(self):
+        """``remote.lease_age_seconds`` has the 1 ms-10 s seconds buckets:
+        the ages of a small sweep (0.03-0.26 s) land in separate
+        buckets, not all in the first."""
+        from repro import observability
+        from repro.observability.metrics import SECONDS_BUCKETS
+
+        fabric = RemoteFabric(workers=0)
+        observability.OBS.reset()
+        observability.enable(trace=False)
+        try:
+            for age in (0.03, 0.07, 0.2):
+                fabric._observe_age(age)
+            hist = observability.OBS.metrics.as_dict()["histograms"][
+                "remote.lease_age_seconds"
+            ]
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        assert hist["bounds"] == list(SECONDS_BUCKETS)
+        assert [n for n in hist["buckets"] if n] == [1, 1, 1]
+        assert fabric.lease_age_max == 0.2
+
+
 class TestFabricEndToEnd:
     """Real spawned worker processes against a live work plane."""
 
@@ -731,6 +835,23 @@ class TestFabricEndToEnd:
         assert proc.returncode == 3
         assert "coordinator unreachable" in proc.stderr
 
+
+    def test_worker_retry_max_is_its_attempt_budget(self):
+        """``--retry-max N`` makes N attempts per request, even above the
+        default of 4."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "worker",
+                "--connect", "127.0.0.1:9",
+                "--retry-max", "7", "--retry-backoff", "0.001",
+            ],
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "unreachable after 7 attempt(s)" in proc.stderr
 
 def _run_fabric(params, labels, plan=None, retry=None, lease_timeout=30.0,
                 journal=None):

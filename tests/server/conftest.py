@@ -20,15 +20,13 @@ from repro.server import RetimingService
 from repro.server.http import HttpFrontend
 
 
-def make_service(
-    cache_dir=None, shards: int = 0, **kwargs
-) -> RetimingService:
+def make_service(cache_dir=None, **kwargs) -> RetimingService:
     """A service over a single-process engine (no cache by default)."""
     cache = None
     if cache_dir is not None:
         from repro.runner.cache import ResultCache
 
-        cache = ResultCache(cache_dir, shards=shards)
+        cache = ResultCache(cache_dir)
     return RetimingService(ExperimentEngine(jobs=1, cache=cache), **kwargs)
 
 

@@ -106,7 +106,7 @@ async def run(fault_plan: str | None, metrics_out: str | None) -> None:
         resilience.activate(FaultPlan.from_file(fault_plan))
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        engine = ExperimentEngine(jobs=1, cache=ResultCache(cache_dir, shards=4))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(cache_dir))
         svc = RetimingService(engine, max_inflight=MAX_INFLIGHT, batch_max=8)
         await svc.start()
         frontend = HttpFrontend(svc)
@@ -193,8 +193,10 @@ async def run(fault_plan: str | None, metrics_out: str | None) -> None:
             f"server_jobs_submitted {stats.jobs_submitted}",
             f"server_completed {stats.completed}",
             f"server_failed {stats.failed}",
-            # Every answered request (the shed ones are not) is timed.
+            # Every answered request (the shed ones are not) is timed
+            # and costed.
             f"server_request_seconds_count {stats.completed + stats.failed}",
+            f"server_request_computed_units_count {stats.completed + stats.failed}",
         ):
             assert needle in metrics, f"{needle!r} missing from /metrics"
         if metrics_out:

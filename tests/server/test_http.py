@@ -116,6 +116,34 @@ class TestRoutes:
         assert "server_request_seconds_count 2" in text
         assert roots == []
 
+    def test_metrics_serves_the_computed_units_histogram(self):
+        """``server.request.computed_units`` is in the global registry,
+        so ``/metrics`` serves it: one observation per answered request,
+        the same as the service's own histogram."""
+        from repro import observability
+
+        async def scenario():
+            svc = make_service()
+            frontend, host, port = await serve_frontend(svc)
+            await http_json(host, port, analyze_doc(n=1))
+            await http_json(host, port, analyze_doc(n=2))
+            _, _, payload = await http_request(host, port, "GET", "/metrics")
+            await frontend.aclose()
+            await svc.drain()
+            return svc, payload.decode()
+
+        observability.OBS.reset()
+        observability.enable(trace=False)
+        try:
+            svc, text = run(scenario())
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        assert svc.request_cost.count == 2
+        assert "# TYPE server_request_computed_units histogram" in text
+        assert "server_request_computed_units_count 2" in text
+        assert f"server_request_computed_units_sum {svc.request_cost.sum}" in text
+
     def test_request_roundtrip_returns_canonical_json(self):
         async def scenario():
             svc = make_service()
@@ -198,6 +226,60 @@ class TestErrorStatuses:
 
         raw = run(scenario())
         assert b"413" in raw.split(b"\r\n", 1)[0]
+
+    def test_malformed_content_length_is_400(self):
+        """A non-numeric or negative ``Content-Length`` is a structured
+        400, not a dropped connection."""
+
+        async def scenario():
+            svc = make_service()
+            frontend, host, port = await serve_frontend(svc)
+            answers = []
+            for declared in ("abc", "-5"):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    f"POST /v1/request HTTP/1.1\r\n"
+                    f"Content-Length: {declared}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                answers.append(await asyncio.wait_for(reader.read(), timeout=10.0))
+                writer.close()
+            await frontend.aclose()
+            await svc.drain()
+            return answers, svc.stats.submitted
+
+        answers, submitted = run(scenario())
+        for raw in answers:
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert b" 400 " in head.split(b"\r\n", 1)[0]
+            body = json.loads(payload)
+            assert body["ok"] is False
+            assert body["error_type"] == "ProtocolError"
+            assert "Content-Length" in body["error"]
+        assert submitted == 0
+
+    def test_unexpected_error_is_a_structured_500(self):
+        async def scenario():
+            svc = make_service()
+            frontend, host, port = await serve_frontend(svc)
+
+            def broken():
+                raise RuntimeError("snapshot exploded")
+
+            svc.snapshot = broken
+            answer = await http_request(host, port, "GET", "/healthz")
+            await frontend.aclose()
+            await svc.drain()
+            return answer
+
+        status, headers, payload = run(scenario())
+        assert status == 500
+        assert headers["content-type"] == "application/json"
+        assert json.loads(payload) == {
+            "ok": False,
+            "error": "snapshot exploded",
+            "error_type": "RuntimeError",
+        }
 
     def test_shed_request_carries_retry_after_header(self):
         from repro.server import parse_request

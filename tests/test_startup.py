@@ -156,6 +156,23 @@ class TestImportBudget:
         pool = ("concurrent.futures.process", "multiprocessing")
         assert sorted(m for m in loaded if m.startswith(pool)) == []
 
+    def test_remote_sweep_parent_loads_one_http_stack(self):
+        """The parent serves its work plane on the asyncio transport: no
+        ``http.server``/``socketserver``, and not the request service."""
+        loaded = _imported(
+            ["-m", "repro", "sweep", "--graphs", "2", "--no-cache",
+             "--workers", "remote", "--jobs", "1"]
+        )
+        assert "repro.server.transport" in loaded
+        unwanted = ("http.server", "socketserver", "repro.server.service")
+        assert sorted(m for m in unwanted if m in loaded) == []
+
+    def test_lease_worker_loads_no_server_stack(self):
+        """A spawned worker speaks plain ``http.client``."""
+        loaded = _imported(["-c", "import repro.server.worker"])
+        assert "repro.runner.remote" in loaded
+        assert sorted(m for m in ("asyncio", "http.server") if m in loaded) == []
+
     @pytest.mark.parametrize("command", ["tables", "sweep", "report", "worker"])
     def test_help_skips_heavy_modules(self, command):
         loaded = _imported(["-m", "repro", command, "--help"])
