@@ -7,20 +7,24 @@ Measures the four hot paths end to end, old vs new, on random graphs of
 * ``minimize_cycle_period`` — D-value search with a per-probe W/D
   rebuild + fresh solve (``method="reference"``) vs the FEAS search over
   integer periods (``method="feas"``, the default);
-* ``iteration_bound`` — the exact integer parametric search over the
-  shared edge kernel, timed alone: its reference,
+* ``iteration_bound`` — Howard's policy iteration over the shared edge
+  kernel, timed alone: its reference,
   :func:`~repro.graph.iteration_bound.iteration_bound_exhaustive`, is
-  exponential at these sizes, so these rows carry no ``ref_s``;
+  exponential at these sizes, so these rows carry no ``ref_s``; the
+  ``bound`` each row records is the fixed reference instead, and
+  ``--check`` fails when it changes;
 * ``vm`` — the dataclass-walking reference interpreter
   (``run_program(..., dispatch=False)``) vs compiled dispatch;
 * ``vliw`` — the packed executor, reference vs pre-compiled word slots.
 
-Besides wall times and speedup ratios, each measurement snapshots the
-*deterministic operation counters* the new engines emit (relaxation edge
-visits, FEAS passes, executed instructions).  Counters — unlike
-wall time — are machine-independent, so CI gates on them: ``--check
-BASELINE.json`` exits non-zero if any counter grew more than
-``--check-factor`` (default 2x) over the committed baseline, catching
+Every ``ref_s``/``new_s`` is the median of ``REPEATS`` timed calls, each
+graph search on a freshly built graph so no call reuses another's edge
+kernel.  Besides wall times and speedup ratios, each measurement
+snapshots, from one more run, the *deterministic operation counters* the
+new engines emit (edge scans, FEAS passes, executed instructions).
+Counters — unlike wall time — are machine-independent, so CI gates on
+them: ``--check BASELINE.json`` exits non-zero if any counter grew more
+than ``--check-factor`` (default 2x) over the committed baseline, catching
 algorithmic regressions (a search doing extra probes, a FEAS probe
 taking extra passes) without flaky timing thresholds.
 
@@ -39,8 +43,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -59,10 +65,12 @@ from repro.workloads import WORKLOADS  # noqa: E402
 QUICK_SIZES = (20, 60, 120)
 FULL_SIZES = (20, 60, 120, 250, 500)
 
+#: Timed calls per measurement; each reported time is their median.
+REPEATS = 5
+
 #: Counters that must stay bounded relative to the committed baseline.
 GATED_COUNTERS = (
     "retiming.feas.passes",
-    "iteration_bound.probes",
     "kernel.relax_edges",
     "kernel.relax_sweeps",
     "vm.instructions.executed",
@@ -77,32 +85,44 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
+def _median_s(calls) -> float:
+    """Median wall time, in seconds, of the zero-argument ``calls``."""
+    return statistics.median(_timed(call)[1] for call in calls)
+
+
 def _counted(fn, *args, **kwargs):
-    """``(result, seconds, counters)`` with a clean metrics registry."""
+    """``(result, counters)`` of one call with a clean metrics registry."""
     was = OBS.enabled, OBS.tracing
     OBS.reset()
     OBS.enable()
     try:
-        result, secs = _timed(fn, *args, **kwargs)
+        result = fn(*args, **kwargs)
         counters = dict(OBS.metrics.as_dict()["counters"])
     finally:
         OBS.reset()
         OBS.enabled, OBS.tracing = was
-    return result, secs, counters
+    return result, counters
 
 
 def bench_minimize(sizes) -> list[dict]:
     rows = []
     for size in sizes:
-        g = random_unit_time_dfg(
-            random.Random(size), num_nodes=size, extra_edges=size, max_delay=4
+        def graph():
+            return random_unit_time_dfg(
+                random.Random(size), num_nodes=size, extra_edges=size,
+                max_delay=4,
+            )
+
+        ref_period = minimize_cycle_period(graph(), method="reference")[0]
+        ref_s = _median_s(
+            partial(minimize_cycle_period, graph(), method="reference")
+            for _ in range(REPEATS)
         )
-        (ref_period, _), ref_s = _timed(
-            minimize_cycle_period, g, method="reference"
+        new_s = _median_s(
+            partial(minimize_cycle_period, graph(), method="feas")
+            for _ in range(REPEATS)
         )
-        (res, new_s, counters) = _counted(
-            minimize_cycle_period, g, method="feas"
-        )
+        res, counters = _counted(minimize_cycle_period, graph(), method="feas")
         assert res[0] == ref_period, f"period mismatch at size {size}"
         rows.append(
             {
@@ -123,14 +143,19 @@ def bench_minimize(sizes) -> list[dict]:
 def bench_iteration_bound(sizes) -> list[dict]:
     rows = []
     for size in sizes:
-        g = random_dfg(
-            random.Random(size),
-            num_nodes=size,
-            extra_edges=size,
-            max_delay=4,
-            max_time=5,
+        def graph():
+            return random_dfg(
+                random.Random(size),
+                num_nodes=size,
+                extra_edges=size,
+                max_delay=4,
+                max_time=5,
+            )
+
+        new_s = _median_s(
+            partial(iteration_bound, graph()) for _ in range(REPEATS)
         )
-        bound, new_s, counters = _counted(iteration_bound, g)
+        bound, counters = _counted(iteration_bound, graph())
         rows.append(
             {
                 "size": size,
@@ -138,7 +163,7 @@ def bench_iteration_bound(sizes) -> list[dict]:
                 "new_s": round(new_s, 4),
                 "counters": {
                     k: v for k, v in counters.items()
-                    if k.startswith(("iteration_bound.", "kernel."))
+                    if k.startswith("kernel.")
                 },
             }
         )
@@ -153,10 +178,14 @@ def bench_vm(trip_count: int) -> list[dict]:
         p = csr_pipelined_loop(g, r)
         min_n = p.meta.get("min_n", 1) or 1
         n = trip_count + min_n
-        ref, ref_s = _timed(run_program, p, n, dispatch=False)
+        ref = run_program(p, n, dispatch=False)
+        ref_s = _median_s(
+            [partial(run_program, p, n, dispatch=False)] * REPEATS
+        )
         # Warm the compile cache so the measurement isolates dispatch.
         run_program(p, n)
-        new, new_s, counters = _counted(run_program, p, n)
+        new_s = _median_s([partial(run_program, p, n)] * REPEATS)
+        new, counters = _counted(run_program, p, n)
         assert new.arrays == ref.arrays, f"vm mismatch on {wname}"
         rows.append(
             {
@@ -182,12 +211,15 @@ def bench_vliw(trip_count: int) -> list[dict]:
         p = csr_pipelined_loop(g, r)
         min_n = p.meta.get("min_n", 1) or 1
         n = trip_count + min_n
-        ref, ref_s = _timed(
-            run_packed, p, n, machine, control_slots=2, dispatch=False
+        ref = run_packed(p, n, machine, control_slots=2, dispatch=False)
+        ref_s = _median_s(
+            [partial(run_packed, p, n, machine, control_slots=2,
+                     dispatch=False)] * REPEATS
         )
-        new, new_s, counters = _counted(
-            run_packed, p, n, machine, control_slots=2
+        new_s = _median_s(
+            [partial(run_packed, p, n, machine, control_slots=2)] * REPEATS
         )
+        new, counters = _counted(run_packed, p, n, machine, control_slots=2)
         assert new.arrays == ref.arrays and new.cycles == ref.cycles, (
             f"vliw mismatch on {wname}"
         )
@@ -255,11 +287,13 @@ def _counter_rows(report: dict):
 
 
 def check_against_baseline(report: dict, baseline: dict, factor: float) -> int:
-    """Compare operation counters against a committed baseline.
+    """Compare operation counters and iteration bounds against a
+    committed baseline.
 
     Only counters present in *both* reports are compared (labels are keyed
     by graph size / workload name, so quick-mode runs check the quick-mode
-    subset of a full-mode baseline).  Returns the number of regressions.
+    subset of a full-mode baseline).  A recorded ``bound`` must be equal at
+    every size both reports hold.  Returns the number of regressions.
     """
     base = {
         (path, label, name): value
@@ -279,6 +313,16 @@ def check_against_baseline(report: dict, baseline: dict, factor: float) -> int:
                 f"REGRESSION {path}[{label}] {name}: "
                 f"{value} > {factor}x baseline {base[key]}"
             )
+    base_bounds = {
+        row["size"]: row["bound"]
+        for row in baseline.get("results", {}).get("iteration_bound", [])
+    }
+    for row in report.get("results", {}).get("iteration_bound", []):
+        expected = base_bounds.get(row["size"])
+        if expected is not None and row["bound"] != expected:
+            regressions += 1
+            print(f"MISMATCH iteration_bound[{row['size']}] bound: "
+                  f"{row['bound']} != baseline {expected}")
     print(f"checked {compared} counters against baseline: "
           f"{regressions} regression(s)")
     return regressions

@@ -6,17 +6,14 @@ witness — it names the recurrence to attack (algebraic transformation,
 extra delay insertion, pipelined functional units), and the CLI's ``info``
 command prints it.
 
-The extraction runs at ``lam = B(G)``: cycles of weight
-``T(C) - lam * D(C) = 0`` are exactly the critical ones, and a
-predecessor-tracing Bellman–Ford pass recovers one.
+Both come from one run of the policy iteration in
+:mod:`repro.graph.iteration_bound`, which ends with the witness in hand.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dfg import DFG
-from .iteration_bound import iteration_bound
+from .iteration_bound import _howard
 
 __all__ = ["critical_cycle", "cycle_stats"]
 
@@ -36,94 +33,8 @@ def cycle_stats(g: DFG, cycle: list[str]) -> tuple[int, int]:
 def critical_cycle(g: DFG) -> list[str]:
     """A cycle ``C`` with ``T(C)/D(C) == B(G)``, as a node list.
 
-    Returns ``[]`` for acyclic graphs (bound 0).  Deterministic for a given
-    graph.
+    Returns ``[]`` for acyclic graphs (bound 0).  Canonical for a given
+    graph: among the critical cycles of the final policy, the one holding
+    the earliest-inserted node, listed from that node along its edges.
     """
-    bound = iteration_bound(g)
-    if bound == 0:
-        return []
-
-    # Zero-weight-cycle detection at lam = bound, with predecessor tracing.
-    # Weights w(u->v) = t(u) - lam * d; critical cycles have weight sum 0,
-    # all other cycles are negative-weight under maximization.
-    lam = Fraction(bound)
-    edges = []
-    for e in g.edges():
-        edges.append((e.src, e.dst, Fraction(g.node(e.src).time) - lam * e.delay))
-
-    dist: dict[str, Fraction] = {n: Fraction(0) for n in g.node_names()}
-    pred: dict[str, str] = {}
-    n = g.num_nodes
-    on_cycle: str | None = None
-    # One extra pass: any node still relaxing with weight >= 0 cycles lies
-    # on (or reaches) a zero-weight cycle.  Use strict epsilon-free check
-    # by running n passes and catching the last updated node.
-    for sweep in range(n + 1):
-        changed_node = None
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v]:
-                dist[v] = cand
-                pred[v] = u
-                changed_node = v
-        if changed_node is None:
-            break
-        if sweep == n:
-            on_cycle = changed_node
-
-    if on_cycle is None:
-        # Relaxation converged: critical cycles have weight exactly 0 and
-        # may never strictly relax past the zero initialization.  Recover a
-        # cycle by walking predecessors from any node whose best path is 0
-        # but which has an incoming zero-slack edge.  Fall back to direct
-        # search over tight edges.
-        tight = {
-            (u, v)
-            for u, v, w in edges
-            if dist[u] + w == dist[v]
-        }
-        # Find a cycle within the tight-edge subgraph (DFS).
-        succs: dict[str, list[str]] = {}
-        for u, v in tight:
-            succs.setdefault(u, []).append(v)
-        color: dict[str, int] = {}
-        stack: list[str] = []
-
-        def dfs(x: str) -> list[str] | None:
-            color[x] = 1
-            stack.append(x)
-            for y in succs.get(x, ()):  # deterministic insertion order
-                if color.get(y, 0) == 1:
-                    return stack[stack.index(y):]
-                if color.get(y, 0) == 0:
-                    found = dfs(y)
-                    if found is not None:
-                        return found
-            color[x] = 2
-            stack.pop()
-            return None
-
-        for start in g.node_names():
-            if color.get(start, 0) == 0:
-                found = dfs(start)
-                if found is not None:
-                    cycle = found
-                    break
-        else:  # pragma: no cover - bound > 0 guarantees a critical cycle
-            raise AssertionError("no critical cycle found despite positive bound")
-    else:
-        # Walk predecessors n times to land inside the cycle, then collect.
-        x = on_cycle
-        for _ in range(n):
-            x = pred[x]
-        cycle = [x]
-        y = pred[x]
-        while y != x:
-            cycle.append(y)
-            y = pred[y]
-        cycle.reverse()
-
-    # Sanity: the witness must attain the bound.
-    time, delay = cycle_stats(g, cycle)
-    assert delay > 0 and Fraction(time, delay) == bound, "internal: witness not critical"
-    return cycle
+    return _howard(g)[1]

@@ -13,33 +13,28 @@ this paper's sign convention ``d_r(e(u->v)) = d(e) + r(u) - r(v)``), so a
 pair with ``D(u, v) > c`` must retain at least one delay on all its
 minimum-delay paths.
 
-The computation is an all-pairs shortest path over the lexicographic edge
-weight ``(d(e), -t(src(e)))`` (Floyd–Warshall), exactly as in the original
-retiming paper [Leiserson & Saxe, Algorithmica 1991].
-
-Above :data:`_NUMPY_THRESHOLD` nodes :func:`wd_kernel` runs a packed
-numpy Floyd–Warshall over the graph's shared
-:class:`~repro.graph.kernel.EdgeKernel`; below it, the tuple-weight python
-pass :func:`wd_matrices_python`, which the test-suite pins the packed
-sweep against.
+:func:`wd_kernel` runs one Dijkstra on delays per source.  A minimum-delay
+path is made of *tight* edges (``W(s, u) + d(e) = W(s, v)``), and the tight
+edges are acyclic in ``(W, zero-delay topological index)`` order — a tight
+cycle would be a zero-delay cycle — so the longest-time pass that gives
+``D`` rides along in the Dijkstra's pop order.  Its reference,
+:func:`wd_matrices_python`, is the all-pairs shortest path over the
+lexicographic edge weight ``(d(e), -t(src(e)))`` (Floyd–Warshall), exactly
+as in the original retiming paper [Leiserson & Saxe, Algorithmica 1991];
+the test-suite pins the two against each other.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from .dfg import DFG
-from .kernel import EdgeKernel, shared_kernel
+from .kernel import shared_kernel
+from .validate import topological_order
 
 __all__ = ["wd_kernel", "wd_matrices_python", "distinct_d_values"]
 
 _INF = float("inf")
-
-
-#: Node count above which the packed numpy Floyd–Warshall is used.
-#: Measured crossover (random graphs with |E| ~ 2|V|): the pure-python
-#: pass wins below ~60 nodes thanks to its infinity short-circuit; numpy
-#: wins 4.5x at 80 nodes and ~15x at 250.  Read at call time, so tests
-#: can monkeypatch it to force either branch.
-_NUMPY_THRESHOLD = 64
 
 
 def wd_kernel(
@@ -49,67 +44,55 @@ def wd_kernel(
 
     Returns two dictionaries keyed by ``(u, v)`` node-name pairs; pairs with
     no connecting path are absent.  The diagonal is included with
-    ``W(u, u) = 0`` and ``D(u, u) = t(u)`` (the trivial path).  Both
-    implementations are exact and cross-checked in the test-suite.
+    ``W(u, u) = 0`` and ``D(u, u) = t(u)`` (the trivial path).  Raises
+    :class:`~repro.graph.dfg.DFGError` on a zero-delay cycle.
     """
-    if g.num_nodes > _NUMPY_THRESHOLD:
-        wd = _packed_floyd_warshall(shared_kernel(g))
-        if wd is not None:
-            return wd
-    return wd_matrices_python(g)
-
-
-def _packed_floyd_warshall(kernel: EdgeKernel):
-    """``(W, D)`` via Floyd–Warshall over the packed weight ``delay * K -
-    time``, or ``None`` when no safe dtype exists.
-
-    ``K = 2 * total_time + 1`` is tight: any cycle carries at least one
-    delay (legal DFGs have no zero-delay cycles), contributing ``K`` to the
-    packed weight while removing at most ``total_time < K`` — so optimal
-    packed paths are simple, their times are bounded by ``total_time``, and
-    integer comparison of packed sums equals lexicographic
-    ``(delay, -time)`` comparison.  The tight ``K`` lets 500-node graphs
-    run the O(V³) sweep in int32, roughly halving its memory traffic
-    against the previous ``total_time * (|V| + 2) + 1`` packing.
-    """
-    import numpy as np
-
-    nn = kernel.num_nodes
-    if nn == 0:
-        return ({}, {})
-    K = 2 * kernel.total_time + 1
-    # Real packed values live in [-total_time, total_delay * K]; INF
-    # entries degrade by at most total_time per FW sweep.  Keep both
-    # populations a factor 4 from the unreachability threshold INF // 2.
-    bound = (kernel.total_delay + 2) * K + kernel.total_time
-    degrade = (nn + 2) * kernel.total_time
-    for dtype, inf in ((np.int32, 2**30 - 1), (np.int64, 2**61)):
-        if bound < inf // 4 and degrade < inf // 4:
-            break
-    else:
-        return None  # pathological magnitudes: fall back to the python pass
-
-    src, dst, delay, src_time, times = kernel.np_arrays()
-    dist = np.full((nn, nn), inf, dtype=dtype)
-    np.fill_diagonal(dist, 0)  # trivial path: 0 delays, 0 source time
-    w = (delay * K - src_time).astype(dtype)
-    np.minimum.at(dist, (src.astype(np.intp), dst.astype(np.intp)), w)
-    for k in range(nn):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        np.minimum(dist, cand, out=dist)
-
-    reach = dist < inf // 2
-    packed = dist.astype(np.int64)
-    q, rem = np.divmod(packed, K)
-    Wm = q + (rem != 0)
-    Dm = (K - rem) % K + times[None, :]
-    ii, jj = reach.nonzero()
+    kernel = shared_kernel(g)
     names = kernel.names
-    pairs = [(names[i], names[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-    return (
-        dict(zip(pairs, Wm[reach].tolist())),
-        dict(zip(pairs, Dm[reach].tolist())),
-    )
+    times = kernel.times
+    n = kernel.num_nodes
+    index = {name: i for i, name in enumerate(names)}
+    topo = [0] * n
+    for i, name in enumerate(topological_order(g)):
+        topo[index[name]] = i
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t, d in zip(kernel.src, kernel.dst, kernel.delay):
+        out[s].append((t, d))
+
+    W: dict[tuple[str, str], int] = {}
+    D: dict[tuple[str, str], int] = {}
+    for s in range(n):
+        # dist[v]: the least delay found so far.  reach[v]: the most time
+        # over the tight paths into v without t(v), until v is popped;
+        # D(s, v) after.
+        dist = [None] * n
+        reach = [0] * n
+        done = [False] * n
+        dist[s] = 0
+        heap = [(0, topo[s], s)]
+        while heap:
+            w, _, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            # Every tight edge into u left a node popped before u.
+            time = reach[u] + times[u]
+            reach[u] = time
+            for v, d in out[u]:
+                cand = w + d
+                if dist[v] is None or cand < dist[v]:
+                    dist[v] = cand
+                    reach[v] = time
+                    heapq.heappush(heap, (cand, topo[v], v))
+                elif cand == dist[v] and time > reach[v]:
+                    reach[v] = time
+        source = names[s]
+        for v in range(n):
+            if done[v]:
+                pair = (source, names[v])
+                W[pair] = dist[v]
+                D[pair] = reach[v]
+    return W, D
 
 
 def wd_matrices_python(

@@ -123,8 +123,8 @@ def optimal_cycle_period(g: DFG, *, timeout: float | None = None) -> OptimalPeri
         probes = 0
         if best_c > lower:
             # Lazy (W, D): the gap == 0 short-circuit above never pays the
-            # O(V^3) cost.  Pure-python path on purpose — independent of
-            # the numpy dispatch the heuristic may take.
+            # O(V^3) cost.  The Floyd–Warshall reference on purpose —
+            # independent of the Dijkstra build the heuristic may take.
             wd = wd_matrices_python(g)
             deadline = None if timeout is None else time.monotonic() + timeout
             lo, hi = lower, best_c - 1

@@ -46,6 +46,21 @@ class TestCriticalCycle:
         g.add_edge("C", "B", 1)  # ratio 2 <- critical
         assert set(critical_cycle(g)) == {"B", "C"}
 
+    def test_tutorial_smoother(self):
+        """The values docs/TUTORIAL.md §1 prints."""
+        from repro import parse_loop
+
+        g = parse_loop(
+            """
+            X[i] = input(5)
+            S[i] = X[i-2] + F[i-1]
+            F[i] = S[i] * 3
+            Y[i] = S[i] + F[i]
+            """,
+            name="smoother",
+        )
+        assert (iteration_bound(g), critical_cycle(g)) == (2, ["S", "F"])
+
     def test_benchmark_witnesses_attain_bound(self, bench_graph):
         c = critical_cycle(bench_graph)
         t, d = cycle_stats(bench_graph, c)

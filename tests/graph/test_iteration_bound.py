@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     DFG,
     DFGError,
+    critical_cycle,
+    cycle_stats,
     iteration_bound,
     iteration_bound_exhaustive,
     minimum_unfolding_for_rate_optimality,
@@ -17,6 +21,9 @@ from repro.graph import (
 from repro.graph.generators import line_dfg, ring_dfg
 
 from ..conftest import dfgs, timed_dfgs
+
+#: Examples of the policy-iteration oracle test; CI raises it to 500.
+EXAMPLES = int(os.environ.get("ORACLE_EXAMPLES", "60"))
 
 
 class TestHandGraphs:
@@ -88,6 +95,55 @@ class TestAlgorithmsAgree:
 
     def test_benchmark_agreement(self, bench_graph):
         assert iteration_bound(bench_graph) == iteration_bound_exhaustive(bench_graph)
+
+
+class TestPolicyIterationOracle:
+    """One policy-iteration run gives both the bound and its witness;
+    exhaustive cycle enumeration is the reference for both."""
+
+    @given(
+        st.one_of(
+            dfgs(max_nodes=8, max_extra_edges=10, max_delay=4),
+            dfgs(max_nodes=7, max_extra_edges=8, max_delay=4, max_time=5),
+        )
+    )
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_bound_and_witness_match_exhaustive(self, g):
+        bound = iteration_bound(g)
+        assert bound == iteration_bound_exhaustive(g)
+        witness = critical_cycle(g)
+        if bound == 0:
+            assert witness == []
+            return
+        assert len(set(witness)) == len(witness)
+        for a, b in zip(witness, witness[1:] + witness[:1]):
+            assert b in g.successors(a)
+        time, delay = cycle_stats(g, witness)
+        assert Fraction(time, delay) == bound
+
+    def test_witness_is_canonical(self):
+        """Of two tied critical cycles, the one holding the earliest
+        inserted node, listed from that node."""
+        edges = (("A", "B", 0), ("B", "A", 1), ("D", "C", 0), ("C", "D", 1))
+        for order, expect in (("ABCD", ["A", "B"]), ("DCBA", ["D", "C"]),
+                              ("BADC", ["B", "A"])):
+            g = DFG()
+            for n in order:
+                g.add_node(n)
+            for src, dst, delay in edges:
+                g.add_edge(src, dst, delay)
+            assert critical_cycle(g) == expect, order
+
+    def test_zero_delay_cycle_raises_before_any_ratio(self):
+        g = DFG()
+        g.add_node("A")
+        g.add_node("B")
+        g.add_edge("A", "B", 0)
+        g.add_edge("B", "A", 0)
+        with pytest.raises(DFGError, match="zero-delay cycle"):
+            iteration_bound(g)
+        with pytest.raises(DFGError, match="zero-delay cycle"):
+            critical_cycle(g)
 
 
 class TestMinimumUnfolding:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graph import DFG, distinct_d_values, wd_kernel
@@ -100,59 +101,24 @@ class TestWDMatrices:
         assert 4 in vals
 
 
-def _packed_wd(g: DFG):
-    """``(W, D)`` from the packed numpy Floyd–Warshall, whatever the
-    graph's size (the dispatch threshold is bypassed)."""
-    from repro.graph.kernel import shared_kernel
-    from repro.graph.wd import _packed_floyd_warshall
+class TestFastPathMatchesReference:
+    """The per-source Dijkstra ``wd_kernel`` (fast path) against the
+    tuple-weight Floyd–Warshall ``wd_matrices_python`` (reference): equal
+    matrices, and equal key order."""
 
-    return _packed_floyd_warshall(shared_kernel(g))
-
-
-class TestNumpyPath:
-    """The packed numpy Floyd–Warshall (fast path) against the pure-python
-    tuple-weight pass (reference)."""
-
-    def test_dispatch_threshold(self):
-        """Graphs above the threshold use the vectorized path; both paths
-        must agree exactly."""
-        from repro.graph.wd import wd_matrices_python
-        from repro.workloads import get_workload
-
-        for name in ("elliptic", "lattice", "volterra"):
-            g = get_workload(name)
-            assert _packed_wd(g) == wd_matrices_python(g)
-
-    @given(dfgs(max_nodes=8, max_extra_edges=8, max_delay=4))
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_matches_python_random(self, g):
+    @staticmethod
+    def _assert_matches(g):
         from repro.graph.wd import wd_matrices_python
 
-        assert _packed_wd(g) == wd_matrices_python(g)
-
-    def test_numpy_matches_python_timed(self, fig8):
-        from repro.graph.wd import wd_matrices_python
-
-        assert _packed_wd(fig8) == wd_matrices_python(fig8)
-    def test_retiming_results_unchanged(self):
-        """End-to-end: the optimizer over the numpy path reproduces the
-        Table-1 statistics for the large benchmarks."""
-        from repro.retiming import minimize_cycle_period
-        from repro.workloads import get_workload
-
-        g = get_workload("elliptic")
-        c, r = minimize_cycle_period(g)
-        assert c == 13
-        assert (r.max_value, r.registers_needed()) == (1, 2)
-
-
-class TestNumpyThresholdDispatch:
-    """The python/numpy dispatch threshold, forced both ways."""
+        fast, ref = wd_kernel(g), wd_matrices_python(g)
+        assert fast == ref, g.name
+        assert [list(m) for m in fast] == [list(m) for m in ref], g.name
 
     @staticmethod
     def _awkward_graph(rng, num_nodes):
-        """A random graph spiced with the dispatch-sensitive shapes:
-        a delayed self-loop and a parallel edge with a different delay."""
+        """A random graph spiced with the shapes a shortest-path pass can
+        get wrong: a delayed self-loop and a parallel edge with a
+        different delay."""
         from repro.graph.generators import random_dfg
 
         g = random_dfg(
@@ -168,43 +134,61 @@ class TestNumpyThresholdDispatch:
         g.add_edge(e.src, e.dst, delay=e.delay + 1)
         return g
 
-    def test_both_paths_forced_on_identical_graphs(self, monkeypatch):
-        """Force python and numpy paths on the same graphs by swinging the
-        threshold; the matrices must agree exactly."""
+    def test_registry(self):
+        from repro.workloads import WORKLOADS
+
+        for fn in WORKLOADS.values():
+            self._assert_matches(fn())
+
+    @given(dfgs(max_nodes=8, max_extra_edges=8, max_delay=4))
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, g):
+        self._assert_matches(g)
+
+    def test_random_graphs_up_to_65_nodes(self):
         import random
 
-        from repro.graph import wd
+        from repro.graph.generators import random_dfg
+
+        rng = random.Random(0x3D)
+        for num_nodes in (1, 2, 5, 13, 30, 47, 65):
+            self._assert_matches(
+                random_dfg(
+                    rng,
+                    num_nodes=num_nodes,
+                    extra_edges=rng.randint(0, 2 * num_nodes),
+                    max_delay=rng.choice((1, 4)),
+                    max_time=rng.choice((1, 5)),
+                )
+            )
+
+    def test_awkward_graphs(self):
+        import random
 
         rng = random.Random(20020806)
-        for num_nodes in (4, 7, 9, 12):
-            g = self._awkward_graph(rng, num_nodes)
-            monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 10**9)
-            via_python = wd.wd_kernel(g)
-            monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 0)
-            via_numpy = wd.wd_kernel(g)
-            assert via_python == via_numpy
+        for num_nodes in (4, 6, 7, 9, 11, 12):
+            self._assert_matches(self._awkward_graph(rng, num_nodes))
 
-    def test_dispatch_straddles_threshold(self, monkeypatch):
-        """With the threshold pinned between two graph sizes, the smaller
-        graph exercises the python path and the larger the numpy path —
-        both matching the python reference."""
-        import random
+    def test_timed(self, fig8):
+        self._assert_matches(fig8)
 
-        from repro.graph import wd
-        from repro.graph.wd import wd_matrices_python
+    def test_retiming_results_unchanged(self):
+        """End-to-end: the reference period search over ``wd_kernel``
+        reproduces the Table-1 statistics of the largest benchmark."""
+        from repro.retiming import minimize_cycle_period
+        from repro.workloads import get_workload
 
-        monkeypatch.setattr(wd, "_NUMPY_THRESHOLD", 8)
-        packed = wd._packed_floyd_warshall
-        sizes = []
+        c, r = minimize_cycle_period(get_workload("elliptic"), method="reference")
+        assert c == 13
+        assert (r.max_value, r.registers_needed()) == (1, 2)
 
-        def recording(kernel):
-            sizes.append(kernel.num_nodes)
-            return packed(kernel)
+    def test_zero_delay_cycle_raises(self):
+        from repro.graph import DFGError
 
-        monkeypatch.setattr(wd, "_packed_floyd_warshall", recording)
-        rng = random.Random(99)
-        small = self._awkward_graph(rng, 6)   # 6 <= 8: python path
-        large = self._awkward_graph(rng, 11)  # 11 > 8: numpy path
-        assert wd.wd_kernel(small) == wd_matrices_python(small)
-        assert wd.wd_kernel(large) == wd_matrices_python(large)
-        assert sizes == [11]
+        g = DFG()
+        g.add_node("A")
+        g.add_node("B")
+        g.add_edge("A", "B", 0)
+        g.add_edge("B", "A", 0)
+        with pytest.raises(DFGError, match="zero-delay cycle"):
+            wd_kernel(g)

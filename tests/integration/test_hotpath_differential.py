@@ -1,7 +1,7 @@
 """Differential pinning of the overhauled hot paths against the originals.
 
-The acceptance bar for the hot-path overhaul: the fast engines — integer
-parametric iteration bound, the FEAS period search, compiled dispatch VM
+The acceptance bar for the hot-path overhaul: the fast engines — the
+policy-iteration bound, the FEAS period search, compiled dispatch VM
 — must be *bit-identical* to their references on the full workload
 registry plus hundreds of random graphs.  These
 sweeps are deterministic (seeded) so a divergence is a reproducible bug,
@@ -15,11 +15,7 @@ import random
 import pytest
 
 from repro.codegen import original_loop, pipelined_loop
-from repro.graph import (
-    EdgeKernel,
-    iteration_bound,
-    iteration_bound_exhaustive,
-)
+from repro.graph import iteration_bound, iteration_bound_exhaustive
 from repro.graph.generators import random_dfg
 from repro.machine import run_program
 from repro.machine.vliw_vm import run_packed
@@ -53,7 +49,7 @@ def _registry_graphs():
 
 
 class TestIterationBoundOracle:
-    """Integer parametric search vs exhaustive cycle enumeration."""
+    """Policy iteration vs exhaustive cycle enumeration."""
 
     def test_registry(self):
         for g in _registry_graphs():
@@ -62,43 +58,6 @@ class TestIterationBoundOracle:
     def test_random_graphs(self):
         for g in _random_graphs():
             assert iteration_bound(g) == iteration_bound_exhaustive(g), g.name
-
-    def test_kernel_cycle_oracle_matches_fraction_test(self):
-        """The non-strict integer cycle test agrees with the exact
-        ``Fraction`` bound on probe values around it."""
-        for g in _registry_graphs():
-            bound = iteration_bound_exhaustive(g)
-            if bound == 0:
-                continue
-            kernel = EdgeKernel(g)
-            for num, den, expect in (
-                (bound.numerator, bound.denominator, True),   # ratio == λ
-                (bound.numerator, bound.denominator * 2, True),  # λ halved
-                (bound.numerator * 2, bound.denominator, False),  # λ doubled
-            ):
-                assert (
-                    kernel.has_positive_cycle(num, den, strict=False) is expect
-                ), (g.name, num, den)
-
-    def test_numpy_and_python_relaxations_agree(self, monkeypatch):
-        """The vectorized cycle test and the per-edge relaxation return the
-        same verdicts, forced on the same graphs by swinging the threshold."""
-        from repro.graph import kernel as kernel_mod
-
-        for g in _registry_graphs() + _random_graphs()[:60]:
-            bound = iteration_bound_exhaustive(g)
-            kernel = EdgeKernel(g)
-            probes = [
-                (bound.numerator * a, bound.denominator * b, strict)
-                for a, b in ((1, 1), (1, 2), (2, 1))
-                for strict in (True, False)
-            ]
-            verdicts = {}
-            for label, threshold in (("python", 10**9), ("numpy", -1)):
-                monkeypatch.setattr(kernel_mod, "_NUMPY_THRESHOLD", threshold)
-                verdicts[label] = [kernel.has_positive_cycle(*p) for p in probes]
-                assert iteration_bound(g) == bound, (g.name, label)
-            assert verdicts["python"] == verdicts["numpy"], g.name
 
 
 class TestMinimizePeriodEngines:

@@ -79,13 +79,33 @@ def test_counter_keys_unique(baseline):
 def test_recorded_speedups_meet_floors(baseline):
     """The committed (already-measured) numbers back the performance
     claims: >= 3x on the 500-node period search and >= 1.5x for compiled
-    dispatch over the reference interpreter on every VM and VLIW row.  This reads the committed JSON — it never re-times
-    anything, so it cannot flake."""
+    dispatch over the reference interpreter on every VM and VLIW row.
+    Each recorded time is a median of repeats.  This reads the committed
+    JSON — it never re-times anything, so it cannot flake."""
     minimize = {r["size"]: r for r in baseline["results"]["minimize_cycle_period"]}
     assert minimize[500]["speedup"] >= 3.0
     for section in ("vm", "vliw"):
         for row in baseline["results"][section]:
             assert row["speedup"] >= 1.5, (section, row["workload"])
+
+
+def test_iteration_bounds_are_the_pinned_reference(baseline):
+    """The recorded bounds are the fixed reference at sizes where
+    exhaustive enumeration cannot run, so a re-record must keep them."""
+    bounds = [r["bound"] for r in baseline["results"]["iteration_bound"]]
+    assert bounds == ["11/6", "3", "28/5", "5", "5"]
+
+
+def test_check_fails_on_a_changed_bound(baseline, capsys):
+    from bench_hotpaths import check_against_baseline
+
+    report = json.loads(json.dumps(baseline))
+    assert check_against_baseline(report, baseline, 2.0) == 0
+    report["results"]["iteration_bound"][2]["bound"] = "29/5"
+    assert check_against_baseline(report, baseline, 2.0) == 1
+    assert "iteration_bound[120] bound: 29/5 != baseline 28/5" in (
+        capsys.readouterr().out
+    )
 
 
 def test_check_writes_only_an_explicit_out(tmp_path, monkeypatch):

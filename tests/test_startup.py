@@ -3,7 +3,7 @@
 Every check compares deterministic module sets in a fresh interpreter,
 never timings.  The rule these pin: package ``__init__`` files and the
 CLI module import lazily (PEP 562 exports, per-command imports), and
-numpy loads only when a vector path first runs.
+nothing loads numpy (``tests/test_numpy_free.py``).
 """
 
 from __future__ import annotations
@@ -189,10 +189,10 @@ class TestImportBudget:
         ids=["sweep", "run", "tables"],
     )
     def test_vm_commands_load_no_numpy(self, argv):
-        """The VM is pure Python, and these commands' graphs stay below
-        every numpy threshold, so running programs loads no numpy.
-        Table 4 retimes 104-node unfolded graphs to a fixed period by
-        FEAS, which builds no ``W``/``D`` matrices."""
+        """The VM and the graph kernels are pure Python, so running
+        programs loads no numpy.  Table 4 retimes 104-node unfolded
+        graphs to a fixed period by FEAS, which builds no ``W``/``D``
+        matrices."""
         loaded = _imported(["-m", "repro", *argv])
         if argv[0] != "tables":  # the tables run no program at all
             assert "repro.machine.dispatch" in loaded
