@@ -10,6 +10,7 @@ is checked against.
 from __future__ import annotations
 
 from ..graph.dfg import DFG
+from ..graph.kernel import derived
 from ..graph.validate import topological_order
 from .ir import ComputeInstr, Guard, IndexExpr, Loop, LoopProgram, Operand
 
@@ -29,20 +30,29 @@ def compute_for_node(
     *original* delay ``d`` contributes ``u[dest_index - d]``.  All code
     generators share this helper, so instance-level data dependencies are
     identical across every program form by construction.
+
+    Built once per ``(node, dest_index, guard)`` for as long as ``g`` lives
+    (:func:`repro.graph.kernel.derived`): equal instructions across a
+    graph's programs are the same object, so the VM compiles each once.
     """
-    n = g.node(node)
-    srcs = tuple(
-        Operand(e.src, IndexExpr(dest_index.base, dest_index.offset - e.delay))
-        for e in g.in_edges(node)
-    )
-    return ComputeInstr(
-        dest=Operand(node, dest_index),
-        op=n.op,
-        imm=n.imm,
-        srcs=srcs,
-        guard=guard,
-        node=node,
-    )
+    memo = derived(g)
+    key = ("instr", node, dest_index, guard)
+    instr = memo.get(key)
+    if instr is None:
+        n = g.node(node)
+        srcs = tuple(
+            Operand(e.src, IndexExpr(dest_index.base, dest_index.offset - e.delay))
+            for e in g.in_edges(node)
+        )
+        instr = memo[key] = ComputeInstr(
+            dest=Operand(node, dest_index),
+            op=n.op,
+            imm=n.imm,
+            srcs=srcs,
+            guard=guard,
+            node=node,
+        )
+    return instr
 
 
 def original_loop(g: DFG) -> LoopProgram:

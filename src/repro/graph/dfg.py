@@ -26,7 +26,7 @@ explicit ``key``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 __all__ = ["OpKind", "Node", "Edge", "DFG", "DFGError"]
@@ -347,7 +347,12 @@ class DFG:
             g._in[node.name] = []
         for edge in self.edges():
             new_delay = delays.get(edge.ident, edge.delay)
-            new_edge = replace(edge, delay=new_delay)
+            # Edges are immutable values: an unchanged one is shared.
+            new_edge = (
+                edge
+                if new_delay == edge.delay
+                else Edge(edge.src, edge.dst, new_delay, edge.key)
+            )
             g._edges[new_edge.ident] = new_edge
             g._out[new_edge.src].append(new_edge)
             g._in[new_edge.dst].append(new_edge)

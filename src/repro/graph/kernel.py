@@ -12,23 +12,31 @@ parallel flat lists indexed by small integers so that a pass is a pure
 
 One kernel per graph is enough for every consumer — FEAS, the iteration
 bound and the (W, D) builder all share the snapshot through
-:func:`shared_kernel` (id-keyed with a weakref guard, like the dispatch
-compile cache), so the flat arrays are extracted exactly once per graph
+:func:`shared_kernel`, so the flat arrays are extracted once per graph
 object.
 
-The kernel is a snapshot: it does not track later mutations of the source
-graph.  Build it after the graph is final (which is how every algorithm in
-this library treats its input).
+The kernel is one of several values derived from a graph and shared for
+as long as the graph lives: :func:`derived` gives each graph a memo
+dict, which also holds its topological order
+(:func:`repro.graph.validate.topological_order`), its unfoldings
+(:func:`repro.unfolding.unfold.unfold`) and its nodes' instructions
+(:func:`repro.codegen.original.compute_for_node`).  The memo is id-keyed
+with a weakref guard, like the dispatch compile cache: a recycled
+``id()`` can never alias a different graph to stale values, and the
+entry dies with its graph.  A graph is mutable only while it is built;
+the memo starts afresh if its node or edge count has changed since, so
+values derived from a half-built graph are never served for the
+finished one.  Derived values are read-only: callers share them and
+must never mutate one.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 
 from .dfg import DFG
 
-__all__ = ["EdgeKernel", "shared_kernel"]
+__all__ = ["EdgeKernel", "derived", "shared_kernel"]
 
 
 class EdgeKernel:
@@ -72,40 +80,40 @@ class EdgeKernel:
         self.delay = delay
 
 
-_SHARED: dict[int, EdgeKernel] = {}
-_SHARED_LOCK = threading.Lock()
+#: id(graph) -> (weakref to the graph, (node count, edge count), memo).
+_DERIVED: dict[int, tuple[weakref.ref, tuple[int, int], dict]] = {}
+
+
+def derived(g: DFG) -> dict:
+    """The memo of values derived from ``g``, kept while ``g`` lives.
+
+    Keys are namespaced tuples chosen by each derivation (``("kernel",)``,
+    ``("unfold", f, name)``, ...).  A stored value must not reference
+    ``g`` itself, or the entry would keep its graph alive.  Two threads
+    may race to fill one key; both build the same value and the last
+    store wins, so a lookup never sees a wrong one.
+    """
+    key = id(g)
+    stamp = (len(g._nodes), len(g._edges))
+    entry = _DERIVED.get(key)
+    if entry is not None and entry[0]() is g and entry[1] == stamp:
+        return entry[2]
+    memo: dict = {}
+    _DERIVED[key] = (weakref.ref(g, lambda ref, k=key: _drop(k, ref)), stamp, memo)
+    return memo
+
+
+def _drop(key: int, ref: weakref.ref) -> None:
+    entry = _DERIVED.get(key)
+    if entry is not None and entry[0] is ref:
+        _DERIVED.pop(key, None)
 
 
 def shared_kernel(g: DFG) -> EdgeKernel:
-    """The process-wide :class:`EdgeKernel` of ``g``, built once per graph.
-
-    Id-keyed with a weakref guard (the pattern of
-    :func:`repro.machine.dispatch.compile_program`): a recycled ``id()``
-    after garbage collection can never alias a different graph to a stale
-    kernel, and entries die with their graph.
-    """
-    key = id(g)
-    kernel = _SHARED.get(key)
-    if kernel is not None and _valid(kernel, g):
-        return kernel
-    with _SHARED_LOCK:
-        kernel = _SHARED.get(key)
-        if kernel is not None and _valid(kernel, g):
-            return kernel
-        kernel = EdgeKernel(g)
-        _SHARED[key] = kernel
-        _guards[key] = weakref.ref(g, lambda _ref, k=key: _drop(k))
+    """The :class:`EdgeKernel` of ``g``, built once per graph (see
+    :func:`derived`)."""
+    memo = derived(g)
+    kernel = memo.get(("kernel",))
+    if kernel is None:
+        kernel = memo[("kernel",)] = EdgeKernel(g)
     return kernel
-
-
-_guards: dict[int, weakref.ref] = {}
-
-
-def _valid(kernel: EdgeKernel, g: DFG) -> bool:
-    guard = _guards.get(id(g))
-    return guard is not None and guard() is g
-
-
-def _drop(key: int) -> None:
-    _SHARED.pop(key, None)
-    _guards.pop(key, None)

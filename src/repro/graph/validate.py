@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 
 from .dfg import DFG, DFGError
+from .kernel import derived
 
 __all__ = ["validate", "topological_order", "is_valid"]
 
@@ -29,7 +30,18 @@ def topological_order(g: DFG) -> list[str]:
     Ties are broken by node insertion order, so the result is deterministic
     for a given graph.  Raises :class:`DFGError` if the zero-delay subgraph
     contains a cycle (the graph is then not schedulable).
+
+    Computed once per graph (:func:`repro.graph.kernel.derived`); each call
+    returns a fresh list.
     """
+    memo = derived(g)
+    order = memo.get(("topological_order",))
+    if order is None:
+        order = memo[("topological_order",)] = tuple(_kahn(g))
+    return list(order)
+
+
+def _kahn(g: DFG) -> list[str]:
     names = g.node_names()
     position = {n: i for i, n in enumerate(names)}
     indeg = [0] * len(names)

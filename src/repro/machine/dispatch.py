@@ -26,6 +26,12 @@ pre-resolved registers, ops, and index offsets:
 Compiled programs are cached per ``LoopProgram`` object (id-keyed with a
 weakref guard, so the cache neither leaks nor survives object reuse), making
 repeated ``run_program`` calls on the same program pay compilation once.
+Below that, each compute instruction compiles once per object: the
+programs of one graph share their instructions
+(:func:`repro.codegen.original.compute_for_node`), and a compiled tuple
+is kept for as long as its instruction lives.  The tuple holds its
+instruction only weakly (for error messages), so the cache keeps no
+instruction alive.  Op closures are shared per ``(op, imm, arity)``.
 
 The executor is differential-tested against the reference interpreter for
 bit-identical :class:`~repro.machine.vm.VMResult` contents on the full
@@ -34,6 +40,7 @@ workload registry and hundreds of random programs.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from typing import Callable
@@ -65,6 +72,7 @@ _TRIP = 2
 _ERR = 3
 
 
+@functools.lru_cache(maxsize=256)
 def _op_closure(op: OpKind, imm: int, arity: int) -> Callable[[list[int], int], int]:
     """A specialized ``(values, instance) -> int`` evaluator for one
     instruction, bit-identical to :func:`evaluate_op`.
@@ -113,41 +121,65 @@ def _index_code(expr: IndexExpr, in_body: bool) -> tuple[int, int]:
     return (_LOOP, expr.offset)
 
 
+#: id(instr) -> [weakref to instr, tuple outside the body, tuple in it]
+#: (each built on first use).
+_INSTRS: dict[int, list] = {}
+
+
 def _compile_region(instrs: tuple[Instr, ...], in_body: bool) -> list[tuple]:
     """Compile one region into flat dispatch tuples.
 
     Compute tuples: ``(_COMPUTE, guard_reg, guard_off, dest_array,
-    dest_base, dest_off, op_fn, srcs, instr)`` with ``srcs`` a tuple of
-    ``(array, base_code, offset)``; the trailing ``instr`` is only for
-    error messages.
+    dest_base, dest_off, op_fn, srcs, instr_ref)`` with ``srcs`` a tuple
+    of ``(array, base_code, offset)``; the trailing weak reference to the
+    instruction is only for error messages.  Each is built once per
+    instruction object and region kind (:func:`_compiled`).
     """
+    slot = 2 if in_body else 1
     code: list[tuple] = []
     for instr in instrs:
-        if isinstance(instr, SetupInstr):
+        if isinstance(instr, ComputeInstr):
+            entry = _INSTRS.get(id(instr))
+            if entry is not None and entry[0]() is instr and entry[slot] is not None:
+                code.append(entry[slot])
+            else:
+                code.append(_compiled(instr, in_body))
+        elif isinstance(instr, SetupInstr):
             code.append((_SETUP, instr.register, instr.init))
-        elif isinstance(instr, DecInstr):
-            code.append((_DEC, instr.register, instr.amount))
         else:
-            assert isinstance(instr, ComputeInstr)
-            guard = instr.guard
-            dbase, doff = _index_code(instr.dest.index, in_body)
-            srcs = tuple(
-                (s.array, *_index_code(s.index, in_body)) for s in instr.srcs
-            )
-            code.append(
-                (
-                    _COMPUTE,
-                    guard.register if guard is not None else None,
-                    guard.offset if guard is not None else 0,
-                    instr.dest.array,
-                    dbase,
-                    doff,
-                    _op_closure(instr.op, instr.imm, len(instr.srcs)),
-                    srcs,
-                    instr,
-                )
-            )
+            assert isinstance(instr, DecInstr)
+            code.append((_DEC, instr.register, instr.amount))
     return code
+
+
+def _compiled(instr: ComputeInstr, in_body: bool) -> tuple:
+    """Build and keep ``instr``'s dispatch tuple for one region kind."""
+    key = id(instr)
+    entry = _INSTRS.get(key)
+    if entry is None or entry[0]() is not instr:
+        ref = weakref.ref(instr, lambda r, k=key: _drop_instr(k, r))
+        entry = _INSTRS[key] = [ref, None, None]
+    guard = instr.guard
+    dbase, doff = _index_code(instr.dest.index, in_body)
+    srcs = tuple((s.array, *_index_code(s.index, in_body)) for s in instr.srcs)
+    code = entry[2 if in_body else 1] = (
+        _COMPUTE,
+        guard.register if guard is not None else None,
+        guard.offset if guard is not None else 0,
+        instr.dest.array,
+        dbase,
+        doff,
+        _op_closure(instr.op, instr.imm, len(instr.srcs)),
+        srcs,
+        entry[0],
+    )
+    return code
+
+
+def _drop_instr(key: int, ref: weakref.ref) -> None:
+    entry = _INSTRS.get(key)
+    if entry is not None and entry[0] is ref:
+        _INSTRS.pop(key, None)
 
 
 class CompiledProgram:
@@ -208,7 +240,6 @@ def execute_compiled(
     """
     arrays: dict[str, dict[int, int]] = {}
     arrays_get = arrays.get
-    arrays_setdefault = arrays.setdefault
     executed = 0
     disabled = 0
     name = compiled.name
@@ -217,9 +248,8 @@ def execute_compiled(
     def run_region(code: list[tuple], i: int | None) -> None:
         nonlocal executed, disabled
         for op in code:
-            kind = op[0]
-            if kind == _COMPUTE:
-                greg = op[1]
+            if op[0] == _COMPUTE:
+                _, greg, goff, darr, dbase, doff, fn, srcs, ref = op
                 if greg is not None:
                     try:
                         p = reg_values[greg]
@@ -227,36 +257,37 @@ def execute_compiled(
                         raise MachineError(
                             f"read of register {greg!r} before setup"
                         ) from None
-                    p += op[2]
+                    p += goff
                     if not (neg_n < p <= 0):
                         disabled += 1
                         continue
-                dbase = op[4]
-                if dbase == _CONST:
-                    dest_index = op[5]
-                elif dbase == _LOOP:
-                    dest_index = i + op[5]
+                if dbase == _LOOP:
+                    dest_index = i + doff
+                elif dbase == _CONST:
+                    dest_index = doff
                 elif dbase == _TRIP:
-                    dest_index = n + op[5]
+                    dest_index = n + doff
                 else:
                     raise DFGError("loop-variable index used outside the loop body")
                 if not 1 <= dest_index <= n:
                     raise MachineError(
-                        f"{name}: write to {op[3]}[{dest_index}] "
-                        f"outside 1..{n} (instruction: {op[8]})"
+                        f"{name}: write to {darr}[{dest_index}] "
+                        f"outside 1..{n} (instruction: {ref()})"
                     )
-                store = arrays_setdefault(op[3], {})
-                if dest_index in store:
+                store = arrays_get(darr)
+                if store is None:
+                    store = arrays[darr] = {}
+                elif dest_index in store:
                     raise MachineError(
-                        f"{name}: {op[3]}[{dest_index}] computed twice "
-                        f"(instruction: {op[8]})"
+                        f"{name}: {darr}[{dest_index}] computed twice "
+                        f"(instruction: {ref()})"
                     )
                 values = []
-                for sarr, sbase, soff in op[7]:
-                    if sbase == _CONST:
-                        idx = soff
-                    elif sbase == _LOOP:
+                for sarr, sbase, soff in srcs:
+                    if sbase == _LOOP:
                         idx = i + soff
+                    elif sbase == _CONST:
+                        idx = soff
                     elif sbase == _TRIP:
                         idx = n + soff
                     else:
@@ -268,9 +299,9 @@ def execute_compiled(
                         values.append(src_store[idx])
                     else:
                         values.append(initial(sarr, idx))
-                store[dest_index] = op[6](values, dest_index)
+                store[dest_index] = fn(values, dest_index)
                 executed += 1
-            elif kind == _SETUP:
+            elif op[0] == _SETUP:
                 reg = op[1]
                 if (
                     reg_capacity is not None

@@ -18,12 +18,14 @@ out-of-range instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..codegen.ir import ComputeInstr, DecInstr, Instr, LoopProgram, SetupInstr
 from ..graph.dfg import evaluate_op
 from ..observability import OBS, span
+from .dispatch import compile_program, execute_compiled
 from .registers import ConditionalRegisterFile, MachineError
 
 __all__ = [
@@ -79,10 +81,17 @@ def default_initial(array: str, index: int) -> int:
     A fixed polynomial in a stable per-name seed and the index — the same
     across processes and Python versions (unlike built-in ``hash``).
     """
+    return _seed(array) * 31 + index * 7 + 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _seed(array: str) -> int:
+    """The per-name seed of :func:`default_initial`.  Names come from
+    request graphs, so the cache is bounded."""
     seed = 0
     for ch in array:
         seed = (seed * 131 + ord(ch)) % 1_000_003
-    return seed * 31 + index * 7 + 1
+    return seed
 
 
 @dataclass
@@ -155,8 +164,6 @@ def run_program(
     _check_meta(program, n)
 
     if dispatch and not trace:
-        from .dispatch import compile_program, execute_compiled
-
         if register_capacity is not None and register_capacity < 0:
             raise MachineError(f"capacity must be >= 0, got {register_capacity}")
         compiled = compile_program(program)

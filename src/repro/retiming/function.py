@@ -52,6 +52,7 @@ class Retiming:
                 raise RetimingError(f"retiming value of {node!r} must be int, got {val!r}")
         self._graph = graph
         self._values: dict[str, int] = {n: values.get(n, 0) for n in graph.node_names()}
+        self._applied: dict[str, DFG] = {}  # name -> G_r, see apply()
 
     # ------------------------------------------------------------------
     # basic access
@@ -190,14 +191,24 @@ class Retiming:
                 )
 
     def apply(self, name: str | None = None) -> DFG:
-        """The retimed graph ``G_r`` (raises if the retiming is illegal)."""
-        self.check_legal()
-        new_delays = {
-            e.ident: self.retimed_delay(e.src, e.dst, e.delay) for e in self._graph.edges()
-        }
-        return self._graph.with_delays(
-            new_delays, name=name if name is not None else f"{self._graph.name}_r"
-        )
+        """The retimed graph ``G_r`` (raises if the retiming is illegal).
+
+        Built once per retiming and name: a retiming is immutable, so its
+        legality and ``G_r`` cannot change, and every later call returns
+        the same graph object.  That graph is shared and read-only —
+        callers must never add nodes or edges to it.
+        """
+        if name is None:
+            name = f"{self._graph.name}_r"
+        retimed = self._applied.get(name)
+        if retimed is None:
+            self.check_legal()
+            new_delays = {
+                e.ident: self.retimed_delay(e.src, e.dst, e.delay)
+                for e in self._graph.edges()
+            }
+            retimed = self._applied[name] = self._graph.with_delays(new_delays, name=name)
+        return retimed
 
     # ------------------------------------------------------------------
     # dunder protocol

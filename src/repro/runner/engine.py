@@ -55,9 +55,10 @@ Crash consistency (:mod:`repro.runner.journal`): with a
 submission and completion is an fsync'd write-ahead record, completed
 units rehydrate on ``--resume`` instead of re-executing, and parallel
 completions are journaled as they land.  A batch's submissions are one
-group commit, durable before any unit is dispatched, and so is each
-landed envelope's completions, from either executor: a crash loses at
-most the in-flight chunks.
+group commit, durable before any unit is dispatched, and so are the
+completions of each graph-affine chunk — a landed envelope from either
+executor, or a chunk run inline: a crash loses at most the in-flight
+chunks.
 Fault tolerance against dying or hanging workers is the lease fabric's
 (:mod:`repro.runner.remote`, the ``remote=`` executor that
 ``--workers remote`` builds): a lost worker's unit is requeued
@@ -68,6 +69,7 @@ executes the exact code it always did.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
@@ -385,7 +387,11 @@ class ExperimentEngine:
         an attempt history.
         """
         labels = labels or [f"{kind}#{i}" for i in range(len(params_list))]
-        keys = [cache_key(kind, p) for p in params_list]
+        if self._keyed():
+            keys = [cache_key(kind, p) for p in params_list]
+        else:
+            # Nothing reads a key: no cache, journal, resume state or fabric.
+            keys = [None] * len(params_list)
         with span("engine.map", kind=kind, calls=len(params_list), chunks=0) as sp:
             slots: dict[int, tuple] = {}
             if self.resume_state:
@@ -409,8 +415,9 @@ class ExperimentEngine:
                     [keys[i] for i in pending],
                     [labels[i] for i in pending],
                 )
-                pool_wanted = self.jobs > 1 or self.remote is not None
-                if pool_wanted and len(pending) > 1:
+                # A fabric leases even a single unit; a local pool is not
+                # worth starting for one.
+                if self.remote is not None or (self.jobs > 1 and len(pending) > 1):
                     ran = self._map_parallel(sp, fn, *sub)
                 else:
                     ran = self._map_serial(fn, *sub)
@@ -419,6 +426,16 @@ class ExperimentEngine:
             out = [slots[i] for i in range(len(keys))]
             sp.set(computed=sum(1 for _, cached, _, _ in out if not cached))
         return out
+
+    def _keyed(self) -> bool:
+        """Whether anything reads the units' cache keys: a real cache, a
+        journal, resume state or the lease fabric."""
+        return (
+            not isinstance(self.cache, NullCache)
+            or self.journal is not None
+            or bool(self.resume_state)
+            or self.remote is not None
+        )
 
     def _absorb_outcome(self, outcome: JobOutcome) -> None:
         """Fold one executed unit's attempt history into the run totals."""
@@ -439,30 +456,39 @@ class ExperimentEngine:
     ) -> list[tuple[dict, bool, float, JobOutcome | None]]:
         """Inline execution: the parent owns cache lookups and stores.
 
-        The batch runs in one fresh reuse scope, freed when it ends.
+        The batch runs in one fresh reuse scope, freed when it ends.  With
+        a journal, the completions of each graph-affine chunk
+        (:func:`_chunks`) are one group commit, as a pool commits each
+        landed chunk: a crash loses at most the chunk in flight.
         """
         out: list[tuple[dict, bool, float, JobOutcome | None]] = []
+        journal = self.journal
         with reuse() as scope:
-            for params, key, label in zip(params_list, keys, labels):
-                payload = self.cache.get(key)
-                if payload is not None:
-                    if self.journal is not None:
-                        # Journal cache hits too: resume must not depend on
-                        # the cache still existing (or being unchanged).
-                        self._journal_envelope(key, label, payload, True, None)
-                    self.stats.record(label, payload, 0.0, cached=True)
-                    out.append((payload, True, 0.0, None))
-                    continue
-                payload, outcome, wall = run_attempts(fn, params, label, self.retry)
-                if payload.get("ok", True):
-                    self.cache.put_safe(key, payload)
-                if self.journal is not None:
-                    self._journal_envelope(key, label, payload, False, outcome.as_dict())
-                self._absorb_outcome(outcome)
-                self.stats.record(label, payload, wall, cached=False)
-                out.append((payload, False, wall, outcome))
+            for chunk in _chunks(params_list, 1):
+                with journal.batch() if journal is not None else contextlib.nullcontext():
+                    for i in chunk:
+                        out.append(self._run_inline(fn, params_list[i], keys[i], labels[i]))
         self.reuse.merge(scope.stats.as_dict())
         return out
+
+    def _run_inline(self, fn, params: dict, key, label: str) -> tuple:
+        """One unit run inline: cache lookup, execution, store, journal."""
+        payload = self.cache.get(key)
+        if payload is not None:
+            if self.journal is not None:
+                # Journal cache hits too: resume must not depend on the
+                # cache still existing (or being unchanged).
+                self._journal_envelope(key, label, payload, True, None)
+            self.stats.record(label, payload, 0.0, cached=True)
+            return payload, True, 0.0, None
+        payload, outcome, wall = run_attempts(fn, params, label, self.retry)
+        if payload.get("ok", True):
+            self.cache.put_safe(key, payload)
+        if self.journal is not None:
+            self._journal_envelope(key, label, payload, False, outcome.as_dict())
+        self._absorb_outcome(outcome)
+        self.stats.record(label, payload, wall, cached=False)
+        return payload, False, wall, outcome
 
     def _map_parallel(
         self, sp, fn, params_list: list[dict], keys: list[str], labels: list[str]

@@ -47,7 +47,6 @@ from ..machine.vm import run_program
 from ..observability import OBS, count, span
 from ..retiming.optimal import minimize_cycle_period, retime_for_period
 from ..unfolding.orders import retime_unfold, unfold_retime
-from ..workloads.registry import get_workload
 from .resilience import JobOutcome
 from .reuse import GraphStages
 
@@ -106,6 +105,9 @@ class Job:
     def graph(self) -> DFG:
         """A fresh instance of the job's input graph."""
         if self.workload is not None:
+            # Imported here: a random-graph sweep names no workload.
+            from ..workloads.registry import get_workload
+
             return get_workload(self.workload)
         return from_json(self.graph_json)
 
@@ -221,9 +223,20 @@ def _minimized(g: DFG) -> tuple:
     return r, _retiming_extras(period, r)
 
 
-def _retimed_unfolded(g: DFG, f: int, period: int | None) -> tuple:
-    """``retime_unfold(g, f[, period])``'s retiming plus its extras."""
-    ru = retime_unfold(g, f, period=period)
+def _retimed_unfolded(st: _Stages, f: int, period: int | None) -> tuple:
+    """``retime_unfold(g, f[, period])``'s retiming plus its extras.
+
+    Without a ``period`` the search's upper bound unfolds
+    ``minimize_cycle_period(g)``'s retiming; when the ``("minimize",)``
+    stage already holds it (a sweep's pipelined cells built it), it is
+    passed in rather than recomputed.  The hit merges that stage's metric
+    delta into this build's, so counters still count the work.
+    """
+    minimized = st.peek(("minimize",)) if period is None else None
+    if minimized is None:
+        ru = retime_unfold(st.g, f, period=period)
+    else:
+        ru = retime_unfold(st.g, f, period=period, minimized=minimized[0])
     return ru.retiming, _retiming_extras(ru.period, ru.retiming)
 
 
@@ -257,7 +270,7 @@ def _program_for(st: _Stages, transform: str, f: int, n: int):
     if transform == "csr-unfolded":
         return st.get(("program", transform, f), csr_unfolded_loop, g, f), n, {}
     if transform in ("retime-unfold", "csr-retime-unfold", "csr-retime-unfold-periter"):
-        r, extras = st.get(("retime_unfold", f), _retimed_unfolded, g, f, None)
+        r, extras = st.get(("retime_unfold", f), _retimed_unfolded, st, f, None)
         if transform != "retime-unfold":
             mode = PER_COPY if transform == "csr-retime-unfold" else PER_ITERATION
             key = ("program", transform, f)
@@ -288,7 +301,7 @@ def _orders_payload(st: _Stages, f: int, n: int, verify: bool) -> dict:
     g = st.g
     r_gf, ur_extras = st.get(("unfold_retime", f), _unfolded_retimed, g, f)
     period = ur_extras["period"]
-    r, _ = st.get(("retime_unfold", f, period), _retimed_unfolded, g, f, period)
+    r, _ = st.get(("retime_unfold", f, period), _retimed_unfolded, st, f, period)
     s_fr = size_unfold_retime(g, r_gf, f)
     s_rf = size_retime_unfold(g, r, f)
     payload = {

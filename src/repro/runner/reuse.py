@@ -17,7 +17,12 @@ batch (:func:`reuse`); a process running
 (:func:`worker_scope`).  Outside any scope a lookup just builds, so a
 bare ``execute_job(params)`` computes every stage.  A scope is an LRU
 over :data:`GRAPHS` graphs; evicting a graph frees everything built for
-it.
+it, including what was derived from its graph object below the stages
+(its retimed and unfolded graphs, instructions and compiled VM code; see
+:func:`repro.graph.kernel.derived`).  A build may use a stage only if
+the scope already holds it (:meth:`GraphStages.peek`): the
+``retime_unfold`` search takes its upper bound from the ``("minimize",)``
+stage that way.
 
 Purity: an entry is a pure function of the graph JSON and its stage key,
 and callers never mutate one (parsed graphs are read-only and
@@ -137,6 +142,15 @@ class GraphStages:
             if entries is not None:
                 scope._graphs[graph] = entries
         self.g = self.get(("graph",), parse, graph)
+
+    def peek(self, key: tuple):
+        """The value built under ``key`` if the scope holds it (a hit,
+        counted as one), else ``None``; never builds."""
+        entries = self._entries
+        entry = entries.get(key) if entries is not None else None
+        if entry is None or (entry[1] is None and OBS.enabled):
+            return None
+        return self.get(key, None)  # a hit: counted, its delta merged
 
     def get(self, key: tuple, build: Callable[..., T], *args) -> T:
         """``build(*args)``, shared within the scope under ``(graph, key)``."""

@@ -165,12 +165,17 @@ def retime_unfold_for_period(g: DFG, f: int, c: int) -> Retiming | None:
     return r
 
 
-def retime_unfold(g: DFG, f: int, period: int | None = None) -> OrderedResult:
+def retime_unfold(
+    g: DFG, f: int, period: int | None = None, minimized: Retiming | None = None
+) -> OrderedResult:
     """Retime ``g`` first, then unfold by ``f`` (the code-size-friendly order).
 
     With ``period`` given, finds a retiming whose unfolded graph achieves
     that cycle period (raising :class:`DFGError` if impossible); otherwise
-    minimizes the unfolded cycle period exactly by binary search.
+    minimizes the unfolded cycle period exactly by binary search.  The
+    search's upper bound unfolds ``minimize_cycle_period(g)``'s retiming;
+    a caller that already holds that retiming passes it as ``minimized``
+    and the search skips recomputing it.
     """
     if period is not None:
         r = retime_unfold_for_period(g, f, period)
@@ -183,7 +188,7 @@ def retime_unfold(g: DFG, f: int, period: int | None = None) -> OrderedResult:
             math.ceil(bound * f) if bound > 0 else 1,
         )
         # Upper bound: unfold the LS-optimal retiming of g.
-        _, r0 = minimize_cycle_period(g)
+        r0 = minimized if minimized is not None else minimize_cycle_period(g)[1]
         hi = cycle_period(unfold(r0.apply(), f))
         best: Retiming | None = None
         while lo <= hi:

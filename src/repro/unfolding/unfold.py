@@ -22,6 +22,7 @@ multiplies the iteration bound by ``f`` (so the bound on the iteration
 from __future__ import annotations
 
 from ..graph.dfg import DFG, DFGError
+from ..graph.kernel import derived
 from ..observability import OBS, span
 
 __all__ = ["unfold", "copy_name", "parse_copy_name", "unfolded_edge_delay"]
@@ -56,11 +57,34 @@ def unfold(g: DFG, f: int, name: str | None = None) -> DFG:
 
     ``f = 1`` returns a renamed copy (every node becomes ``u#0``) so that
     downstream code can treat all factors uniformly.
+
+    Built once per ``(g, f, name)`` for as long as ``g`` lives
+    (:func:`repro.graph.kernel.derived`): every later call returns the
+    same graph object, so it is shared and read-only — callers must never
+    add nodes or edges to it.  The ``unfold.*`` counters count every
+    call, built or shared; only a build records an ``unfold`` span.
     """
     if f < 1:
         raise DFGError(f"unfolding factor must be >= 1, got {f}")
+    if name is None:
+        name = f"{g.name}_x{f}"
+    memo = derived(g)
+    key = ("unfold", f, name)
+    gf = memo.get(key)
+    if gf is None:
+        gf = memo[key] = _build(g, f, name)
+    if OBS.enabled:
+        m = OBS.metrics
+        m.counter("unfold.calls", "unfolding transformations applied").inc()
+        m.counter("unfold.copies", "node copies created by unfolding").inc(
+            g.num_nodes * f
+        )
+    return gf
+
+
+def _build(g: DFG, f: int, name: str) -> DFG:
     with span("unfold", graph=g.name, factor=f):
-        gf = DFG(name if name is not None else f"{g.name}_x{f}")
+        gf = DFG(name)
         for node in g.nodes():
             for j in range(f):
                 gf.add_node(
@@ -74,10 +98,4 @@ def unfold(g: DFG, f: int, name: str | None = None) -> DFG:
                     copy_name(e.dst, j),
                     delay=unfolded_edge_delay(e.delay, j, f),
                 )
-    if OBS.enabled:
-        m = OBS.metrics
-        m.counter("unfold.calls", "unfolding transformations applied").inc()
-        m.counter("unfold.copies", "node copies created by unfolding").inc(
-            g.num_nodes * f
-        )
     return gf

@@ -41,6 +41,22 @@ class TestComputeForNode:
         instr = compute_for_node(fig2, "A", IndexExpr.const(2))
         assert str(instr.srcs[0]) == "E[-2]"
 
+    def test_equal_requests_share_one_instruction(self, fig2):
+        from repro.codegen.ir import Guard
+
+        a = compute_for_node(fig2, "C", IndexExpr.loop(1), Guard("p1", -1))
+        assert compute_for_node(fig2, "C", IndexExpr.loop(1), Guard("p1", -1)) is a
+        assert compute_for_node(fig2, "C", IndexExpr.loop(1), Guard("p1")) is not a
+        assert compute_for_node(fig2, "C", IndexExpr.loop(1)).guard is None
+        assert compute_for_node(fig2.copy(), "C", IndexExpr.loop(1), Guard("p1", -1)) == a
+
+    def test_programs_of_one_graph_share_instructions(self, fig4):
+        """The original body and a zero retiming's pipelined body compute
+        the same instances with the same objects."""
+        body = original_loop(fig4).loop.body
+        again = pipelined_loop(fig4, Retiming(fig4)).loop.body
+        assert all(x is y for x, y in zip(body, again))
+
 
 class TestOriginalLoop:
     def test_size_is_node_count(self, bench_graph):

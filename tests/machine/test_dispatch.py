@@ -199,6 +199,54 @@ class TestCompileCache:
         assert c2.program_ref() is p2
 
 
+class TestInstructionCompileCache:
+    """Each compute instruction compiles once per object and region kind,
+    and its cached tuple keeps no instruction alive."""
+
+    def test_repeated_instructions_compile_once(self, fig8, monkeypatch):
+        from repro.machine import dispatch
+
+        built = []
+        real = dispatch._compiled
+        monkeypatch.setattr(
+            dispatch, "_compiled", lambda instr, in_body: built.append(instr) or real(instr, in_body)
+        )
+        p1 = original_loop(fig8)
+        p2 = original_loop(fig8)  # a distinct program over the same instructions
+        c1, c2 = compile_program(p1), compile_program(p2)
+        assert c1 is not c2
+        assert len(built) == len(p1.loop.body) == len(set(map(id, built)))
+        assert all(a is b for a, b in zip(c1.body, c2.body))
+        assert run_program(p1, 5).arrays == run_program(p2, 5).arrays
+
+    def test_cached_tuple_dies_with_its_instruction(self, fig8):
+        import weakref
+
+        from repro.machine.dispatch import _INSTRS
+
+        g = fig8.copy()
+        p = original_loop(g)
+        run_program(p, 3)
+        refs = [weakref.ref(instr) for instr in p.loop.body]
+        keys = [id(instr) for instr in p.loop.body]
+        assert all(k in _INSTRS for k in keys)
+        del g, p
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert not any(k in _INSTRS for k in keys)
+
+    def test_error_messages_still_name_the_instruction(self):
+        instr = ComputeInstr(
+            dest=Operand("A", IndexExpr(IndexBase.CONST, 0)),
+            op=OpKind.ADD,
+            imm=0,
+            srcs=(),
+        )
+        p = LoopProgram("bad", pre=(instr,), loop=_EMPTY_LOOP, post=())
+        with pytest.raises(MachineError, match=r"instruction: A\[0\] = add"):
+            run_program(p, 2)
+
+
 class TestCompileCacheConcurrency:
     """The id-keyed cache under threads: single-compilation semantics and
     no cross-thread aliasing after GC recycles an id."""

@@ -182,3 +182,25 @@ class TestPeriodEffect:
     def test_paper_retiming_period_one(self, fig2):
         r = Retiming(fig2, {"A": 3, "B": 2, "C": 2, "D": 1, "E": 0})
         assert cycle_period(r.apply()) == 1
+
+
+class TestApplyShared:
+    """``Retiming.apply`` builds ``G_r`` once per retiming and name."""
+
+    def test_apply_returns_one_object(self, fig1):
+        r = Retiming(fig1, {"A": 1})
+        assert r.apply() is r.apply()
+        assert r.apply(name="x") is r.apply(name="x")
+        assert r.apply(name="x") is not r.apply()
+        assert r.apply(name="x").name == "x"
+
+    def test_equal_retimings_build_equal_graphs(self, fig1):
+        a, b = Retiming(fig1, {"A": 1}), Retiming(fig1, {"A": 1})
+        assert a == b and a.apply() is not b.apply()
+        assert a.apply() == b.apply()
+
+    def test_an_illegal_retiming_raises_on_every_call(self, fig1):
+        r = Retiming(fig1, {"B": 5})
+        for _ in range(2):
+            with pytest.raises(RetimingError, match="illegal"):
+                r.apply()

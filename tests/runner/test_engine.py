@@ -364,3 +364,52 @@ class TestChunkedDispatch:
         assert types == ["run.start"] + ["job.submitted"] * 9 + ["job.done"] * 9
         done = scan.completed()
         assert sorted(d["payload"]["i"] for d in done.values()) == [p["i"] for p in out]
+
+    def test_journaled_serial_run_commits_once_per_chunk(self, tmp_path, monkeypatch):
+        """Inline completions group-commit at the pool's chunk boundaries:
+        one fsync per graph-affine run of units, not one per unit."""
+        import repro.runner.journal as journal_module
+        from repro.runner import RunJournal, scan_journal
+
+        engine = ExperimentEngine(jobs=1, cache=None)
+        engine.journal = RunJournal(tmp_path)
+        engine.journal.run_start("test", {})
+        fsyncs = []
+        real = journal_module.os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: (fsyncs.append(fd), real(fd))
+        )
+        units = _units("aaabbbbcc--d")
+        out = engine.map_cached("where", _where, units)
+        engine.journal.close()
+        # One commit for the submitted records, one per chunk.
+        assert len(_chunks(units, 1)) == 5
+        assert len(fsyncs) == 1 + 5
+        scan = scan_journal(tmp_path / "journal.jsonl")
+        types = [r["type"] for r in scan.records]
+        assert types == ["run.start"] + ["job.submitted"] * 12 + ["job.done"] * 12
+        done = scan.completed()
+        assert sorted(d["payload"]["i"] for d in done.values()) == [p["i"] for p in out]
+
+    def test_keys_are_computed_only_when_something_reads_them(self, tmp_path, monkeypatch):
+        """No cache, journal, resume state or fabric: no unit is hashed."""
+        import repro.runner.engine as engine_module
+        from repro.runner import RunJournal
+
+        hashed = []
+        real = engine_module.cache_key
+        monkeypatch.setattr(
+            engine_module, "cache_key", lambda kind, p: hashed.append(p) or real(kind, p)
+        )
+        units = _units("aab")
+        for jobs in (1, 2):
+            out = ExperimentEngine(jobs=jobs, cache=None).map_cached("where", _where, units)
+            assert [p["i"] for p in out] == [0, 1, 2]
+        assert hashed == []
+        ExperimentEngine(jobs=1, cache=tmp_path / "cache").map_cached("where", _where, units)
+        assert len(hashed) == 3
+        engine = ExperimentEngine(jobs=1, cache=None)
+        engine.journal = RunJournal(tmp_path / "journal")
+        engine.map_cached("where", _where, units)
+        engine.journal.close()
+        assert len(hashed) == 6

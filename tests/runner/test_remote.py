@@ -745,6 +745,16 @@ class TestFabricEndToEnd:
             engine.close()
         return out, engine
 
+    def test_a_single_unit_is_leased(self):
+        """A one-unit batch goes to the fabric too (a server's lone
+        ``transform`` request under ``serve --distributed``), not inline."""
+        params, labels = _job_params(count=1)
+        fabric = RemoteFabric(workers=1, lease_timeout=15.0, poll_interval=0.01)
+        out, engine = self._run(fabric, params, labels)
+        assert _strip(out) == _serial_reference(params, labels)
+        assert fabric.coordinator.leases_granted == 1
+        assert fabric.fallback_units == 0
+
     def test_spawned_workers_match_serial(self):
         params, labels = _job_params()
         fabric = RemoteFabric(workers=2, lease_timeout=15.0,

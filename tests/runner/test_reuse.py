@@ -92,6 +92,35 @@ class TestCounters:
         assert runs[0] == cold_sum
         assert runs[1] == cold_sum
 
+    @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+    def test_sweep_metrics_equal_the_pinned_run(self, tmp_path, capsys, flags):
+        """Sharing graphs, instructions and compiled code below the stages
+        changes no count: a sweep's ``--metrics-out`` counters and
+        histograms equal those pinned from a run that derived everything
+        afresh in every cell."""
+        from pathlib import Path
+
+        from repro.__main__ import main
+
+        pinned = json.loads(
+            (Path(__file__).parents[1] / "data" / "metrics" / "sweep-seed9.json").read_text()
+        )
+        out = tmp_path / "m.json"
+        argv = ["sweep", "--graphs", "4", "--seed", "9", "--no-cache", "--metrics-out", str(out)]
+        observability.OBS.reset()
+        try:
+            assert main(argv + flags) == 0
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        capsys.readouterr()
+        metrics = json.loads(out.read_text())
+        # A fault plan (REPRO_FAULT_PLAN) adds its retries as ``jobs.*``
+        # counters; it injects before a unit runs, so the work is the same.
+        work = {k: v for k, v in metrics["counters"].items() if not k.startswith("jobs.")}
+        assert work == pinned["counters"]
+        assert metrics["histograms"] == pinned["histograms"]
+
     def test_unobserved_entry_does_not_serve_an_observed_lookup(self):
         params = Job(transform="csr-pipelined", workload="iir", trip_count=9).to_params()
         scope = ReuseScope()

@@ -120,3 +120,59 @@ class TestUnfold:
         """Phi(G_f) <= f * Phi(G): the unfolded body is never slower than
         f plain iterations."""
         assert cycle_period(unfold(g, f)) <= f * cycle_period(g)
+
+
+class TestSharedPerGraph:
+    """``unfold`` builds once per ``(graph, f, name)`` while the graph lives."""
+
+    def test_same_graph_and_factor_share_one_object(self, fig1):
+        assert unfold(fig1, 2) is unfold(fig1, 2)
+        assert unfold(fig1, 2) is not unfold(fig1, 3)
+        assert unfold(fig1, 2, name="other") is not unfold(fig1, 2)
+        assert unfold(fig1, 2, name="other").name == "other"
+
+    def test_equal_graphs_do_not_share(self, fig1):
+        assert unfold(fig1.copy(), 2) is not unfold(fig1, 2)
+        assert unfold(fig1.copy(), 2) == unfold(fig1, 2)
+
+    def test_entry_dies_with_its_graph(self, fig1):
+        import gc
+        import weakref
+
+        from repro.graph.kernel import _DERIVED
+
+        g = fig1.copy()
+        gf = weakref.ref(unfold(g, 3))
+        key = id(g)
+        assert key in _DERIVED and gf() is not None
+        del g
+        gc.collect()
+        assert gf() is None
+        assert key not in _DERIVED
+
+    def test_a_grown_graph_is_unfolded_afresh(self):
+        g = DFG("grow")
+        g.add_node("A")
+        g.add_node("B")
+        g.add_edge("A", "B", delay=0)
+        first = unfold(g, 2)
+        g.add_edge("B", "A", delay=2)
+        second = unfold(g, 2)
+        assert second is not first
+        assert second.num_edges == 2 * first.num_edges
+
+    def test_counters_count_every_call(self, fig1):
+        from repro import observability
+
+        observability.OBS.reset()
+        observability.enable(trace=False)
+        try:
+            g = fig1.copy()
+            for _ in range(3):
+                unfold(g, 2)
+            counters = observability.OBS.metrics.as_dict()["counters"]
+        finally:
+            observability.disable()
+            observability.OBS.reset()
+        assert counters["unfold.calls"] == 3
+        assert counters["unfold.copies"] == 3 * 2 * g.num_nodes
