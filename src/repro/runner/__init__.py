@@ -48,7 +48,7 @@ __getattr__, __dir__ = _lazy_exports(
             "RunJournal",
             "scan_journal",
         ),
-        ".remote": ("LeaseCoordinator", "RemoteFabric", "run_task_local"),
+        ".remote": ("LeaseCoordinator", "RemoteFabric"),
         ".resilience": (
             "FAULT_PLAN_ENV",
             "FAULT_SITES",
@@ -83,7 +83,6 @@ __all__ = [
     "RunJournal",
     "LeaseCoordinator",
     "RemoteFabric",
-    "run_task_local",
     "scan_journal",
     "CacheStats",
     "NullCache",

@@ -271,18 +271,6 @@ class ResultCache:
             count("cache.write_failures")
             return False
 
-    def get_or_compute(self, key: str, fn) -> dict:
-        """Cached payload for ``key``, computing and storing it on a miss.
-
-        Storage is best-effort (:meth:`put_safe`): a store that fails
-        never loses the freshly computed payload.
-        """
-        payload = self.get(key)
-        if payload is None:
-            payload = fn()
-            self.put_safe(key, payload)
-        return payload
-
     # -- maintenance ---------------------------------------------------
 
     def _quarantine(self, path: Path, key: str) -> None:
@@ -374,10 +362,6 @@ class NullCache:
 
     def put_safe(self, key: str, payload: dict) -> bool:
         return True
-
-    def get_or_compute(self, key: str, fn) -> dict:
-        self.stats.misses += 1
-        return fn()
 
     def clear(self) -> int:
         return 0

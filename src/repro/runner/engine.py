@@ -14,27 +14,26 @@ sweep shares:
   instruction counts are accumulated in :class:`EngineStats` and rendered
   by :meth:`ExperimentEngine.stats_summary` (the ``--stats`` CLI flag).
 
-In parallel mode the *workers* perform the cache lookups and stores,
-which parallelizes the disk I/O and keeps payload bytes out of the
-parent except once per result.  Both executors — the process pool and
-the remote fabric — are sent graph-affine *chunks* (:func:`_chunks`):
-maximal runs of consecutive units on the same graph, split only while
-there are fewer chunks than workers.  A worker runs a chunk in one go
-(:func:`_pool_chunk`), so one process builds a graph's stages once and
-the submit/pickle (or lease/complete) round trip is paid per chunk.
-Worker-process :class:`~repro.runner.cache.CacheStats` would otherwise
-die with the worker, so every result travels in an envelope carrying the
-worker's hit/miss deltas — and, when observability is on, its metric
-deltas and (only while the parent traces) its serialized spans — which
-the parent merges; ``--stats`` therefore reports fleet-wide numbers
-identical to a serial run's.
+Executors: a batch runs inline (``jobs == 1``), on a process pool or on
+the lease fabric (:mod:`repro.runner.remote`), and each is sent the same
+graph-affine *chunks* (:func:`_chunks`): maximal runs of consecutive
+units on the same graph, split only while there are fewer chunks than
+workers.  Every chunk goes through one unit loop (:func:`_run_chunk`:
+cache lookup, retried execution, store), so one process builds a
+graph's stages once and the submit/pickle (or lease/complete) round trip
+is paid per chunk.  A pool or lease worker wraps it in
+:func:`_pool_chunk` and ships home an envelope carrying its cache, reuse
+and (when observability is on) metric and span deltas; inline chunks (a
+serial batch, the fabric's local fallback) use the engine's own cache,
+retry policy, collectors and fault plan.  Every envelope lands through
+one path that journals it and merges its deltas, so ``--stats`` reports
+fleet-wide numbers identical to a serial run's.
 
-Stage reuse (:mod:`repro.runner.reuse`): a serial batch runs inside one
-reuse scope, and a pool worker process keeps one for its
-lifetime, so the cells of one graph share its parse, retimings, programs
-and reference runs.  The scopes' hit/build/eviction counts travel home
-in the envelope as ``reuse_stats`` and print as the ``--stats``
-``reuse`` line.
+Stage reuse (:mod:`repro.runner.reuse`): a batch's inline chunks share
+one reuse scope, and a worker process keeps one for its lifetime, so
+the cells of one graph share its parse, retimings, programs and
+reference runs.  Their hit/build/eviction counts print as the
+``--stats`` ``reuse`` line.
 
 Worker functions must be importable (module-level) and take a single JSON
 dict — the pickling contract of ``multiprocessing``.  The engine never
@@ -53,12 +52,11 @@ renders the post-run report and the ``jobs.retried`` / ``jobs.timed_out``
 Crash consistency (:mod:`repro.runner.journal`): with a
 :class:`~repro.runner.journal.RunJournal` attached, every unit's
 submission and completion is an fsync'd write-ahead record, completed
-units rehydrate on ``--resume`` instead of re-executing, and parallel
+units rehydrate on ``--resume`` instead of re-executing, and
 completions are journaled as they land.  A batch's submissions are one
 group commit, durable before any unit is dispatched, and so are the
-completions of each graph-affine chunk — a landed envelope from either
-executor, or a chunk run inline: a crash loses at most the in-flight
-chunks.
+completions of each landed chunk, whichever executor ran it: a crash
+loses at most the in-flight chunks.
 Fault tolerance against dying or hanging workers is the lease fabric's
 (:mod:`repro.runner.remote`, the ``remote=`` executor that
 ``--workers remote`` builds): a lost worker's unit is requeued
@@ -69,7 +67,6 @@ executes the exact code it always did.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
 import os
@@ -82,7 +79,7 @@ from ..observability import count, span
 from . import resilience
 from .cache import NullCache, ResultCache, cache_key
 from .resilience import FaultPlan, JobOutcome, RetryPolicy, run_attempts
-from .reuse import ReuseStats, reuse, worker_scope
+from .reuse import ReuseScope, ReuseStats, reuse, worker_scope
 
 if TYPE_CHECKING:
     from .jobs import Job, JobResult
@@ -94,7 +91,7 @@ def __getattr__(name: str):
     # ``ProcessPoolExecutor`` loads on first use: importing it pulls in
     # multiprocessing, pickle, socket and subprocess, which a run that
     # never starts a pool does not need.  It stays a module attribute
-    # (and may be rebound); ``_map_parallel`` uses whatever is bound.
+    # (and may be rebound); a starting pool uses whatever is bound.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -102,27 +99,55 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _run_chunk(fn, cache, policy: RetryPolicy | None, units: list[tuple]) -> list[dict]:
+    """The one unit loop: cached, retried execution of a chunk's units.
+
+    ``units`` lists ``(params, key, label)``.  Each unit is served from
+    ``cache``, or run under ``policy`` (:func:`run_attempts`) and stored
+    unless it failed in-band.  Returns one ``{"payload", "cached",
+    "wall", "outcome"?}`` per unit, in order; ``outcome`` is an executed
+    unit's serialized :class:`JobOutcome`.
+    """
+    results = []
+    for params, key, label in units:
+        payload = cache.get(key)
+        if payload is not None:
+            results.append({"payload": payload, "cached": True, "wall": 0.0})
+            continue
+        payload, outcome, wall = run_attempts(fn, params, label, policy)
+        if payload.get("ok", True):
+            cache.put_safe(key, payload)
+        results.append(
+            {
+                "payload": payload,
+                "cached": False,
+                "wall": wall,
+                "outcome": outcome.as_dict(),
+            }
+        )
+    return results
+
+
 def _pool_chunk(task: tuple) -> dict:
-    """Process-pool entry point: cached execution of one chunk of units.
+    """Worker-process entry point: :func:`_run_chunk` on one chunk task.
 
     ``task`` is ``(fn, cache_spec, obs, policy, plan, units)`` where
     ``units`` lists ``(params, key, label)``, ``cache_spec`` is the
     cache root or ``None``, and ``obs`` is the parent's
     observability: 0 off, 1 metrics, 2 metrics and spans.  The worker
-    sets up its collectors, fault plan, retry policy and cache handle
-    once, then owns the cache lookup/store and the retry loop of each
-    unit, all inside this process's lifetime reuse scope.  It returns one envelope::
+    sets up its collectors, fault plan, retry policy and cache handle,
+    then runs the chunk inside this process's lifetime reuse scope.  It
+    returns one envelope::
 
-        {"results": [{"payload", "cached", "wall", "outcome"?}, ...],
-         "cache_stats", "reuse_stats", "obs"?}
+        {"results": [...], "cache_stats", "reuse_stats", "obs"?}
 
-    ``results`` follow ``units``; ``outcome`` is an executed unit's
-    serialized :class:`JobOutcome`.  ``cache_stats`` holds the chunk's
-    hit/miss/put deltas (a fresh :class:`ResultCache` starts at zero, so
-    its stats *are* the delta); ``reuse_stats`` the chunk's delta of the
-    lifetime reuse scope (:func:`~repro.runner.reuse.worker_scope`);
-    ``obs`` carries metric deltas when the parent had observability
-    enabled, and serialized spans when it traced.
+    ``results`` are :func:`_run_chunk`'s.  ``cache_stats`` holds the
+    chunk's hit/miss/put deltas (a fresh :class:`ResultCache` starts at
+    zero, so its stats *are* the delta); ``reuse_stats`` the chunk's
+    delta of the lifetime reuse scope
+    (:func:`~repro.runner.reuse.worker_scope`); ``obs`` carries metric
+    deltas when the parent had observability enabled, and serialized
+    spans when it traced.
     """
     fn, cache_spec, obs, policy_doc, plan_doc, units = task
     if obs:
@@ -144,27 +169,11 @@ def _pool_chunk(task: tuple) -> dict:
     cache = ResultCache(cache_spec) if cache_spec is not None else NullCache()
     scope = worker_scope()
     reuse_before = scope.stats.as_dict()
-    results = []
     with span("pool.chunk", units=len(units)) as sp, reuse(scope):
         graph = units[0][0].get("graph")
         if obs > 1 and isinstance(graph, str):
             sp.set(graph=_node_count(graph))
-        for params, key, label in units:
-            payload = cache.get(key)
-            if payload is not None:
-                results.append({"payload": payload, "cached": True, "wall": 0.0})
-                continue
-            payload, outcome, wall = run_attempts(fn, params, label, policy)
-            if payload.get("ok", True):
-                cache.put_safe(key, payload)
-            results.append(
-                {
-                    "payload": payload,
-                    "cached": False,
-                    "wall": wall,
-                    "outcome": outcome.as_dict(),
-                }
-            )
+        results = _run_chunk(fn, cache, policy, units)
     envelope = {
         "results": results,
         "cache_stats": cache.stats.as_dict(),
@@ -410,17 +419,10 @@ class ExperimentEngine:
                     for i in pending:
                         self.journal.job_submitted(keys[i], labels[i])
             if pending:
-                sub = (
-                    [params_list[i] for i in pending],
-                    [keys[i] for i in pending],
-                    [labels[i] for i in pending],
+                ran = self._execute(
+                    sp, fn, [params_list[i] for i in pending],
+                    [keys[i] for i in pending], [labels[i] for i in pending],
                 )
-                # A fabric leases even a single unit; a local pool is not
-                # worth starting for one.
-                if self.remote is not None or (self.jobs > 1 and len(pending) > 1):
-                    ran = self._map_parallel(sp, fn, *sub)
-                else:
-                    ran = self._map_serial(fn, *sub)
                 for i, r in zip(pending, ran):
                     slots[i] = r
             out = [slots[i] for i in range(len(keys))]
@@ -451,55 +453,17 @@ class ExperimentEngine:
             s.failed += 1
             count("jobs.failed")
 
-    def _map_serial(
-        self, fn, params_list: list[dict], keys: list[str], labels: list[str]
-    ) -> list[tuple[dict, bool, float, JobOutcome | None]]:
-        """Inline execution: the parent owns cache lookups and stores.
-
-        The batch runs in one fresh reuse scope, freed when it ends.  With
-        a journal, the completions of each graph-affine chunk
-        (:func:`_chunks`) are one group commit, as a pool commits each
-        landed chunk: a crash loses at most the chunk in flight.
-        """
-        out: list[tuple[dict, bool, float, JobOutcome | None]] = []
-        journal = self.journal
-        with reuse() as scope:
-            for chunk in _chunks(params_list, 1):
-                with journal.batch() if journal is not None else contextlib.nullcontext():
-                    for i in chunk:
-                        out.append(self._run_inline(fn, params_list[i], keys[i], labels[i]))
-        self.reuse.merge(scope.stats.as_dict())
-        return out
-
-    def _run_inline(self, fn, params: dict, key, label: str) -> tuple:
-        """One unit run inline: cache lookup, execution, store, journal."""
-        payload = self.cache.get(key)
-        if payload is not None:
-            if self.journal is not None:
-                # Journal cache hits too: resume must not depend on the
-                # cache still existing (or being unchanged).
-                self._journal_envelope(key, label, payload, True, None)
-            self.stats.record(label, payload, 0.0, cached=True)
-            return payload, True, 0.0, None
-        payload, outcome, wall = run_attempts(fn, params, label, self.retry)
-        if payload.get("ok", True):
-            self.cache.put_safe(key, payload)
-        if self.journal is not None:
-            self._journal_envelope(key, label, payload, False, outcome.as_dict())
-        self._absorb_outcome(outcome)
-        self.stats.record(label, payload, wall, cached=False)
-        return payload, False, wall, outcome
-
-    def _map_parallel(
+    def _execute(
         self, sp, fn, params_list: list[dict], keys: list[str], labels: list[str]
     ) -> list[tuple[dict, bool, float, JobOutcome | None]]:
-        """Pool or fabric execution: workers own cache I/O and ship deltas
-        home.
+        """Run a batch's pending units; results in submission order.
 
-        Both executors run the same graph-affine chunks (:func:`_chunks`)
-        through :func:`_pool_chunk`, split for the pool's ``jobs`` or the
-        fabric's worker count.  Each landed envelope is journaled as one
-        group commit and its deltas are merged once.
+        Serial, pool and fabric batches run the same chunks
+        (:func:`_chunks`) through :func:`_run_chunk`: inline by
+        ``run_local`` (a serial batch, the fabric's local fallback) in one
+        reuse scope per batch, or by :func:`_pool_chunk` in a worker.
+        Every envelope lands through ``land`` (one journal group commit, a
+        worker's deltas merged once) and every result folds in one loop.
         """
         root = getattr(self.cache, "root", None)
         cache_spec = str(root) if root is not None else None
@@ -516,11 +480,20 @@ class ExperimentEngine:
              [(params_list[i], keys[i], labels[i]) for i in chunk])
             for chunk in chunks
         ]
+        scope = ReuseScope()
+        units: list = [None] * len(params_list)
+
+        def run_local(task: tuple) -> dict:
+            with reuse(scope):
+                return {"results": _run_chunk(task[0], self.cache, self.retry, task[-1])}
 
         def land(idxs, envelope: dict) -> None:
+            for i, unit in zip(idxs, envelope["results"]):
+                units[i] = unit
             if self.journal is not None:
-                # Each envelope's completions are journaled the moment it
-                # lands, as one group commit — a crash loses at most the
+                # Each envelope's completions, cache hits too (resume must
+                # not depend on the cache), are journaled the moment it
+                # lands, as one group commit: a crash loses at most the
                 # in-flight chunks.
                 with self.journal.batch():
                     for i, unit in zip(idxs, envelope["results"]):
@@ -528,8 +501,8 @@ class ExperimentEngine:
                             keys[i], labels[i], unit["payload"],
                             unit["cached"], unit.get("outcome"),
                         )
-            # Fleet-wide accounting: merge the worker's deltas.
-            self.cache.stats.merge(envelope["cache_stats"])
+            # Fleet-wide accounting: merge a worker's deltas.
+            self.cache.stats.merge(envelope.get("cache_stats", {}))
             self.reuse.merge(envelope.get("reuse_stats", {}))
             observability.absorb_state(envelope.get("obs"))
 
@@ -538,27 +511,28 @@ class ExperimentEngine:
             # envelopes from its run loop.
             self.remote.journal = self.journal
             respawns = self.remote.respawns
-            units = self.remote.run(tasks, land)
+            self.remote.run(tasks, land, run_local)
             respawned = self.remote.respawns - respawns
             if respawned:
                 self.stats.respawned += respawned
                 count("workers.respawned", respawned)
+        elif workers == 1:
+            for chunk, task in zip(chunks, tasks):
+                land(chunk, run_local(task))
         else:
             from concurrent.futures import as_completed
 
             pool_class = globals().get("ProcessPoolExecutor") or __getattr__(
                 "ProcessPoolExecutor"
             )
-            landed: list = [None] * len(tasks)
             with pool_class(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_pool_chunk, task): c for c, task in enumerate(tasks)
+                    pool.submit(_pool_chunk, task): chunk
+                    for chunk, task in zip(chunks, tasks)
                 }
                 for fut in as_completed(futures):
-                    c = futures[fut]
-                    landed[c] = fut.result()
-                    land(chunks[c], landed[c])
-            units = [unit for envelope in landed for unit in envelope["results"]]
+                    land(futures[fut], fut.result())
+        self.reuse.merge(scope.stats.as_dict())
         out: list[tuple[dict, bool, float, JobOutcome | None]] = []
         for label, unit in zip(labels, units):
             payload, cached, wall = unit["payload"], unit["cached"], unit["wall"]

@@ -33,10 +33,13 @@ HOST:PORT``) — pull them under **time-bounded leases**:
 * when no worker shows up (or the whole fleet goes quiet), the fabric
   **degrades to local execution** of the remaining units instead of
   hanging — a distributed run can always finish on the coordinator
-  alone — and counts the units per reason.
+  alone — and counts the units per reason.  The engine hands the fabric
+  its own in-process chunk runner for this (``run_local``), the one a
+  serial run uses.
 
-Results are envelopes from the same
-:func:`repro.runner.engine._pool_chunk` body the process pool runs,
+Results are envelopes of the engine's one unit loop
+(:func:`repro.runner.engine._run_chunk`), run by a worker through
+:func:`repro.runner.engine._pool_chunk` as in the process pool,
 flattened in submission order — a distributed run's output is
 bit-identical to a serial one's.  Only allowlisted module-level functions
 (:data:`REMOTE_FNS`) can be named in a work unit; the worker never
@@ -59,7 +62,6 @@ from pathlib import Path
 from .. import observability
 from ..observability import count
 from ..observability.metrics import SECONDS_BUCKETS
-from . import resilience
 from .resilience import JobOutcome, RetryPolicy, _is_int, failure_payload
 
 __all__ = [
@@ -69,7 +71,6 @@ __all__ = [
     "chunk_from_wire",
     "fn_name",
     "resolve_fn",
-    "run_task_local",
     "wire_chunk",
 ]
 
@@ -160,28 +161,6 @@ def chunk_from_wire(doc: dict) -> tuple:
             for u in doc["units"]
         ],
     )
-
-
-def run_task_local(task: tuple) -> dict:
-    """Execute one engine chunk task tuple inline in the calling process.
-
-    The fabric's local fallback (no reachable workers): the same
-    cached/retried :func:`~repro.runner.engine._pool_chunk` body runs,
-    but with ``obs`` forced off — the caller's live collectors already
-    record everything — and the caller's active fault plan saved and
-    restored around the chunk body's fresh-plan-per-chunk install.
-    """
-    from .engine import _pool_chunk
-
-    fn, cache_spec, _obs, policy_doc, plan_doc, units = task
-    previous = resilience.active_plan()
-    try:
-        return _pool_chunk((fn, cache_spec, False, policy_doc, plan_doc, units))
-    finally:
-        if previous is not None:
-            resilience.activate(previous)
-        else:
-            resilience.deactivate()
 
 
 def _completion_units(units, envelope) -> tuple[tuple[int, int], ...]:
@@ -556,8 +535,9 @@ class RemoteFabric:
 
     The engine's ``remote=`` executor — :meth:`run` takes the engine's
     :func:`~repro.runner.engine._pool_chunk` task tuples, returns unit
-    results in submission order, and fires ``on_landed(idxs, envelope)``
-    per landed envelope for crash-consistent journaling.  Unlike the
+    results in submission order, fires ``on_landed(idxs, envelope)``
+    per landed envelope for crash-consistent journaling, and runs a
+    fallback chunk through the engine's ``run_local``.  Unlike the
     process pool it persists across batches (a tables run is many
     batches): the work plane binds lazily on first use and survives
     until :meth:`close`, with idle workers polling between batches.
@@ -737,12 +717,15 @@ class RemoteFabric:
 
     # -- the run loop ---------------------------------------------------
 
-    def run(self, tasks: list[tuple], on_landed=None) -> list[dict]:
+    def run(self, tasks: list[tuple], on_landed=None, run_local=None) -> list[dict]:
         """Execute every chunk task through the lease fabric.
 
         Unit results come back in submission order; ``on_landed(idxs,
         envelope)`` fires per landed envelope, on this thread, as
         results land — the engine journals and merges deltas from it.
+        ``run_local(task)`` runs one chunk task in this process and
+        returns its envelope (the engine's inline runner): the local
+        fallback once workers go quiet.
         """
         if not tasks:
             return []
@@ -758,7 +741,7 @@ class RemoteFabric:
             if self.coordinator.expire():
                 continue  # expiry events pump on the next iteration
             self._respawn_dead()
-            if self._maybe_fallback(on_landed):
+            if self._maybe_fallback(on_landed, run_local):
                 continue
             time.sleep(self.poll_interval)
         self._pump(on_landed)
@@ -816,9 +799,10 @@ class RemoteFabric:
                 SECONDS_BUCKETS,
             ).observe(age)
 
-    def _maybe_fallback(self, on_landed) -> bool:
-        """Run the backlog locally once workers have gone quiet, counted
-        per reason: none took a lease this batch, or all went quiet."""
+    def _maybe_fallback(self, on_landed, run_local) -> bool:
+        """Run the backlog through ``run_local`` once workers have gone
+        quiet, counted per reason: none took a lease this batch, or all
+        went quiet."""
         if time.monotonic() - self._last_grant <= self.worker_grace:
             return False
         seized = self.coordinator.seize_pending()
@@ -834,7 +818,7 @@ class RemoteFabric:
         count("remote.local_fallback", units)
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + units
         for idxs, doc in seized:
-            envelope = run_task_local(chunk_from_wire(doc))
+            envelope = run_local(chunk_from_wire(doc))
             self.coordinator.deliver_local(idxs, envelope)
             self.fallback_units += len(idxs)
             self._pump(on_landed)

@@ -10,11 +10,11 @@ loop's reference run only on ``(G, n)`` — yet every cell
 :class:`GraphStages`, which shares them within the current
 :class:`ReuseScope`.
 
-Scope rule: reuse happens only inside an explicit scope.
-:meth:`~repro.runner.engine.ExperimentEngine._map_serial` opens one per
-batch (:func:`reuse`); a process running
-:func:`~repro.runner.engine._pool_chunk` keeps one for its lifetime
-(:func:`worker_scope`).  Outside any scope a lookup just builds, so a
+Scope rule: reuse happens only inside an explicit scope.  The engine
+runs a batch's inline chunks (a serial run, the lease fabric's local
+fallback) in one scope (:func:`reuse`), freed when the batch ends; a
+worker process running :func:`~repro.runner.engine._pool_chunk` keeps
+one for its lifetime (:func:`worker_scope`).  Outside any scope a lookup just builds, so a
 bare ``execute_job(params)`` computes every stage.  A scope is an LRU
 over :data:`GRAPHS` graphs; evicting a graph frees everything built for
 it, including what was derived from its graph object below the stages

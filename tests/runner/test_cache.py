@@ -103,11 +103,11 @@ class TestCacheStore:
             cache = ResultCache(d)
             job = _random_job(seed)
             key = cache_key("job", job.to_params())
-            first = cache.get_or_compute(key, lambda: execute_job(job.to_params()))
+            assert cache.get(key) is None
+            first = execute_job(job.to_params())
+            assert cache.put_safe(key, first) is True
             assert cache.stats.misses == 1 and cache.stats.puts == 1
-            second = cache.get_or_compute(
-                key, lambda: pytest.fail("hit must not recompute")
-            )
+            second = cache.get(key)
             assert cache.stats.hits == 1
             first.pop("compute_time", None)
             second.pop("compute_time", None)
@@ -157,10 +157,15 @@ class TestCacheStore:
         assert cache.get(key) is None
         assert cache.stats.discarded == 1
         assert not path.exists()
-        # ...and get_or_compute transparently recomputes the real result.
-        again = cache.get_or_compute(key, lambda: execute_job(job.to_params()))
+        # ...the next lookup is a plain miss, and a recompute restores the
+        # real result.
+        assert cache.get(key) is None
+        assert cache.stats.discarded == 1
+        again = execute_job(job.to_params())
         again.pop("compute_time", None)
         assert again == good
+        assert cache.put_safe(key, again) is True
+        assert cache.get(key) == good
 
     def test_binary_garbage_entry_is_quarantined_not_fatal(self, tmp_path):
         """A cache file holding undecodable bytes (torn write, disk rot)
@@ -219,7 +224,9 @@ class TestCacheStore:
         cache = NullCache()
         cache.put("k", {"x": 1})
         assert cache.get("k") is None
-        assert cache.get_or_compute("k", lambda: {"x": 2}) == {"x": 2}
+        assert cache.put_safe("k", {"x": 2}) is True  # a no-op never fails
+        assert cache.get("k") is None
+        assert cache.stats.misses == 2 and cache.stats.puts == 0
         assert len(cache) == 0
 
     def test_code_version_is_stable_within_process(self):

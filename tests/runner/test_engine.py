@@ -413,3 +413,71 @@ class TestChunkedDispatch:
         engine.map_cached("where", _where, units)
         engine.journal.close()
         assert len(hashed) == 6
+
+
+class TestOneLandingPath:
+    """Serial, pool and fabric batches run the one unit loop and land
+    through one path, so their journals agree record for record."""
+
+    def _plan(self, labels: list[str]):
+        from repro.runner.resilience import FaultPlan, FaultSpec
+
+        # Every unit crashes once and retries; one crashes on every attempt.
+        return FaultPlan([
+            FaultSpec("job.start", labels[3], times=0),
+            FaultSpec("job.start", "*", times=1),
+        ])
+
+    @pytest.mark.parametrize("executor", ["serial", "pool", "fabric"])
+    def test_every_executor_journals_the_same_completions(self, tmp_path, executor):
+        from repro.runner import (
+            RemoteFabric, RetryPolicy, RunJournal, resilience, scan_journal,
+        )
+        from repro.runner.cache import cache_key
+        from repro.runner.jobs import execute_job
+        from repro.runner.resilience import run_attempts
+
+        jobs = _matrix()
+        labels = [j.label for j in jobs]
+        keys = [cache_key("job", j.to_params()) for j in jobs]
+        retry = RetryPolicy(max_attempts=3, backoff=0.0)
+        # The reference: each unit on its own, straight through the retry loop.
+        expected = []
+        with resilience.activated(self._plan(labels)):
+            for job, key in zip(jobs, keys):
+                payload, outcome, _ = run_attempts(
+                    execute_job, job.to_params(), job.label, retry
+                )
+                kind = "job.done" if outcome.status == "ok" else "job.failed"
+                expected.append((kind, key, job.label, payload, False, outcome.status))
+        assert {e[5] for e in expected} == {"ok", "failed"}
+
+        remote = None
+        if executor == "fabric":
+            remote = RemoteFabric(workers=0, worker_grace=0.05, poll_interval=0.01)
+        engine = ExperimentEngine(
+            jobs=2 if executor == "pool" else 1, cache=None, retry=retry, remote=remote
+        )
+        engine.journal = RunJournal(tmp_path)
+        try:
+            with resilience.activated(self._plan(labels)):
+                engine.run_jobs(jobs)
+        finally:
+            engine.journal.close()
+            engine.close()
+        if remote is not None:
+            assert remote.fallback_units == len(jobs)
+        records = [
+            r for r in scan_journal(tmp_path / "journal.jsonl").records
+            if r["type"] in ("job.done", "job.failed")
+        ]
+        if executor != "pool":  # a pool journals its chunks as they finish
+            assert [r["data"]["key"] for r in records] == keys
+        records.sort(key=lambda r: keys.index(r["data"]["key"]))
+        got = [
+            (r["type"], d["key"], d["label"], d["payload"], d.get("cached", False),
+             d["outcome"]["status"])
+            for r in records
+            for d in [r["data"]]
+        ]
+        assert got == expected

@@ -41,7 +41,6 @@ from repro.runner.remote import (
     REMOTE_FNS,
     chunk_from_wire,
     fn_name,
-    run_task_local,
     wire_chunk,
 )
 from repro.runner.journal import JOURNAL_NAME
@@ -979,15 +978,34 @@ class TestTopologiesAgree:
         assert "0 jobs resumed, 1 workers respawned" in stats
 
 
-def test_run_task_local_restores_callers_fault_plan():
-    params, labels = _job_params(2)
-    plan = FaultPlan([FaultSpec("worker.kill", "elsewhere", times=1)])
-    resilience.activate(plan)
-    try:
-        task = (execute_job, None, False, None, {"seed": 0, "faults": []},
-                [(params[0], "k0", labels[0]), (params[1], "k1", labels[1])])
-        envelope = run_task_local(task)
-        assert [r["payload"]["ok"] for r in envelope["results"]] == [True, True]
-        assert resilience.active_plan() is plan
-    finally:
-        resilience.deactivate()
+def test_local_fallback_runs_like_a_serial_batch(monkeypatch):
+    """With no worker to take a lease, the fabric runs the batch on the
+    engine's own in-process runner: the caller's fault plan stays
+    installed, stage reuse matches a serial run's, and no
+    process-lifetime reuse scope is left behind in the coordinator."""
+    from repro.runner import reuse
+
+    monkeypatch.setattr(reuse, "_WORKER", None)
+    params, labels = _job_params()
+    retry = RetryPolicy(max_attempts=3, backoff=0.0)
+
+    def run(remote):
+        plan = FaultPlan([FaultSpec("job.start", "*", times=1)])
+        engine = ExperimentEngine(jobs=1, cache=None, retry=retry, remote=remote)
+        try:
+            with resilience.activated(plan):
+                out = engine.map_cached("job", execute_job, params, labels)
+                assert resilience.active_plan() is plan
+        finally:
+            engine.close()
+        return out, engine
+
+    serial, serial_engine = run(None)
+    fabric = RemoteFabric(workers=0, worker_grace=0.05, poll_interval=0.01)
+    out, engine = run(fabric)
+    assert fabric.fallback_units == len(params)
+    assert out == serial
+    assert engine.stats.retried == serial_engine.stats.retried == len(params)
+    assert engine.reuse.builds == serial_engine.reuse.builds > 0
+    assert engine.reuse.as_dict() == serial_engine.reuse.as_dict()
+    assert reuse._WORKER is None

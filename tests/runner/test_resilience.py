@@ -225,11 +225,11 @@ class TestCacheFaultSites:
             assert cache.get(key) is None  # truncated bytes fail the sha
         assert cache.stats.discarded == 1
         assert len(cache.quarantined_entries()) == 1
-        # The next read (no fault budget left) recomputes and restores.
-        assert cache.get_or_compute(key, lambda: {"ok": True, "y": 9}) == {
-            "ok": True,
-            "y": 9,
-        }
+        # The next read (no fault budget left) misses; a recompute
+        # restores the entry.
+        assert cache.get(key) is None
+        assert cache.put_safe(key, {"ok": True, "y": 9}) is True
+        assert cache.get(key) == {"ok": True, "y": 9}
 
     def test_cache_write_crash_leaves_no_live_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -250,12 +250,16 @@ class TestCacheFaultSites:
         assert cache.stats.write_failures == 1
         assert cache.stats.puts == 0
 
-    def test_get_or_compute_survives_unwritable_store(self, tmp_path):
+    def test_unwritable_store_keeps_the_payload(self, tmp_path):
         cache = ResultCache(tmp_path)
+        payload = {"ok": True, "v": 7}
         plan = FaultPlan([FaultSpec("cache.write", times=0)])
         with resilience.activated(plan):
-            out = cache.get_or_compute("cc" * 32, lambda: {"ok": True, "v": 7})
-        assert out == {"ok": True, "v": 7}  # the payload is never lost
+            assert cache.get("cc" * 32) is None
+            assert cache.put_safe("cc" * 32, payload) is False
+        assert payload == {"ok": True, "v": 7}  # the payload is never lost
+        assert cache.stats.write_failures == 1
+        assert cache.get("cc" * 32) is None  # recomputed on the next run
 
 
 class TestEngineRecovery:
