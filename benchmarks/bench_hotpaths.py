@@ -4,9 +4,9 @@
 Measures the four hot paths end to end, old vs new, on random graphs of
 20–500 nodes (``--quick`` stops at 120 for CI):
 
-* ``minimize_cycle_period`` — D-value search with a per-probe W/D
-  rebuild + fresh solve (``method="reference"``) vs the FEAS search over
-  integer periods (``method="feas"``, the default);
+* ``minimize_cycle_period`` — the FEAS search over integer periods vs
+  the same integer search probing by ``_retime_for_period_reference``
+  (a per-probe W/D rebuild + fresh solve);
 * ``iteration_bound`` — Howard's policy iteration over the shared edge
   kernel, timed alone: its reference,
   :func:`~repro.graph.iteration_bound.iteration_bound_exhaustive`, is
@@ -58,7 +58,12 @@ from repro.graph.generators import random_dfg, random_unit_time_dfg  # noqa: E40
 from repro.machine import run_program  # noqa: E402
 from repro.machine.vliw_vm import run_packed  # noqa: E402
 from repro.observability import OBS  # noqa: E402
+from repro.graph.period import cycle_period  # noqa: E402
 from repro.retiming import minimize_cycle_period  # noqa: E402
+from repro.retiming.optimal import (  # noqa: E402
+    _least_feasible,
+    _retime_for_period_reference,
+)
 from repro.schedule import ResourceModel  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 
@@ -104,6 +109,14 @@ def _counted(fn, *args, **kwargs):
     return result, counters
 
 
+def _reference_search(g) -> tuple[int, object]:
+    """``minimize_cycle_period``'s integer search, probing by the W/D
+    constraint solve instead of FEAS."""
+    lo = max(v.time for v in g.nodes())
+    c, r, _ = _least_feasible(lo, cycle_period(g), partial(_retime_for_period_reference, g))
+    return c, r
+
+
 def bench_minimize(sizes) -> list[dict]:
     rows = []
     for size in sizes:
@@ -113,17 +126,16 @@ def bench_minimize(sizes) -> list[dict]:
                 max_delay=4,
             )
 
-        ref_period = minimize_cycle_period(graph(), method="reference")[0]
+        ref_period, ref_r = _reference_search(graph())
         ref_s = _median_s(
-            partial(minimize_cycle_period, graph(), method="reference")
-            for _ in range(REPEATS)
+            partial(_reference_search, graph()) for _ in range(REPEATS)
         )
         new_s = _median_s(
-            partial(minimize_cycle_period, graph(), method="feas")
-            for _ in range(REPEATS)
+            partial(minimize_cycle_period, graph()) for _ in range(REPEATS)
         )
-        res, counters = _counted(minimize_cycle_period, graph(), method="feas")
+        res, counters = _counted(minimize_cycle_period, graph())
         assert res[0] == ref_period, f"period mismatch at size {size}"
+        assert res[1].as_dict() == ref_r.as_dict(), f"witness mismatch at size {size}"
         rows.append(
             {
                 "size": size,

@@ -27,7 +27,7 @@ __getattr__, __dir__ = _lazy_exports(
         ".kernel": ("EdgeKernel",),
         ".period": ("alap_times", "asap_times", "critical_path", "cycle_period"),
         ".serialize": ("GraphFormatError", "from_json", "load_graph", "to_dot", "to_json"),
-        ".wd": ("distinct_d_values", "wd_kernel"),
+        ".wd": ("wd_kernel",),
     },
 )
 
@@ -52,7 +52,6 @@ __all__ = [
     "is_valid",
     "topological_order",
     "validate",
-    "distinct_d_values",
     "wd_kernel",
     "GraphFormatError",
     "from_json",

@@ -32,7 +32,7 @@ from .dfg import DFG
 from .kernel import shared_kernel
 from .validate import topological_order
 
-__all__ = ["wd_kernel", "wd_matrices_python", "distinct_d_values"]
+__all__ = ["wd_kernel", "wd_matrices_python"]
 
 _INF = float("inf")
 
@@ -138,12 +138,3 @@ def wd_matrices_python(
             D[(u, v)] = int(-neg_time) + g.node(v).time
     return W, D
 
-
-def distinct_d_values(g: DFG) -> list[int]:
-    """Sorted distinct values of the ``D`` matrix.
-
-    The minimum achievable cycle period under retiming is always one of
-    these values, so they are the binary-search domain of the reference
-    optimal retiming search.
-    """
-    return sorted(set(wd_kernel(g)[1].values()))

@@ -1,10 +1,10 @@
 """Exact-optimal retiming: certified minimum cycle period and code size.
 
 This is the ground-truth side of the differential oracle.  Where
-:func:`repro.retiming.optimal.minimize_cycle_period` binary-searches the
-*distinct values of the D matrix* (correct by Leiserson–Saxe Theorem 8, but
-that candidate-set argument is exactly the kind of clever step a bug could
-hide in), the oracle here searches the **full integer lattice**
+:func:`repro.retiming.optimal.minimize_cycle_period` probes by FEAS, whose
+witness rests on the forced-lowering argument of ``docs/THEORY.md`` §2 (the
+kind of clever step a bug could hide in), the oracle here searches the
+**full integer lattice**
 
     ``[ L,  Phi(G) ]``   with   ``L = max(max_v t(v), ceil(B(G)))``
 

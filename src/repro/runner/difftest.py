@@ -11,8 +11,8 @@ and checks, per graph:
   ``S_{r,f} <= S_{f,r}`` — retime-then-unfold code is never larger than
   unfold-then-retime code;
 * **ground-truth optimality** (``oracle=True`` / ``--oracle``): one
-  ``"oracle"`` job per graph pins ``minimize_cycle_period`` (all three
-  methods), rotation scheduling and modulo scheduling against the exact
+  ``"oracle"`` job per graph pins ``minimize_cycle_period``, rotation
+  scheduling and modulo scheduling against the exact
   solvers of :mod:`repro.optimal` — certified bounds, per-graph
   optimality gaps (:class:`OracleRecord`), and a rendered gap table.
 

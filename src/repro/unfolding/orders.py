@@ -21,10 +21,12 @@ Hence ``Phi(unfold(G_r, f)) <= c`` iff every walk with computation time
     d(p) + r(u) - r(v) >= f      for every u->v walk p with T(p) > c
 
 which is a system of difference constraints ``r(v) - r(u) <= W_c(u,v) - f``
-with ``W_c(u,v) = min { d(p) : T(p) > c }`` — computable by a per-source
-Dijkstra over ``(node, saturated-time)`` states.  For ``f = 1`` this
-degenerates to (an exact form of) the Leiserson–Saxe condition, which the
-test-suite exploits as a cross-check.
+with ``W_c(u,v) = min { d(p) : T(p) > c }``.  ``retime_unfold_for_period``
+relaxes it a pass at a time by FEAS generalised to ``f`` and never builds
+``W_c``; its reference, ``_retime_unfold_for_period_reference``, builds
+``W_c`` by a per-source Dijkstra and solves the system.  Both return its
+greatest solution (``docs/THEORY.md`` §4); at ``f = 1`` it is (an exact
+form of) the Leiserson–Saxe condition.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ from ..graph.dfg import DFG, DFGError
 from ..graph.iteration_bound import iteration_bound
 from ..graph.period import cycle_period
 from ..retiming.function import Retiming
-from ..retiming.optimal import minimize_cycle_period, retime_for_period, solve_retiming
+from ..retiming.optimal import (
+    _feas_retiming,
+    _least_feasible,
+    minimize_cycle_period,
+    retime_for_period,
+    solve_retiming,
+)
 from .unfold import unfold
 
 __all__ = [
@@ -154,14 +162,23 @@ def retime_unfold_for_period(g: DFG, f: int, c: int) -> Retiming | None:
     ``Phi(unfold(G_r, f)) <= c``, or ``None`` if none exists."""
     if f < 1:
         raise DFGError(f"unfolding factor must be >= 1, got {f}")
-    if any(v.time > c for v in g.nodes()):
-        return None
+    r = _feas_retiming(g, c, f)
+    assert r is None or cycle_period(unfold(r.apply(), f)) <= c, (
+        "internal error: FEAS witness too slow after unfolding"
+    )
+    return r
+
+
+def _retime_unfold_for_period_reference(g: DFG, f: int, c: int) -> Retiming | None:
+    """:func:`retime_unfold_for_period` by the ``W_c`` difference-constraint
+    solve: the reference of the FEAS fast path, with the same witness.  A
+    node slower than ``c`` is its own walk with ``W_c = 0 < f``, so the
+    system is infeasible."""
     wc = min_delay_exceeding_time(g, c)
     r = solve_retiming(g, [(v, u, w - f) for (u, v), w in wc.items()])
-    if r is None:
-        return None
-    retimed = r.apply()
-    assert cycle_period(unfold(retimed, f)) <= c, "internal error: W_c reduction violated"
+    assert r is None or cycle_period(unfold(r.apply(), f)) <= c, (
+        "internal error: W_c reduction violated"
+    )
     return r
 
 
@@ -187,22 +204,10 @@ def retime_unfold(
             max(v.time for v in g.nodes()),
             math.ceil(bound * f) if bound > 0 else 1,
         )
-        # Upper bound: unfold the LS-optimal retiming of g.
+        # Upper bound: unfold the LS-optimal retiming of g, which meets it.
         r0 = minimized if minimized is not None else minimize_cycle_period(g)[1]
         hi = cycle_period(unfold(r0.apply(), f))
-        best: Retiming | None = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            cand = retime_unfold_for_period(g, f, mid)
-            if cand is not None:
-                best = cand
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        if best is None:
-            # lo exceeded hi without success: r0 itself is the witness for hi.
-            best = r0
-        r = best
+        _, r, _ = _least_feasible(lo, hi, lambda c: retime_unfold_for_period(g, f, c))
     final = unfold(r.apply(), f)
     achieved = cycle_period(final)
     return OrderedResult(

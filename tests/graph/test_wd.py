@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.graph import DFG, distinct_d_values, wd_kernel
+from repro.graph import DFG, wd_kernel
 
 from ..conftest import dfgs
 
@@ -92,14 +92,6 @@ class TestWDMatrices:
             assert W[pair] == w
             assert D[pair] == bD[pair]
 
-    def test_distinct_d_values_sorted_unique(self, fig2):
-        vals = distinct_d_values(fig2)
-        assert vals == sorted(set(vals))
-        # Period candidates must include the achievable optimum (1) and the
-        # original period (4).
-        assert 1 in vals
-        assert 4 in vals
-
 
 class TestFastPathMatchesReference:
     """The per-source Dijkstra ``wd_kernel`` (fast path) against the
@@ -173,13 +165,18 @@ class TestFastPathMatchesReference:
         self._assert_matches(fig8)
 
     def test_retiming_results_unchanged(self):
-        """End-to-end: the reference period search over ``wd_kernel``
-        reproduces the Table-1 statistics of the largest benchmark."""
+        """End-to-end: the exact oracle and the reference solve over
+        ``wd_kernel`` reproduce the period search's Table-1 statistics of
+        the largest benchmark."""
+        from repro.optimal import optimal_cycle_period
         from repro.retiming import minimize_cycle_period
+        from repro.retiming.optimal import _retime_for_period_reference
         from repro.workloads import get_workload
 
-        c, r = minimize_cycle_period(get_workload("elliptic"), method="reference")
-        assert c == 13
+        g = get_workload("elliptic")
+        c, r = minimize_cycle_period(g)
+        assert c == optimal_cycle_period(g).period == 13
+        assert _retime_for_period_reference(g, c).as_dict() == r.as_dict()
         assert (r.max_value, r.registers_needed()) == (1, 2)
 
     def test_zero_delay_cycle_raises(self):

@@ -19,7 +19,9 @@ from repro.graph import iteration_bound, iteration_bound_exhaustive
 from repro.graph.generators import random_dfg
 from repro.machine import run_program
 from repro.machine.vliw_vm import run_packed
+from repro.optimal import optimal_cycle_period
 from repro.retiming import minimize_cycle_period
+from repro.retiming.optimal import _retime_for_period_reference
 from repro.schedule import ResourceModel
 from repro.workloads import WORKLOADS
 
@@ -60,22 +62,24 @@ class TestIterationBoundOracle:
             assert iteration_bound(g) == iteration_bound_exhaustive(g), g.name
 
 
+def _assert_search_matches_references(g) -> None:
+    """The FEAS period search's period equals the exact oracle's, and its
+    witness the ``W``/``D`` constraint solve's at that period."""
+    period, r = minimize_cycle_period(g)
+    assert period == optimal_cycle_period(g).period, g.name
+    assert r.as_dict() == _retime_for_period_reference(g, period).as_dict(), g.name
+
+
 class TestMinimizePeriodEngines:
-    """feas / reference strategies, pinned exactly equal."""
+    """The period search against its references, pinned exactly equal."""
 
     def test_registry(self):
         for g in _registry_graphs():
-            p_ref, r_ref = minimize_cycle_period(g, method="reference")
-            p_feas, r_feas = minimize_cycle_period(g, method="feas")
-            assert p_ref == p_feas, g.name
-            assert r_ref.as_dict() == r_feas.as_dict(), g.name
+            _assert_search_matches_references(g)
 
     def test_random_graphs(self):
         for g in _random_graphs():
-            p_ref, r_ref = minimize_cycle_period(g, method="reference")
-            p_feas, r_feas = minimize_cycle_period(g, method="feas")
-            assert p_ref == p_feas, g.name
-            assert r_ref.as_dict() == r_feas.as_dict(), g.name
+            _assert_search_matches_references(g)
 
 
 class TestVmDispatchSweep:

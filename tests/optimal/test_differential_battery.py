@@ -4,8 +4,9 @@ Uses the *same* seeded graph generator as ``python -m repro sweep``
 (:func:`repro.runner.difftest._graph_for_seed`), so every assertion here is
 the in-process twin of what the oracle sweep checks at engine scale:
 
-* both ``minimize_cycle_period`` probe strategies return exactly the
-  oracle's certified optimum — bit-equal, on every graph;
+* ``minimize_cycle_period`` returns exactly the oracle's certified
+  optimum, with the ``W``/``D`` reference solve's witness at it —
+  bit-equal, on every graph;
 * the Theorem 4.4/4.5 size inequality holds *at optimal code size*: with
   both orders' ``M_r`` independently minimized by exact search,
   ``S_{r,f} <= S_{f,r}`` still stands (the paper's claim is about optimal
@@ -22,6 +23,7 @@ from repro.graph.serialize import from_json
 from repro.optimal import minimize_max_retiming, optimal_cycle_period
 from repro.retiming import Retiming, minimize_cycle_period
 from repro.retiming.constraints import DifferenceConstraints
+from repro.retiming.optimal import _retime_for_period_reference
 from repro.runner.difftest import _graph_for_seed
 from repro.unfolding import (
     min_delay_exceeding_time,
@@ -93,13 +95,13 @@ def test_all_methods_bit_equal_to_oracle(chunk):
         g = _sweep_graph(seed)
         opt = optimal_cycle_period(g)
         assert opt.proven, f"seed {seed}: oracle gap {opt.gap}"
-        for method in ("feas", "reference"):
-            period, r = minimize_cycle_period(g, method=method)
-            assert period == opt.period, (
-                f"seed {seed}: method {method} returned {period}, "
-                f"oracle proved {opt.period}"
-            )
-            assert cycle_period(r.apply()) == opt.period
+        period, r = minimize_cycle_period(g)
+        assert period == opt.period, (
+            f"seed {seed}: the search returned {period}, oracle proved {opt.period}"
+        )
+        assert cycle_period(r.apply()) == opt.period
+        ref = _retime_for_period_reference(g, period)
+        assert r.as_dict() == ref.as_dict(), f"seed {seed}: witness differs"
 
 
 @pytest.mark.parametrize("chunk", range(0, THEOREM_SEEDS, 10))

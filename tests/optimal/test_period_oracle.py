@@ -18,6 +18,7 @@ from repro.optimal import (
     period_lower_bound,
 )
 from repro.retiming import minimize_cycle_period
+from repro.retiming.optimal import _retime_for_period_reference
 
 
 def test_single_node_graph():
@@ -79,13 +80,14 @@ def test_certificate_gap_property(fig1):
 
 def test_benchmarks_proven_and_match_heuristic(bench_graph):
     """On every paper benchmark the oracle proves optimality, agrees with
-    both heuristic probe strategies, and respects its own bounds."""
+    the period search (whose witness is the reference solve's), and
+    respects its own bounds."""
     opt = optimal_cycle_period(bench_graph)
     assert opt.proven
     assert opt.optimum_lower >= math.ceil(iteration_bound(bench_graph))
-    for method in ("feas", "reference"):
-        period, _ = minimize_cycle_period(bench_graph, method=method)
-        assert period == opt.period
+    period, r = minimize_cycle_period(bench_graph)
+    assert period == opt.period
+    assert r.as_dict() == _retime_for_period_reference(bench_graph, period).as_dict()
     assert cycle_period(opt.retiming.apply()) == opt.period
 
 

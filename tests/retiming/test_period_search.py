@@ -1,24 +1,24 @@
-"""The FEAS period search against its reference, exactly.
+"""The FEAS period search against its references, exactly.
 
-``minimize_cycle_period(method="feas")`` binary-searches the integers in
-``[max t(v), Phi(G)]`` with FEAS; ``method="reference"`` searches the
-distinct ``D`` values with a fresh ``W``/``D`` constraint solve per probe.
-The least feasible integer is the optimum, and at the optimum both probes
-return the greatest solution of the same system (``docs/THEORY.md`` §2),
-so the period *and* the normalized witness must be equal.
+``minimize_cycle_period`` binary-searches the integers in ``[max t(v),
+Phi(G)]`` with FEAS.  Its period must equal the exact oracle's
+(``optimal_cycle_period``, a fresh ``W``/``D`` solve per lattice point),
+and its witness the ``W``/``D`` constraint solve at that period: both are
+the greatest solution of the same system (``docs/THEORY.md`` §2).
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import observability
 from repro.graph import cycle_period
+from repro.optimal import optimal_cycle_period
 from repro.retiming import minimize_cycle_period
+from repro.retiming.optimal import _retime_for_period_reference
 from repro.unfolding import unfold
 
 from ..conftest import dfgs
@@ -27,12 +27,12 @@ EXAMPLES = int(os.environ.get("ORACLE_EXAMPLES", "60"))
 
 
 def _assert_same_search(g) -> None:
-    p_ref, r_ref = minimize_cycle_period(g, method="reference")
-    p_feas, r_feas = minimize_cycle_period(g, method="feas")
-    assert p_feas == p_ref, g.name
-    assert r_feas.as_dict() == r_ref.as_dict(), g.name
-    assert r_feas.is_normalized
-    assert cycle_period(r_feas.apply()) == p_feas
+    period, r = minimize_cycle_period(g)
+    opt = optimal_cycle_period(g)
+    assert opt.proven and period == opt.period, g.name
+    assert r.as_dict() == _retime_for_period_reference(g, period).as_dict(), g.name
+    assert r.is_normalized
+    assert cycle_period(r.apply()) == period
 
 
 class TestPeriodSearch:
@@ -49,10 +49,6 @@ class TestPeriodSearch:
         unfolding by ``f``."""
         _assert_same_search(g)
         _assert_same_search(unfold(g, f))
-
-    def test_unknown_method_rejected(self, fig2):
-        with pytest.raises(ValueError, match="unknown minimize_cycle_period"):
-            minimize_cycle_period(fig2, method="incremental")
 
     def test_search_counts_feas_passes(self, fig2):
         """The fast search probes by FEAS alone: its passes are counted,
