@@ -1005,14 +1005,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         raise
     except Exception as exc:
-        # Only the journaled commands raise JournalError; this import
-        # runs only on a failing command.
+        # These imports run only on a failing command.
+        from .graph.dfg import DFGError
         from .runner.journal import JournalError
 
-        if not isinstance(exc, JournalError):
+        # Bad input (an unknown workload, an unreadable or unparsable
+        # file, an out-of-range count or budget, a bad --resume journal)
+        # is an operator error: one clear line, no traceback.
+        if not (
+            isinstance(exc, (DFGError, JournalError))
+            or (isinstance(exc, OSError) and exc.filename is not None)
+        ):
             raise
-        # A bad --resume target (missing, corrupt, or wrong-command
-        # journal) is an operator error: one clear line, no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,14 @@ paper's conclusion calls for.
 
 The search strategy: for each candidate period ``c`` (ascending from the
 unconstrained optimum), take the optimal retiming ``r*`` for ``c``, quantize
-its values to ``P`` levels (quantile-based), and re-solve the retiming
-constraint system with nodes of a level forced equal (equalities are just
-paired difference constraints).  The identity retiming (1 distinct value,
-period ``Phi(G)``) guarantees termination.
+its values to ``P`` levels (quantile-based), and probe ``c`` again by FEAS
+with the nodes of a level held to one value (grouped FEAS,
+``repro.retiming.optimal._feas``).  The identity retiming (1 distinct
+value, period ``Phi(G)``) guarantees termination.
+
+Every probe is grouped FEAS; its reference, :func:`_solve_unfold_grouped`,
+solves the ``W_c`` difference constraints plus the equalities and returns
+the same witness (``docs/THEORY.md`` §4).
 """
 
 from __future__ import annotations
@@ -23,14 +27,8 @@ from dataclasses import dataclass
 
 from ..graph.dfg import DFG, DFGError
 from ..graph.period import cycle_period
-from ..graph.wd import wd_kernel
 from ..retiming.function import Retiming
-from ..retiming.optimal import (
-    minimize_cycle_period,
-    period_bounds,
-    retime_for_period,
-    solve_retiming,
-)
+from ..retiming.optimal import _feas_retiming, minimize_cycle_period, retime_for_period
 
 __all__ = [
     "RegisterConstrainedResult",
@@ -54,39 +52,36 @@ class RegisterConstrainedResult:
     unconstrained_period: int
 
 
-def _quantize_levels(values: list[int], p: int) -> list[int]:
-    """At most ``p`` representative levels covering ``values`` (quantiles)."""
-    distinct = sorted(set(values))
-    if len(distinct) <= p:
-        return distinct
-    levels = []
-    for k in range(p):
-        levels.append(distinct[k * (len(distinct) - 1) // (p - 1)] if p > 1 else distinct[0])
-    return sorted(set(levels))
+def _level_groups(r: Retiming, p: int) -> dict[str, int]:
+    """Each node's group: the nearest of at most ``p`` levels (quantiles)
+    covering ``r``'s values."""
+    distinct = sorted(set(r.as_dict().values()))
+    if len(distinct) > p:
+        distinct = sorted({distinct[k * (len(distinct) - 1) // max(p - 1, 1)] for k in range(p)})
+    return {
+        node: min(range(len(distinct)), key=lambda k: abs(distinct[k] - val))
+        for node, val in r.items()
+    }
 
 
-def _equal_within(groups: dict[str, int]) -> list[tuple[str, str, int]]:
-    """Bounds forcing equal retiming values within each group: each
-    group's members chained pairwise both ways."""
-    by_group: dict[int, list[str]] = {}
-    for node, gid in groups.items():
-        by_group.setdefault(gid, []).append(node)
-    return [
-        bound
-        for members in by_group.values()
-        for a, b in zip(members, members[1:])
-        for bound in ((a, b, 0), (b, a, 0))
-    ]
+def _grouped(g: DFG, f: int, c: int, groups: dict[str, int]) -> Retiming | None:
+    """A normalized retiming with ``Phi(unfold(G_r, f)) <= c`` and all
+    nodes of a group at one value, by grouped FEAS; ``None`` if none
+    exists."""
+    from ..unfolding.unfold import unfold
 
-
-def _solve_with_groups(g: DFG, c: int, groups: dict[str, int]) -> Retiming | None:
-    """Optimal-retiming constraint system for period ``c`` plus equality of
-    all nodes sharing a group id; ``None`` if infeasible."""
-    bounds = period_bounds(*wd_kernel(g), c) + _equal_within(groups)
-    r = solve_retiming(g, bounds)
-    if r is None or cycle_period(r.apply()) > c:
-        return None
+    r = _feas_retiming(g, c, f, groups)
+    # ``apply`` raises on an illegal witness.
+    assert r is None or cycle_period(r.apply() if f == 1 else unfold(r.apply(), f)) <= c, (
+        "internal error: grouped FEAS witness too slow"
+    )
     return r
+
+
+def _result(r: Retiming, unconstrained_period: int) -> RegisterConstrainedResult:
+    return RegisterConstrainedResult(
+        r, cycle_period(r.apply()), r.registers_needed(), unconstrained_period
+    )
 
 
 def limit_registers(g: DFG, max_registers: int, max_period: int | None = None) -> RegisterConstrainedResult:
@@ -102,82 +97,58 @@ def limit_registers(g: DFG, max_registers: int, max_period: int | None = None) -
         raise DFGError(f"need at least one register, got {max_registers}")
     best_c, best_r = minimize_cycle_period(g)
     if best_r.registers_needed() <= max_registers:
-        return RegisterConstrainedResult(
-            retiming=best_r,
-            period=best_c,
-            registers=best_r.registers_needed(),
-            unconstrained_period=best_c,
-        )
-
+        return _result(best_r, best_c)
     ceiling = max_period if max_period is not None else cycle_period(g)
     for c in range(best_c, ceiling + 1):
         r_star = retime_for_period(g, c)
         if r_star is None:
             continue
         if r_star.registers_needed() <= max_registers:
-            return RegisterConstrainedResult(
-                retiming=r_star,
-                period=cycle_period(r_star.apply()),
-                registers=r_star.registers_needed(),
-                unconstrained_period=best_c,
-            )
-        levels = _quantize_levels(list(r_star.as_dict().values()), max_registers)
-        groups = {
-            node: min(range(len(levels)), key=lambda k: abs(levels[k] - val))
-            for node, val in r_star.items()
-        }
-        r = _solve_with_groups(g, c, groups)
-        if r is not None and r.registers_needed() <= max_registers:
-            return RegisterConstrainedResult(
-                retiming=r,
-                period=cycle_period(r.apply()),
-                registers=r.registers_needed(),
-                unconstrained_period=best_c,
-            )
+            return _result(r_star, best_c)
+        # At most ``max_registers`` groups, so at most as many values.
+        r = _grouped(g, 1, c, _level_groups(r_star, max_registers))
+        if r is not None:
+            return _result(r, best_c)
     # Identity retiming: one value, original period — always legal.
-    r0 = Retiming.zero(g)
-    return RegisterConstrainedResult(
-        retiming=r0,
-        period=cycle_period(g),
-        registers=1,
-        unconstrained_period=best_c,
-    )
+    return _result(Retiming.zero(g), best_c)
 
 
-def _partitions_into_at_most(items: list[str], k: int):
-    """All set partitions of ``items`` into at most ``k`` blocks
-    (restricted-growth-string enumeration; intended for small graphs)."""
+def _partitions_into(items: list[str], k: int):
+    """Every set partition of ``items`` into exactly ``k`` blocks, as a
+    block id per item (restricted growth strings; for small graphs)."""
+    ids: list[int] = []
 
-    def rec(idx: int, blocks: list[list[str]]):
-        if idx == len(items):
-            yield [list(b) for b in blocks]
+    def rec(opened: int):
+        if opened + len(items) - len(ids) < k:
+            return  # too few items left to open the missing blocks
+        if len(ids) == len(items):
+            yield dict(zip(items, ids))
             return
-        item = items[idx]
-        for b in blocks:
-            b.append(item)
-            yield from rec(idx + 1, blocks)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([item])
-            yield from rec(idx + 1, blocks)
-            blocks.pop()
+        for block in range(min(opened + 1, k)):
+            ids.append(block)
+            yield from rec(max(opened, block + 1))
+            ids.pop()
 
-    yield from rec(0, [])
+    yield from rec(0)
 
 
-def _solve_unfold_grouped(
-    g: DFG, f: int, c: int, bounds: list[tuple[str, str, int]], groups: dict[str, int]
-) -> Retiming | None:
-    """Retiming with ``Phi(unfold(G_r, f)) <= c`` and all nodes of a group
-    forced to equal retiming values; ``None`` if infeasible.  ``bounds``
-    are the period constraints, from ``W_c``."""
+def _solve_unfold_grouped(g: DFG, f: int, c: int, groups: dict[str, int]) -> Retiming | None:
+    """:func:`_grouped` by the ``W_c`` difference constraints plus the
+    group equalities: the reference of grouped FEAS, with the same
+    witness."""
+    from ..retiming.optimal import solve_retiming
+    from ..unfolding.orders import min_delay_exceeding_time
     from ..unfolding.unfold import unfold
 
-    r = solve_retiming(g, bounds + _equal_within(groups))
-    if r is None:
-        return None
-    if cycle_period(unfold(r.apply(), f)) > c:  # pragma: no cover - defensive
-        return None
+    bounds = [(v, u, w - f) for (u, v), w in min_delay_exceeding_time(g, c).items()]
+    leader: dict[int, str] = {}
+    for node, gid in groups.items():  # each member equal to its group's first
+        first = leader.setdefault(gid, node)
+        bounds += [(node, first, 0), (first, node, 0)]
+    r = solve_retiming(g, bounds)
+    assert r is None or cycle_period(unfold(r.apply(), f)) <= c, (
+        "internal error: W_c reduction violated"
+    )
     return r
 
 
@@ -194,38 +165,21 @@ def minimize_registers_for_unfold(
     the unconstrained optimum (a heuristic upper bound).  Returns ``None``
     when the period itself is infeasible.
     """
-    from ..unfolding.orders import min_delay_exceeding_time, retime_unfold_for_period
+    from ..unfolding.orders import retime_unfold_for_period
 
     baseline = retime_unfold_for_period(g, f, c)
     if baseline is None:
         return None
-    best = baseline
-    if best.registers_needed() <= 1:
-        return best
-    # W_c, and so the period constraints, are the same for every grouping.
-    bounds = [(v, u, w - f) for (u, v), w in min_delay_exceeding_time(g, c).items()]
     names = g.node_names()
-    if len(names) <= exhaustive_limit:
-        for k in range(1, baseline.registers_needed()):
-            found = None
-            for blocks in _partitions_into_at_most(names, k):
-                groups = {n: i for i, block in enumerate(blocks) for n in block}
-                r = _solve_unfold_grouped(g, f, c, bounds, groups)
-                if r is not None and r.registers_needed() <= k:
-                    found = r
-                    break
-            if found is not None:
-                return found
-        return best
-    # Heuristic path: quantize the baseline's values to k levels.
-    values = list(baseline.as_dict().values())
+    # ``k`` groups give at most ``k`` values; exhaustively, every partition
+    # into fewer blocks already failed at a smaller ``k``.
     for k in range(1, baseline.registers_needed()):
-        levels = _quantize_levels(values, k)
-        groups = {
-            node: min(range(len(levels)), key=lambda i: abs(levels[i] - val))
-            for node, val in baseline.items()
-        }
-        r = _solve_unfold_grouped(g, f, c, bounds, groups)
-        if r is not None and r.registers_needed() < best.registers_needed():
-            return r
-    return best
+        if len(names) <= exhaustive_limit:
+            groupings = _partitions_into(names, k)
+        else:  # quantize the baseline's values to k levels
+            groupings = [_level_groups(baseline, k)]
+        for groups in groupings:
+            r = _grouped(g, f, c, groups)
+            if r is not None:
+                return r
+    return baseline

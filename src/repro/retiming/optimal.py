@@ -8,7 +8,9 @@ time exceeds ``c`` (in this library's sign convention, ``d_r(e(u->v)) =
 d(e) + r(u) - r(v)``, that *decrements* ``r(v)``).  Each pass is one Kahn
 pass, ``O(|V| + |E|)``, and ``|V| - 1`` decrementing passes suffice.  The
 same kernel, ``_feas(kernel, c, f)``, answers retime-then-unfold at
-factor ``f`` (:func:`repro.unfolding.orders.retime_unfold_for_period`).
+factor ``f`` (:func:`repro.unfolding.orders.retime_unfold_for_period`)
+and, with nodes held to equal values in groups, the register-constrained
+searches of :mod:`repro.core.partial`.
 
 Its reference, ``_retime_for_period_reference``, solves by Bellman–Ford
 the difference constraints, after the ``O(|V|³)`` ``W``/``D`` build,
@@ -61,10 +63,13 @@ def retime_for_period(g: DFG, c: int) -> Retiming | None:
     return r
 
 
-def _feas_retiming(g: DFG, c: int, f: int = 1) -> Retiming | None:
-    """:func:`_feas` on ``g``'s shared kernel, as a normalized retiming."""
+def _feas_retiming(
+    g: DFG, c: int, f: int = 1, groups: dict[str, int] | None = None
+) -> Retiming | None:
+    """:func:`_feas` on ``g``'s shared kernel, as a normalized retiming;
+    ``groups`` maps every node to its group id."""
     kernel = shared_kernel(g)
-    values = _feas(kernel, c, f)
+    values = _feas(kernel, c, f, None if groups is None else [groups[v] for v in kernel.names])
     if values is None:
         return None
     return Retiming(g, dict(zip(kernel.names, values))).normalized()
@@ -88,7 +93,9 @@ def _least_feasible(lo: int, hi: int, probe) -> tuple[int, Retiming, int]:
     return (*best, iterations)
 
 
-def _feas(kernel: EdgeKernel, c: int, f: int = 1) -> list[int] | None:
+def _feas(
+    kernel: EdgeKernel, c: int, f: int = 1, groups: list[int] | None = None
+) -> list[int] | None:
     """FEAS retiming values in :attr:`EdgeKernel.names` order with
     ``Phi(unfold(G_r, f)) <= c``, or ``None``.
 
@@ -100,6 +107,12 @@ def _feas(kernel: EdgeKernel, c: int, f: int = 1) -> list[int] | None:
     and keeps the retiming legal; a pass that lowers nothing proves ``c``
     feasible, and pass ``|V|`` still lowering proves it infeasible
     (``docs/THEORY.md`` §4).  At ``f = 1`` this is Leiserson–Saxe FEAS.
+
+    With ``groups`` (a group id per node, in the same order) the nodes of
+    a group must share one value: after its drops, a pass lowers every
+    group to its minimum and every edge's head to ``r(s) + d``, until
+    nothing moves.  Those lowerings are forced too, and the same bound
+    holds (``docs/THEORY.md`` §4, "Equal-value groups").
     """
     n = kernel.num_nodes
     times = kernel.times
@@ -159,6 +172,18 @@ def _feas(kernel: EdgeKernel, c: int, f: int = 1) -> list[int] | None:
             count("retiming.feas.passes", passes)
             return r
         r = [rv - dv for rv, dv in zip(r, drop)]
+        moved = groups is not None
+        while moved:
+            # Group equality and legality rows weigh 0 and d >= 0, so
+            # lowering to their fixpoint terminates.
+            low: dict[int, int] = {}
+            for rv, gid in zip(r, groups):
+                low[gid] = min(low.get(gid, rv), rv)
+            r = [low[gid] for gid in groups]
+            moved = False
+            for s, t, d in edges:
+                if r[t] > r[s] + d:
+                    r[t], moved = r[s] + d, True
     count("retiming.feas.passes", n)
     return None
 

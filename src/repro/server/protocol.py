@@ -48,7 +48,7 @@ from ..graph.serialize import from_json, to_json
 from ..runner.cache import cache_key
 from ..runner.difftest import check_sweep_params
 from ..runner.jobs import TRANSFORMS, Job, execute_job
-from ..workloads.registry import get_workload
+from ..workloads.registry import UnknownWorkloadError, get_workload
 from .work import analyze_graph
 
 __all__ = [
@@ -147,7 +147,7 @@ def _graph_json(params: dict) -> str:
             raise ProtocolError(f"workload must be a string, got {workload!r}")
         try:
             g = get_workload(workload)
-        except KeyError:
+        except UnknownWorkloadError:
             raise ProtocolError(f"unknown workload {workload!r}") from None
         return to_json(g, indent=None)
     if isinstance(graph, dict):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..graph.dfg import DFG
+from ..graph.dfg import DFG, DFGError
 from .extra import biquad_cascade, fir_filter, lms_filter
 from .figure8 import figure8
 from .filters import (
@@ -22,7 +22,10 @@ from .filters import (
 )
 from .paper_examples import figure1, figure2_example, figure4_loop
 
-__all__ = ["BENCHMARKS", "WORKLOADS", "get_workload", "benchmark_graphs", "PAPER_LABELS"]
+__all__ = [
+    "BENCHMARKS", "WORKLOADS", "get_workload", "benchmark_graphs", "PAPER_LABELS",
+    "UnknownWorkloadError",
+]
 
 #: The paper's Table 1/2 rows, in order.
 BENCHMARKS: tuple[str, ...] = (
@@ -62,12 +65,16 @@ WORKLOADS: dict[str, Callable[[], DFG]] = {
 }
 
 
+class UnknownWorkloadError(DFGError):
+    """No workload of that name."""
+
+
 def get_workload(name: str) -> DFG:
     """A fresh instance of the named workload graph."""
     try:
         builder = WORKLOADS[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownWorkloadError(
             f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         ) from None
     return builder()

@@ -1,6 +1,7 @@
 """Up-front CLI validation: bad flags die with one line, before any work.
 
-Covers the range-checked engine and serve flags, the one fabric flag
+Covers bad input to every command that reads a workload or a file, the
+range-checked engine and serve flags, the one fabric flag
 (``--workers remote`` with ``--jobs`` spawned workers), the topology
 fingerprint a journal records, and :func:`check_topology`'s refusal to
 ``--resume`` under a different execution fabric than the journal was
@@ -155,6 +156,45 @@ class TestOutOfRangeFlags:
         assert out == ""
         assert err.splitlines() == [f"error: {exc.value}"]
         assert argv[-2] in err
+
+
+def _bad_input_cases() -> list[list[str]]:
+    """Bad input for every subcommand that reads a workload or a file:
+    an unknown name, a missing path and unparsable text (``{missing}``
+    and ``{bad}`` stand for paths made per test), then a negative count
+    and an impossible budget.  A new subcommand joins by its arguments."""
+    cases = []
+    for command, sub in build_parser()._subparsers._group_actions[0].choices.items():
+        for action in sub._actions:
+            flag = action.option_strings[:1]
+            if action.dest == "workload":
+                cases.append([command, *flag, "no-such-workload"])
+            elif action.dest in ("file", "runs"):
+                cases += [[command, *flag, "{missing}"], [command, *flag, "{bad}"]]
+    return cases + [["run", "figure2", "-n", "-5"], ["compile", "figure2", "--budget", "-1"]]
+
+
+class TestBadInput:
+    """Bad input ends in one ``error:`` line and exit 2, never a
+    traceback."""
+
+    def test_every_reading_subcommand_is_covered(self):
+        assert {argv[0] for argv in _bad_input_cases()} == {
+            "info", "csr", "run", "compile", "parse", "cgen", "dot", "json",
+            "report", "profile",
+        }
+
+    @pytest.mark.parametrize("argv", _bad_input_cases(), ids=" ".join)
+    def test_exit_2_with_one_error_line(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("A[i] = = B[i-1]\n{\n")
+        paths = {"{missing}": str(tmp_path / "missing.txt"), "{bad}": str(bad)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len([l for l in err.splitlines() if "error:" in l]) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestSupervisedFabric:

@@ -81,9 +81,13 @@ class TestCli:
         assert captured.out == ""
         assert "unknown table(s): 5" in captured.err
 
-    def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            main(["info", "nonexistent"])
+    def test_unknown_workload_raises(self, capsys):
+        """``get_workload`` raises a ``DFGError``, which ``main`` ends in
+        one ``error:`` line and exit 2."""
+        assert main(["info", "nonexistent"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown workload 'nonexistent'")
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

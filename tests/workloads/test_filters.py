@@ -8,6 +8,7 @@ from repro.core import assert_equivalent, csr_pipelined_loop
 from repro.graph import cycle_period, validate
 from repro.retiming import minimize_cycle_period
 from repro.workloads import BENCHMARKS, PAPER_LABELS, benchmark_graphs, get_workload
+from repro.workloads.registry import UnknownWorkloadError
 
 # (node count, M_r, registers) as needed to reproduce Tables 1 and 2.
 # The paper's elliptic row is internally inconsistent (M_r = 1 admits at
@@ -54,7 +55,7 @@ class TestTargets:
         assert set(PAPER_LABELS) == set(BENCHMARKS)
 
     def test_registry_rejects_unknown(self):
-        with pytest.raises(KeyError, match="unknown workload"):
+        with pytest.raises(UnknownWorkloadError, match="unknown workload"):
             get_workload("no-such-filter")
 
     def test_fresh_instances(self):
