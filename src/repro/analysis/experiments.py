@@ -415,14 +415,11 @@ class OrderComparison:
     m_retime_unfold: int
 
 
-def _orders_payload(params: dict) -> dict:
-    """Measured order-comparison column for one factor (engine worker)."""
+def _orders_retimings(g: DFG, f: int, period: int | None):
+    """``(unfold_retime result, retime_unfold result, r)`` for one column:
+    ``r`` is the retime-unfold retiming its sizes are priced on."""
     from ..core.partial import minimize_registers_for_unfold
 
-    g = from_json(params["graph"])
-    f = params["factor"]
-    period = params["period"]
-    csr_mode = params["csr_mode"]
     ur = unfold_retime(g, f, period=period)
     ru = retime_unfold(g, f, period=period if period is not None else ur.period)
     r = ru.retiming
@@ -431,6 +428,15 @@ def _orders_payload(params: dict) -> dict:
         better = minimize_registers_for_unfold(g, f, ru.period)
         if better is not None and better.registers_needed() <= r.registers_needed():
             r = better
+    return ur, ru, r
+
+
+def _orders_payload(params: dict) -> dict:
+    """Measured order-comparison column for one factor (engine worker)."""
+    g = from_json(params["graph"])
+    f = params["factor"]
+    csr_mode = params["csr_mode"]
+    ur, ru, r = _orders_retimings(g, f, params["period"])
     bound = iteration_bound(g)
     return {
         "period": ru.period,

@@ -1,9 +1,11 @@
 """Loop-program IR and code generators for every transformed loop form.
 
-Programs for: the original loop, the software-pipelined loop
-(prologue/body/epilogue), the unfolded loop (+ remainder), and the two
-retiming+unfolding orders.  The conditional-register (CSR) forms live in
-:mod:`repro.core`, the executing VM in :mod:`repro.machine`.
+:mod:`.original` emits the reference loop that every program is checked
+against.  :mod:`.expanded` emits the software-pipelined loop (prologue,
+body, epilogue), the unfolded loop (+ remainder) and both
+retiming+unfolding orders from one slot table and one emitter.  The
+conditional-register (CSR) forms of the same slot tables live in
+:mod:`repro.core.predicated`, the executing VM in :mod:`repro.machine`.
 """
 
 from .. import _lazy_exports
@@ -12,7 +14,12 @@ __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         ".c_emitter": ("emit_c",),
-        ".combined": ("retimed_unfolded_loop", "unfold_retimed_loop"),
+        ".expanded": (
+            "pipelined_loop",
+            "retimed_unfolded_loop",
+            "unfold_retimed_loop",
+            "unfolded_loop",
+        ),
         ".ir": (
             "ComputeInstr",
             "DecInstr",
@@ -26,9 +33,7 @@ __getattr__, __dir__ = _lazy_exports(
             "SetupInstr",
         ),
         ".original": ("compute_for_node", "original_loop"),
-        ".pipelined": ("pipelined_loop",),
         ".printer": ("format_program",),
-        ".unfolded": ("unfolded_loop",),
     },
 )
 

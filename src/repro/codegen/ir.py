@@ -219,8 +219,14 @@ class Loop:
 class LoopProgram:
     """A complete loop program: ``pre`` + ``loop`` + ``post``.
 
-    ``meta`` carries free-form provenance (transformation name, retiming,
-    unfolding factor) used by reports and tests; it never affects execution.
+    ``meta`` carries provenance (transformation name, retiming, unfolding
+    factor) for reports and tests, and the program's trip-count contract:
+    ``min_n``, and for a residue-specialized program ``factor``,
+    ``residue`` and ``residue_shift`` (``(n - residue_shift) mod factor ==
+    residue``).  The VM (:func:`repro.machine.run_program`) and the C
+    program :func:`repro.codegen.emit_c` writes refuse a trip count outside
+    that contract; ``meta`` never changes what an admitted run computes.
+    It is excluded from equality.
     """
 
     name: str

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codegen.ir import LoopProgram
-from .core.combined_csr import csr_retimed_unfolded_loop, csr_unfold_retimed_loop
-from .core.csr import csr_pipelined_loop
+from .core.predicated import (
+    csr_pipelined_loop,
+    csr_retimed_unfolded_loop,
+    csr_unfold_retimed_loop,
+)
 from .core.verify import assert_equivalent
 from .graph.dfg import DFG, DFGError
 from .retiming.function import Retiming

@@ -1,10 +1,12 @@
 """The paper's primary contribution: the code-size reduction framework.
 
-Conditional-register code generation for retimed loops (Theorems 4.1–4.3),
-unfolded loops (Section 3.3), and retimed-unfolded loops in both orders
-(Theorems 4.6/4.7); the closed-form code-size models of Theorems 4.4/4.5;
-semantic verification by execution; register-constrained retiming; and the
-code-size/performance trade-off explorer.
+Conditional-register code generation (:mod:`.predicated`) for retimed
+loops (Theorems 4.1–4.3), unfolded loops (Section 3.3) and
+retimed-unfolded loops in both orders (Theorems 4.6/4.7), each from the
+slot table its expanded form is emitted from; the closed-form code-size
+models of Theorems 4.4/4.5; semantic verification by execution;
+register-constrained retiming; and the code-size/performance trade-off
+explorer.
 """
 
 from .. import _lazy_exports
@@ -31,10 +33,14 @@ __getattr__, __dir__ = _lazy_exports(
             "size_unfold_retime",
             "size_unfolded",
         ),
-        ".combined_csr": ("csr_retimed_unfolded_loop", "csr_unfold_retimed_loop"),
-        ".csr": ("csr_pipelined_loop",),
         ".partial": ("RegisterConstrainedResult", "limit_registers"),
-        ".predicated": ("predicated_program",),
+        ".predicated": (
+            "csr_pipelined_loop",
+            "csr_retimed_unfolded_loop",
+            "csr_unfold_retimed_loop",
+            "csr_unfolded_loop",
+            "predicated_program",
+        ),
         ".tradeoff": (
             "TradeoffPoint",
             "best_under_budget",
@@ -42,7 +48,6 @@ __getattr__, __dir__ = _lazy_exports(
             "max_retiming_depth",
             "max_unfolding_factor",
         ),
-        ".unfolded_csr": ("csr_unfolded_loop",),
         ".verify": ("EquivalenceError", "assert_equivalent", "equivalent", "reference_result"),
     },
 )

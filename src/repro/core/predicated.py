@@ -32,28 +32,46 @@ paper's tables use:
     instruction's guard carries offset ``-j`` instead; overhead
     ``2 * |classes|``; any dependency-respecting body order is legal.
 
-Instantiations (``sigma`` choices):
+Instantiations: every transformed loop is a slot table (see
+:mod:`repro.codegen.expanded`, which emits its expanded program) with ``w``
+copies per pipelined iteration, unrolled ``u`` times.  Its CSR form has
+``f = u * w`` slots, in ``t``-major body order: slot ``t * w + j`` of
+``v`` carries ``sigma = t * w + w * rho + j``.
 
-=====================  =============================  =================
-form                   ``sigma(v, j)``                classes
-=====================  =============================  =================
-retimed (Thm 4.3)      ``r(v)`` (``f = 1``)           ``N_r``
-unfolded (Sec 3.3)     ``j``                          ``{0}`` (1 reg)
-retime-unfold (4.7)    ``j + r(v)``                   ``N_r``
-unfold-retime          ``j + f * r'(v#j)``            ``f * N_{r'}``
-=====================  =============================  =================
+=====================  =============================  ===  ===  =================
+form                   ``sigma(v, j)``                w    u    classes
+=====================  =============================  ===  ===  =================
+retimed (Thm 4.3)      ``r(v)`` (``f = 1``)           1    1    ``N_r``
+unfolded (Sec 3.3)     ``j``                          1    f    ``{0}`` (1 reg)
+retime-unfold (4.7)    ``j + r(v)``                   1    f    ``N_r``
+unfold-retime          ``j + f * r'(v#j)``            f    1    ``f * N_{r'}``
+=====================  =============================  ===  ===  =================
+
+All ``f`` copies of a retime-unfold node share the register of class
+``r(v)`` (Theorem 4.7's ``P_{r,f} = P_r``); each unfold-retime copy has its
+own class, and since its zero-delay dependencies may cross slots either
+way, that form always uses ``per-iteration``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..graph.dfg import DFG, DFGError
+from ..codegen.expanded import _check_factor, _copy_slots, _plain_slots, _retimed_slots
 from ..codegen.ir import DecInstr, Guard, IndexExpr, Instr, Loop, LoopProgram, SetupInstr
 from ..codegen.original import compute_for_node
+from ..graph.dfg import DFG, DFGError
+from ..observability import count, span
+from ..retiming.function import Retiming
 from .codesize import PER_COPY, PER_ITERATION
 
-__all__ = ["predicated_program"]
+__all__ = [
+    "csr_pipelined_loop",
+    "csr_retimed_unfolded_loop",
+    "csr_unfold_retimed_loop",
+    "csr_unfolded_loop",
+    "predicated_program",
+]
 
 
 def predicated_program(
@@ -159,3 +177,72 @@ def predicated_program(
         post=(),
         meta=full_meta,
     )
+
+
+def _from_slots(
+    g: DFG, slots: Sequence, w: int, u: int, mode: str, name: str, meta: dict
+) -> LoopProgram:
+    """The CSR program of a slot table (module docstring)."""
+    shifts = {}
+    order = []
+    for t in range(u):
+        for v, j, rho in slots:
+            shifts[(v, t * w + j)] = t * w + w * rho + j
+            order.append((v, t * w + j))
+    return predicated_program(g, u * w, shifts, order, mode=mode, name=name, meta=meta)
+
+
+def csr_pipelined_loop(g: DFG, r: Retiming) -> LoopProgram:
+    """The conditional-register form of the pipelined loop for retiming ``r``.
+
+    Unlike :func:`repro.codegen.pipelined_loop`, the result runs correctly
+    for *every* trip count ``n >= 0`` — guards simply disable everything
+    out of range, so even ``n < M_r`` needs no special casing.
+    """
+    count("csr.programs")
+    with span("csr.rewrite", graph=g.name, nodes=g.num_nodes):
+        r, slots = _retimed_slots(r)
+        meta = {"kind": "csr-pipelined", "retiming": r.as_dict(), "max_retiming": r.max_value}
+        return _from_slots(g, slots, 1, 1, PER_ITERATION, f"{g.name}.csr_pipelined", meta)
+
+
+def csr_unfolded_loop(g: DFG, f: int) -> LoopProgram:
+    """The single-register conditional form of the unfolded loop."""
+    _check_factor(f)
+    name = f"{g.name}.csr_unfolded_x{f}"
+    return _from_slots(g, _plain_slots(g), 1, f, PER_ITERATION, name, {"kind": "csr-unfolded"})
+
+
+def csr_retimed_unfolded_loop(
+    g: DFG, r: Retiming, f: int, mode: str = PER_COPY
+) -> LoopProgram:
+    """Conditional form of the retime-then-unfold loop.
+
+    ``r`` is a retiming of ``g``; ``f`` the unfolding factor.  Register
+    count is ``|N_r|`` regardless of ``f``.
+    """
+    _check_factor(f)
+    r, slots = _retimed_slots(r)
+    meta = {
+        "kind": "csr-retimed-unfolded",
+        "retiming": r.as_dict(),
+        "max_retiming": r.max_value,
+    }
+    return _from_slots(g, slots, 1, f, mode, f"{g.name}.csr_retimed_unfolded_x{f}", meta)
+
+
+def csr_unfold_retimed_loop(g: DFG, r_gf: Retiming, f: int) -> LoopProgram:
+    """Conditional form of the unfold-then-retime loop.
+
+    ``r_gf`` retimes the copies of ``unfold(g, f)``.  Register count is the
+    number of distinct copy retiming values.
+    """
+    _check_factor(f)
+    r_gf, slots = _copy_slots(g, r_gf, f)
+    meta = {
+        "kind": "csr-unfold-retimed",
+        "retiming": r_gf.as_dict(),
+        "max_retiming": r_gf.max_value,
+    }
+    name = f"{g.name}.csr_unfold_retimed_x{f}"
+    return _from_slots(g, slots, f, 1, PER_ITERATION, name, meta)

@@ -26,10 +26,13 @@ import json
 import time
 from dataclasses import dataclass
 
-from ..codegen.combined import retimed_unfolded_loop, unfold_retimed_loop
+from ..codegen.expanded import (
+    pipelined_loop,
+    retimed_unfolded_loop,
+    unfold_retimed_loop,
+    unfolded_loop,
+)
 from ..codegen.original import original_loop
-from ..codegen.pipelined import pipelined_loop
-from ..codegen.unfolded import unfolded_loop
 from ..core.codesize import (
     PER_COPY,
     PER_ITERATION,
@@ -37,9 +40,12 @@ from ..core.codesize import (
     size_retime_unfold,
     size_unfold_retime,
 )
-from ..core.combined_csr import csr_retimed_unfolded_loop, csr_unfold_retimed_loop
-from ..core.csr import csr_pipelined_loop
-from ..core.unfolded_csr import csr_unfolded_loop
+from ..core.predicated import (
+    csr_pipelined_loop,
+    csr_retimed_unfolded_loop,
+    csr_unfold_retimed_loop,
+    csr_unfolded_loop,
+)
 from ..core.verify import assert_equivalent
 from ..graph.dfg import DFG, DFGError
 from ..graph.serialize import from_json, to_json

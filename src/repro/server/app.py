@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .. import observability
 from ..runner import resilience
-from ..runner.cache import ResultCache
-from ..runner.engine import ExperimentEngine
+from ..runner.engine import ExperimentEngine, default_engine
 from ..runner.resilience import FaultPlan
 from .http import HttpFrontend
 from .service import RetimingService
@@ -46,12 +45,6 @@ class ServerConfig:
     lease_timeout: float = 30.0  # work-plane lease expiry
 
     def build_engine(self) -> ExperimentEngine:
-        if self.no_cache:
-            cache = None
-        elif self.cache_dir is not None:
-            cache = ResultCache(self.cache_dir)
-        else:
-            cache = ResultCache()
         remote = None
         if self.distributed:
             from ..runner.remote import RemoteFabric
@@ -60,7 +53,12 @@ class ServerConfig:
                 workers=self.remote_workers,
                 lease_timeout=self.lease_timeout,
             )
-        return ExperimentEngine(jobs=self.workers, cache=cache, remote=remote)
+        return default_engine(
+            jobs=self.workers,
+            cache=not self.no_cache,
+            cache_dir=self.cache_dir,
+            remote=remote,
+        )
 
     def build_service(self) -> RetimingService:
         return RetimingService(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from ..core.codesize import size_csr_pipelined, size_pipelined
-from ..core.csr import csr_pipelined_loop
+from ..core.predicated import csr_pipelined_loop
 from ..core.verify import assert_equivalent
 from ..graph.dfg import DFGError
 from ..graph.iteration_bound import iteration_bound

@@ -26,7 +26,7 @@ from repro.codegen.ir import (
     Operand,
     SetupInstr,
 )
-from repro.core.csr import csr_pipelined_loop
+from repro.core.predicated import csr_pipelined_loop
 from repro.graph import OpKind
 from repro.graph.generators import random_dfg
 from repro.machine.vm import run_program
